@@ -1,7 +1,7 @@
 """Multi-workload simulator-kernel performance suite.
 
 Every other benchmark in the repo reports *simulated* microseconds;
-this module guards the *simulator's own* wall-clock performance.  Four
+this module guards the *simulator's own* wall-clock performance.  Seven
 workloads exercise the kernel's hot paths from different directions:
 
 ``solver``
@@ -64,11 +64,14 @@ __all__ = [
 #: measured full-mode on the dev box solver ~235k, nbody ~148k, chaos
 #: ~190k, timer_churn ~820k, ring_1k ~215k events/s; floors sit at
 #: roughly half of that for runner headroom (REPRO_BENCH_FLOOR_SLACK
-#: scales them further on shared runners).
+#: scales them further on shared runners).  chaos raised with
+#: sequence-preserving elision (~245-250k in BENCH_kernel.json runs):
+#: the one workload whose new number clears a higher floor at the same
+#: half-of-measured slack on every run.
 FLOORS = {
     "solver": 120_000,
     "nbody": 80_000,
-    "chaos": 85_000,
+    "chaos": 100_000,
     "timer_churn": 400_000,
     "ring_1k": 100_000,
     # collective-scale workloads (measured full-mode ~190k and ~75k

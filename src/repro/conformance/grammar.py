@@ -35,6 +35,7 @@ wildcards are only generated where MPI's own guarantees pin the match):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -78,8 +79,15 @@ _DTYPES = {"int": np.int32, "double": np.float64, "long": np.int64}
 
 
 # ------------------------------------------------------------------ payloads
+@functools.lru_cache(maxsize=256)
 def _stream(material: str, nbytes: int) -> bytes:
-    """Deterministic byte stream from *material* (sha256 counter mode)."""
+    """Deterministic byte stream from *material* (sha256 counter mode).
+
+    Memoised: a program's payloads are rebuilt for every cell and
+    reference rerun of its differential.  The result is immutable and
+    the bound (256 streams of at most 16385 B, the largest ``BYTE_SIZES``
+    entry) keeps the cache to a few MiB; one program uses a few dozen.
+    """
     out = bytearray()
     ctr = 0
     while len(out) < nbytes:

@@ -60,7 +60,7 @@ class AtmNic:
         if nbytes > self.mtu:
             raise NetworkError(f"PDU of {nbytes} bytes exceeds max {self.mtu}")
         ncells = aal_cells(nbytes, aal, self.params)
-        self._txq.put(Pdu(self.addr, dst, nbytes, ncells, aal, payload))
+        self._txq.post(Pdu(self.addr, dst, nbytes, ncells, aal, payload))
 
     def _tx_worker(self):
         p = self.params

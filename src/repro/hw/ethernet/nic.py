@@ -45,7 +45,7 @@ class EthernetNic:
         transmits in the background)."""
         if nbytes > self.mtu:
             raise NetworkError(f"payload {nbytes} exceeds Ethernet MTU {self.mtu}")
-        self._txq.put(Frame(self.addr, dst, nbytes, payload))
+        self._txq.post(Frame(self.addr, dst, nbytes, payload))
 
     def _tx_worker(self):
         while True:

@@ -153,7 +153,7 @@ class MeikoNode(Host):
 
     def enqueue_rx(self, packet: Packet) -> None:
         """Called by the network when a packet arrives for this node."""
-        self.rxq.put(packet)
+        self.rxq.post(packet)
 
     def _cmd_worker(self):
         p = self.params
@@ -236,7 +236,7 @@ class MeikoNode(Host):
     # -- SPARC-side primitives (generators, run in the caller's process) ----
     def issue(self, cmd) -> None:
         """Enqueue an Elan command without charging SPARC time (internal)."""
-        self.cmdq.put(cmd)
+        self.cmdq.post(cmd)
 
     def issue_txn(
         self,
@@ -248,7 +248,7 @@ class MeikoNode(Host):
     ):
         """Issue a remote transaction from the SPARC (charges txn_issue)."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.put(TxnCommand(dst, payload_nbytes, deliver, local_done, debug))
+        self.cmdq.post(TxnCommand(dst, payload_nbytes, deliver, local_done, debug))
 
     def issue_dma(
         self,
@@ -260,7 +260,7 @@ class MeikoNode(Host):
     ):
         """Issue a DMA from the SPARC (charges txn_issue for the descriptor)."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.put(DmaCommand(dst, nbytes, deliver, local_done, debug))
+        self.cmdq.post(DmaCommand(dst, nbytes, deliver, local_done, debug))
 
     def issue_bcast(
         self,
@@ -271,7 +271,7 @@ class MeikoNode(Host):
     ):
         """Issue a hardware broadcast from the SPARC."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.put(BcastCommand(nbytes, make_deliver, local_done, debug))
+        self.cmdq.post(BcastCommand(nbytes, make_deliver, local_done, debug))
 
     def set_remote_event(self, dst: int, event: HwEvent, debug: Optional[str] = None):
         """Set a hardware event on a remote node (a zero-payload txn)."""

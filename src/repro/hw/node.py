@@ -58,14 +58,16 @@ class Processor:
         scaled = cost / self.speed
         self.busy_time += scaled
         # Uncontended fast path inlined from Resource.use: same grant
-        # event + hold timeout (identical event count and ordering), on
-        # pooled records, without the extra delegating generator frame.
+        # event (elided when nothing else is runnable now) + hold
+        # timeout (identical event count and ordering), on pooled
+        # records, without the extra delegating generator frame.
         res = self._res
         if res._in_use < res.capacity and not res._queue:
             res._in_use += 1
             sim = res.sim
             try:
-                yield sim.event1().succeed(None)
+                if not sim.elide():
+                    yield sim.event1().succeed(None)
                 yield sim.timeout1(scaled)
             finally:
                 if res._queue:

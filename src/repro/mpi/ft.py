@@ -46,7 +46,7 @@ so recovery latency is measurable per phase, Table-1 style.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -152,6 +152,10 @@ class FTState:
         #: simulated microseconds — the soak harness reads this
         self.timeline: Dict[str, float] = {}
         self._detecting: set = set()
+        #: set by ``World.run`` for the length of a run: called (no
+        #: arguments) whenever a crash executes, which is the one moment
+        #: besides a rank finishing at which the job can become complete
+        self.crash_hook: Optional[Callable[[], None]] = None
 
     # -- plumbing -----------------------------------------------------------
     def _emit(self, kind: str, rank=None, detail=None) -> None:
@@ -176,6 +180,8 @@ class FTState:
     # -- detection ----------------------------------------------------------
     def on_crash(self, node: int, now: float) -> None:
         """Called by :mod:`repro.faults` the instant a crash executes."""
+        if self.crash_hook is not None:
+            self.crash_hook()
         if node in self._detecting or node in self.failed:
             return
         self._detecting.add(node)

@@ -214,76 +214,61 @@ class World:
         if obs is not None:
             obs.emit(sim.now, "mpi", "world.start",
                      detail={"nprocs": len(procs), "ranks": list(ranks)})
-        # Completion/failure tracking is callback-based: the per-event
-        # check is two counter reads instead of two O(nprocs) scans.
-        state = {"done": 0, "died": False}
-
+        # One supervised path for every world.  What decides the run (a
+        # rank died, enough ranks finished, a crash executed) can only
+        # change when a rank's process event fires or a crash fires, so
+        # it is tested only there: the completion callback raises
+        # StopRun, the crash hook asks the simulator to stop, and in
+        # between the kernel's batch-drain loop runs unsupervised with
+        # the time limit as its horizon.
         nprocs = len(procs)
-        peek = sim.peek
-        step = sim.step
-        inf = float("inf")
         # Under FT a crashed rank never finishes; once every survivor has
         # returned the job is done — don't run out the background timers
         # (kernel retransmissions to the dead host span simulated minutes)
         crashed = self._crashed_ranks()
-        surv_target = (
-            sum(1 for r in ranks if r not in crashed) if crashed else nprocs + 1
-        )
-        if limit == inf and not crashed:
-            # Fast path: no per-event supervision needed.  The completion
-            # callback stops sim.run() from inside the loop (StopRun);
-            # the heap draining without all ranks done is a deadlock.
-            def _on_done(event, state=state):
-                state["done"] += 1
-                if not event._ok:
-                    state["died"] = True
-                    raise StopRun
-                if state["done"] >= nprocs:
-                    raise StopRun
+        survivors = sum(1 for r in ranks if r not in crashed)
+        done = 0
+        died = False
 
-            for p in procs:
-                p.add_callback(_on_done)
-            sim.run()
-            if state["done"] < nprocs and not state["died"]:
-                if peek() == inf and not self._ft_complete(procs, ranks):
-                    raise self._watchdog(procs, ranks)
-        elif limit == inf:
+        def finished() -> bool:
+            # (without a crash plan survivors == nprocs and
+            # _ft_complete is False)
+            return died or done >= nprocs or (
+                done >= survivors and self._ft_complete(procs, ranks))
 
-            def _on_done(event, state=state):
-                state["done"] += 1
-                if not event._ok:
-                    state["died"] = True
+        def _on_done(event):
+            nonlocal done, died
+            done += 1
+            if not event._ok:
+                died = True
+            if died or done >= survivors:
+                raise StopRun
 
-            for p in procs:
-                p.add_callback(_on_done)
-            while state["done"] < nprocs and not state["died"]:
-                if state["done"] >= surv_target and self._ft_complete(procs, ranks):
+        def _on_crash():
+            # survivors already done: the crash is what completes the job
+            if finished():
+                sim.stop()
+
+        for p in procs:
+            p.add_callback(_on_done)
+        if crashed:
+            self.ft.crash_hook = _on_crash
+        try:
+            while True:
+                # the clock stays at the last fired event: that is the
+                # time a deadlock or a failure is reported at
+                sim.run(limit, advance_clock=False)
+                if finished():
                     break
-                if peek() == inf:  # prunes tombstones: _heap empty <=> drained
-                    if self._ft_complete(procs, ranks):
-                        break
-                    raise self._watchdog(procs, ranks)
-                step()
-        else:
-
-            def _on_done(event, state=state):
-                state["done"] += 1
-                if not event._ok:
-                    state["died"] = True
-
-            for p in procs:
-                p.add_callback(_on_done)
-            while state["done"] < nprocs and not state["died"]:
-                if state["done"] >= surv_target and self._ft_complete(procs, ranks):
-                    break
-                next_t = peek()
-                if next_t == inf:
-                    if self._ft_complete(procs, ranks):
-                        break
+                next_t = sim.peek()
+                if next_t == float("inf"):
                     raise self._watchdog(procs, ranks)
                 if next_t > limit:
                     raise ConfigurationError(f"time limit {limit} µs exceeded")
-                step()
+                # stopped short: a survivor or the crash is still to come
+        finally:
+            if crashed:
+                self.ft.crash_hook = None
         # Close the generators of crashed ranks now, while the event bus
         # still attributes emissions to this run: their ``finally``
         # blocks (the call.enter/exit tracer in particular) must not

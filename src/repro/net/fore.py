@@ -74,4 +74,4 @@ class ForeApi:
         yield from self.kernel.charge(self.kernel.params.fore_in)
         q = self._queues.get(msg.dport)
         if q is not None:
-            q.put(msg)
+            q.post(msg)

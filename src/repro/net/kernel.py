@@ -145,7 +145,7 @@ class Kernel:
     # -- receive path ---------------------------------------------------------
     def enqueue_rx(self, item) -> None:
         """Called from NIC delivery context: queue for kernel processing."""
-        self._rxq.put(item)
+        self._rxq.post(item)
 
     def _rx_worker(self):
         from repro.net.ip import IpPacket

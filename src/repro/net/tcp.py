@@ -653,7 +653,7 @@ class TcpLayer:
             conn = TcpConnection(self, seg.dport, src_host, seg.sport)
             self._register(conn)
             conn.state = ESTABLISHED
-            lst._accepted.put(conn)
+            lst._accepted.post(conn)
             yield from self.kernel.charge(self.kernel.params.tcp_out)
             conn._transmit(TcpSegment(conn.local_port, conn.remote_port, 0, 0, syn=True))
             return

@@ -66,7 +66,7 @@ class UdpSocket:
         if len(self._queue) >= self.queue_limit:
             self.drops += 1
             return
-        self._queue.put((src_host, dgram))
+        self._queue.post((src_host, dgram))
         if self.on_data is not None:
             self.on_data()
 

@@ -13,7 +13,8 @@ and streamable into pandas/jq.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List
+from itertools import islice
+from typing import Dict, Iterator
 
 __all__ = ["to_chrome", "to_jsonl_lines", "write_trace"]
 
@@ -27,6 +28,14 @@ _LAYER_CAT = {
     "fault": "fault",
     "trace": "trace",
 }
+
+#: one record -> JSON text through the C encoder.  ``json.dump`` to a
+#: file always takes the pure-Python ``_iterencode`` path (one call per
+#: container, one ``write`` per token), which was half of a traced run.
+_encode = json.JSONEncoder(default=str).encode
+
+#: records joined per ``write`` when streaming a chrome trace
+_CHUNK = 4096
 
 
 def _pid_registry(bus):
@@ -42,23 +51,27 @@ def _pid_registry(bus):
 
 def to_chrome(bus) -> Dict:
     """Convert a bus into a Chrome-trace JSON object."""
+    return {"traceEvents": list(_chrome_records(bus)), "displayTimeUnit": "ns"}
+
+
+def _chrome_records(bus) -> Iterator[Dict]:
+    """The ``traceEvents`` of :func:`to_chrome`, one at a time."""
     pids = _pid_registry(bus)
-    out: List[Dict] = []
     ranks_seen = set()
     for run, pid in pids.items():
-        out.append({
+        yield {
             "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
             "args": {"name": str(run) if run is not None else "repro"},
-        })
+        }
     for ev in bus.events:
         pid = pids[ev.run]
         tid = ev.rank if ev.rank is not None else -1
         if (pid, tid) not in ranks_seen and tid >= 0:
             ranks_seen.add((pid, tid))
-            out.append({
+            yield {
                 "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
                 "args": {"name": f"rank {tid}"},
-            })
+            }
         cat = _LAYER_CAT.get(ev.layer, ev.layer)
         detail = ev.detail or {}
         if ev.layer == "mpi" and ev.kind in ("call.enter", "call.exit"):
@@ -79,8 +92,7 @@ def to_chrome(bus) -> Dict:
                 args["msg"] = list(ev.msg)
             if args:
                 rec["args"] = args
-        out.append(rec)
-    return {"traceEvents": out, "displayTimeUnit": "ns"}
+        yield rec
 
 
 def to_jsonl_lines(bus) -> Iterator[str]:
@@ -95,15 +107,29 @@ def to_jsonl_lines(bus) -> Iterator[str]:
             rec["detail"] = ev.detail
         if ev.run is not None:
             rec["run"] = ev.run
-        yield json.dumps(rec, default=str)
+        yield _encode(rec)
 
 
 def write_trace(bus, path: str, fmt: str = "chrome") -> str:
-    """Serialise *bus* to *path* in ``chrome`` or ``jsonl`` format."""
+    """Serialise *bus* to *path* in ``chrome`` or ``jsonl`` format.
+
+    The chrome file is byte-for-byte ``json.dumps(to_chrome(bus),
+    default=str)`` plus a newline, streamed a chunk of records at a time
+    so neither the record list nor the document text is held whole.
+    """
     if fmt == "chrome":
+        records = _chrome_records(bus)
         with open(path, "w") as fh:
-            json.dump(to_chrome(bus), fh, default=str)
-            fh.write("\n")
+            fh.write('{"traceEvents": [')
+            sep = ""
+            while True:
+                chunk = ", ".join(map(_encode, islice(records, _CHUNK)))
+                if not chunk:
+                    break
+                fh.write(sep)
+                fh.write(chunk)
+                sep = ", "
+            fh.write('], "displayTimeUnit": "ns"}\n')
     elif fmt == "jsonl":
         with open(path, "w") as fh:
             for line in to_jsonl_lines(bus):

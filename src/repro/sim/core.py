@@ -5,7 +5,9 @@ standard library.  It provides:
 
 * :class:`Simulator` -- the event loop (a binary heap of scheduled
   events, a monotonically increasing clock, deterministic tie-breaking,
-  a same-timestamp batch drain in :meth:`Simulator.run`);
+  a same-timestamp batch drain in :meth:`Simulator.run`, which every
+  caller -- the supervised :meth:`repro.mpi.World.run` included --
+  drives; :class:`StopRun` / :meth:`Simulator.stop` end it early);
 * :class:`Event` -- a one-shot future that processes can wait on;
 * :class:`Timeout` -- an event that fires after a fixed delay; also a
   cancellable timer handle (:meth:`Timeout.cancel`, O(1) lazy heap
@@ -40,6 +42,13 @@ The run loop is compiled down to plain-list and tuple operations:
   are then ordinary garbage); event order is identical either way.
 * **Inlined scheduling.**  ``succeed``/``fail``/``Timeout()`` push the
   heap entry directly instead of funnelling through :meth:`_schedule`.
+* **Sequence-preserving elision.**  A zero-delay event whose firing
+  provably cannot reorder or affect anything consumes its sequence
+  number but never touches the heap.  :meth:`Simulator.elide` is the
+  only place that decides this; the uncontended grant of
+  ``Resource.use`` / ``Processor.execute`` and the acceptance event of
+  ``Store.post`` are the only users.  An *event count* therefore means
+  sequence numbers allocated, elided ones included.
 
 Determinism
 -----------
@@ -48,8 +57,9 @@ sequence-number) order, where the sequence number is assigned at
 scheduling time.  Given identical inputs and seeds, every run of a
 simulation produces the identical event order.  None of the machinery
 above may change how sequence numbers are allocated: pooling recycles
-*records*, never sequence numbers, and both run loops drain batches in
-exactly the order the heap yields them.
+*records*, never sequence numbers, elision skips the *heap*, never a
+sequence number, a :meth:`Simulator.stop` sentinel takes none, and both
+run loops drain batches in exactly the order the heap yields them.
 """
 
 from __future__ import annotations
@@ -79,6 +89,8 @@ _INF = float("inf")
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
+#: Priority of the :meth:`Simulator.stop` sentinel: ahead of URGENT.
+_STOP = -1
 
 _PENDING = object()
 
@@ -99,12 +111,17 @@ class SimulationError(Exception):
 class StopRun(BaseException):
     """Raised by an event callback to stop :meth:`Simulator.run` early.
 
-    The run loop swallows it and returns with the clock at the stopping
-    event's timestamp; remaining same-time events stay queued.  Derives
-    from ``BaseException`` so protocol code catching ``Exception`` can
-    never absorb it.  Only raise it from plain callbacks driven by
-    ``run()`` -- raising it inside a process generator or under
-    :meth:`Simulator.step` propagates to the caller instead.
+    The run loop swallows it, runs the callbacks still queued behind the
+    raising one on the *same* event (a waiter is never dropped), recycles
+    the record and returns with the clock at that event's timestamp;
+    later events, same-time ones included, stay queued and a second
+    ``run()`` carries on exactly where this one stopped.  This is how
+    every :meth:`repro.mpi.World.run` ends.  Derives from
+    ``BaseException`` so protocol code catching ``Exception`` can never
+    absorb it.  Only raise it from plain callbacks driven by ``run()``:
+    inside a process generator it is one more exception that fails the
+    process (call :meth:`Simulator.stop` there), and under
+    :meth:`Simulator.step` it propagates to the caller.
     """
 
 
@@ -217,13 +234,19 @@ class Event:
 
     def _fire(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        had_waiter = False
-        for fn in callbacks:
-            had_waiter = True
-            fn(self)
-        if not self._ok and not had_waiter and not self._defused:
-            # An unhandled failure: abort the simulation loudly.
-            raise self._value
+        if not callbacks:
+            if not self._ok and not self._defused:
+                # An unhandled failure: abort the simulation loudly.
+                raise self._value
+            return
+        sim = self.sim
+        # waiters behind the one running are still "runnable now"
+        sim._fanout = len(callbacks) > 1
+        try:
+            for fn in callbacks:
+                fn(self)
+        finally:
+            sim._fanout = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if not self.triggered else ("ok" if self._ok else "failed")
@@ -508,6 +531,11 @@ class AllOf(_Condition):
         return self._count >= len(self.events)
 
 
+def _never_elide(waited: bool = True) -> bool:
+    """:meth:`Simulator.elide` of a ``Simulator(elide=False)``."""
+    return False
+
+
 class Simulator:
     """The discrete-event loop.
 
@@ -523,22 +551,33 @@ class Simulator:
     ``pool`` controls record recycling for the internal
     :meth:`timeout1`/:meth:`event1` fast paths; the default follows the
     ``REPRO_SIM_POOL`` environment variable (on unless set to ``0``).
-    Event order is identical with pooling on or off.
+    ``elide=False`` makes :meth:`elide` refuse, so every elidable event
+    takes its heap trip -- the oracle the equivalence tests compare
+    against.  Event order and sequence numbers are identical for every
+    combination of the two.
     """
 
-    def __init__(self, pool: Optional[bool] = None):
+    def __init__(self, pool: Optional[bool] = None, elide: bool = True):
         self._now = 0.0
         self._heap: List = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: tombstoned (cancelled) entries still sitting in the heap
         self._dead = 0
+        #: True while an event with several callbacks is firing: the
+        #: waiters behind the running one are runnable at this instant
+        #: although the heap does not show them (see :meth:`elide`)
+        self._fanout = False
+        #: a :meth:`stop` sentinel is queued
+        self._stopping = False
         #: optional :class:`repro.obs.EventBus`; None keeps every
         #: emission site to a single attribute load + None check
         self.obs = None
         if pool is None:
             pool = os.environ.get("REPRO_SIM_POOL", "1") != "0"
         self._pool_on = bool(pool)
+        if not elide:
+            self.elide = _never_elide  # type: ignore[method-assign]
         #: free lists of recycled records (see timeout1/event1)
         self._tpool: List[Timeout] = []
         self._epool: List[Event] = []
@@ -668,6 +707,61 @@ class Simulator:
             if len(pool) < _POOL_CAP:
                 pool.append(ev)
 
+    def elide(self, waited: bool = True) -> bool:
+        """Sequence-preserving elision: the one place an event is skipped.
+
+        Call instead of scheduling a zero-delay event whose firing
+        provably cannot reorder or affect anything.  On ``True`` the
+        event's sequence number has been consumed (event counts and the
+        tie-break of every later event are exactly what they would have
+        been) and the caller must carry on as if the event had fired; on
+        ``False`` the caller schedules and yields it as usual.  Two
+        cases qualify (proofs in docs/PERF.md "Sequence-preserving
+        elision"):
+
+        ``waited=True`` -- a self-wakeup: the only waiter is the process
+        calling, which would yield on the event next (the uncontended
+        grant of :meth:`repro.sim.resources.Resource.use`).  Granted
+        only when nothing else is runnable at this instant -- the heap
+        is empty or its top is strictly later than ``now``, and no
+        sibling callback of the firing event is pending -- because then
+        the event would be the very next one popped.
+
+        ``waited=False`` -- an orphan: the caller guarantees the event
+        can never acquire a callback (the discarded handle of
+        :meth:`repro.sim.resources.Store.post`).  Whenever it fires it
+        runs nothing, so it is always granted.
+        """
+        if waited:
+            heap = self._heap
+            if self._fanout or (heap and heap[0][0] <= self._now):
+                return False
+        self._seq += 1
+        return True
+
+    def stop(self) -> None:
+        """Make :meth:`run` return once the event firing now has finished.
+
+        For code that cannot raise :class:`StopRun` because it runs
+        inside a process generator.  Queues a sentinel ahead of
+        everything else at the current instant *without* allocating a
+        sequence number, so a run that is stopped and resumed fires
+        exactly the events, in exactly the order, of one that never
+        stopped.
+        """
+        if not self._stopping:
+            self._stopping = True
+            ev = Event(self)
+            ev._ok = True
+            ev._value = None
+            ev._scheduled = True
+            ev.callbacks.append(self._stop_cb)
+            heappush(self._heap, (self._now, _STOP, 0, ev))
+
+    def _stop_cb(self, _event: Event) -> None:
+        self._stopping = False
+        raise StopRun
+
     # -- running --------------------------------------------------------
     def step(self) -> None:
         """Fire the next scheduled live event, advancing the clock.
@@ -707,33 +801,39 @@ class Simulator:
             self._recycle(dead)
         return heap[0][0] if heap else _INF
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: Optional[float] = None, *, advance_clock: bool = True) -> None:
         """Run until the event queue drains or the clock passes *until*.
 
         If *until* is given the clock is left exactly at ``until`` when
-        the horizon is reached (pending events stay queued).
+        the horizon is reached or the queue drains (pending events stay
+        queued).  ``advance_clock=False`` leaves it at the last fired
+        event instead -- the supervised :meth:`repro.mpi.World.run`
+        reports deadlock and failure times from it.
 
         The loop drains all events that share a timestamp in one batch:
         the horizon check and clock write happen once per distinct
         timestamp, not once per event.  A callback raising
-        :class:`StopRun` returns immediately (remaining events stay
-        queued).
+        :class:`StopRun` ends the run with the clock at that event: the
+        stopping event's remaining callbacks still run, later events
+        (same-timestamp ones included) stay queued.
         """
-        if until is not None and until < self._now:
+        if advance_clock and until is not None and until < self._now:
             raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
-        if self.obs is not None:
-            self._run_traced(until)
-        else:
-            self._run_fast(until)
+        loop = self._run_fast if self.obs is None else self._run_traced
+        ran_out = loop(_INF if until is None else until)
+        if ran_out and advance_clock and until is not None:
+            self._now = until
 
-    def _run_fast(self, until: Optional[float]) -> None:
+    def _run_fast(self, horizon: float) -> bool:
         # The hot loop: no obs loads, no method calls besides heappop and
         # the waiter callbacks, kind/pool dispatch on class-level ints.
+        # True = drained or horizon reached, False = stopped by StopRun.
         heap = self._heap
         pop = heappop
         tpool = self._tpool
         epool = self._epool
-        horizon = _INF if until is None else until
+        ev = None
+        rest = ()  # callbacks behind the running one; spent once its event is done
         try:
             while heap:
                 entry = heap[0]
@@ -750,8 +850,7 @@ class Simulator:
                     continue
                 t = entry[0]
                 if t > horizon:
-                    self._now = until
-                    return
+                    return True
                 self._now = t
                 # same-timestamp batch drain (includes events the fired
                 # events schedule for this same instant)
@@ -767,8 +866,11 @@ class Simulator:
                             if len(cbs) == 1:
                                 cbs[0](ev)
                             else:
-                                for fn in cbs:
+                                self._fanout = True
+                                rest = iter(cbs)
+                                for fn in rest:
                                     fn(ev)
+                                self._fanout = False
                         elif ev._ok is False and not ev._defused:
                             raise ev._value
                     k = ev._pooled
@@ -778,16 +880,17 @@ class Simulator:
                         if len(pool) < _POOL_CAP:
                             pool.append(ev)
         except StopRun:
-            return
-        if until is not None:
-            self._now = until
+            self._finish_stopped(ev, rest)
+            return False
+        return True
 
-    def _run_traced(self, until: Optional[float]) -> None:
+    def _run_traced(self, horizon: float) -> bool:
         # Identical drain order to _run_fast, plus bus emissions.
         heap = self._heap
         pop = heappop
         obs = self.obs
-        horizon = _INF if until is None else until
+        ev = None
+        rest = ()
         try:
             while heap:
                 entry = heap[0]
@@ -799,8 +902,7 @@ class Simulator:
                     continue
                 t = entry[0]
                 if t > horizon:
-                    self._now = until
-                    return
+                    return True
                 self._now = t
                 while heap and heap[0][0] == t:
                     ev = pop(heap)[3]
@@ -812,15 +914,32 @@ class Simulator:
                         cbs = ev.callbacks
                         ev.callbacks = None
                         if cbs:
-                            for fn in cbs:
+                            self._fanout = len(cbs) > 1
+                            rest = iter(cbs)
+                            for fn in rest:
                                 fn(ev)
+                            self._fanout = False
                         elif ev._ok is False and not ev._defused:
                             raise ev._value
                     self._recycle(ev)
         except StopRun:
-            return
-        if until is not None:
-            self._now = until
+            self._finish_stopped(ev, rest)
+            return False
+        return True
+
+    def _finish_stopped(self, ev: Event, rest: Iterable) -> None:
+        """A callback of *ev* raised :class:`StopRun`: run the callbacks
+        still behind it (*rest*), then recycle the record as the loop
+        would have."""
+        while True:
+            try:
+                for fn in rest:
+                    fn(ev)
+            except StopRun:
+                continue
+            break
+        self._fanout = False
+        self._recycle(ev)
 
     def run_until_complete(self, process: Process, limit: float = float("inf")):
         """Run until *process* finishes; return its value or re-raise its error.

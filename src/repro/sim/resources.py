@@ -114,16 +114,20 @@ class Resource:
         wait, so an exception thrown into the generator at any point
         (interrupt, failure) returns or cancels the claim.
 
-        The uncontended path runs entirely on pooled records: the grant
-        is a pooled event scheduled exactly where a Request grant would
-        be (identical event count and sequence numbering — determinism
-        depends on it), the hold a pooled timeout.
+        The uncontended path runs on pooled records: the grant is a
+        pooled event numbered exactly where a Request grant would be
+        (identical event count and sequence numbering — determinism
+        depends on it), the hold a pooled timeout.  When nothing else is
+        runnable at this instant the grant is elided
+        (:meth:`repro.sim.Simulator.elide`) and the first thing yielded
+        is the hold.
         """
         sim = self.sim
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             try:
-                yield sim.event1().succeed(None)
+                if not sim.elide():
+                    yield sim.event1().succeed(None)
                 yield sim.timeout1(hold_time)
             finally:
                 if self._queue:
@@ -153,9 +157,10 @@ class Store:
     accepted; ``get()`` returns an event firing with the next item.
 
     Both handles come from the simulator's record pool: yield them once
-    and drop them (every caller in the tree does — they are the NIC
-    rx/tx and co-processor command queues, the hottest store traffic in
-    the simulation).
+    and drop them.  A producer that would discard the ``put`` handle
+    calls :meth:`post` instead (every producer in the tree does — they
+    are the NIC rx/tx and co-processor command queues, the hottest store
+    traffic in the simulation).
     """
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
@@ -166,8 +171,9 @@ class Store:
         self.name = name
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        #: queued put handles ride with their item: (event, item)
-        self._putters: Deque[Tuple[Event, Any]] = deque()
+        #: queued put handles ride with their item: (event, item); a
+        #: posted item has no handle (None)
+        self._putters: Deque[Tuple[Optional[Event], Any]] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -192,6 +198,30 @@ class Store:
         else:
             self._putters.append((ev, item))
         return ev
+
+    def post(self, item: Any) -> None:
+        """:meth:`put` for a caller that would discard the handle.
+
+        Same sequence numbers, same item and getter order as ``put``;
+        the acceptance event, which nothing can ever wait on, is elided
+        (:meth:`repro.sim.Simulator.elide`) instead of fired.  On a full
+        bounded store the item queues behind earlier putters.
+        """
+        if len(self.items) < self.capacity:
+            self._do_put(item)
+            self._accept(None)
+            if self._getters:
+                self._wake_getters()
+        else:
+            self._putters.append((None, item))
+
+    def _accept(self, handle: Optional[Event]) -> None:
+        """Number the acceptance of an item: fire the put *handle*; a
+        posted item has none, so its event is elided where allowed."""
+        if handle is not None:
+            handle.succeed(None)
+        elif not self.sim.elide(waited=False):
+            self.sim.event1().succeed(None)
 
     def get(self) -> Event:
         ev = self.sim.event1()
@@ -221,7 +251,7 @@ class Store:
         while self._putters and len(self.items) < self.capacity:
             putter, item = self._putters.popleft()
             self._do_put(item)
-            putter.succeed(None)
+            self._accept(putter)
             self._wake_getters()
 
 

@@ -19,7 +19,14 @@ from repro.conformance.executor import (
     differential,
     run_program,
 )
-from repro.conformance.grammar import PROFILES, Program, generate, validate
+from repro.conformance.grammar import (
+    PROFILES,
+    Program,
+    generate,
+    payload_array,
+    payload_bytes,
+    validate,
+)
 from repro.conformance.mutations import mutate_overtaking
 from repro.conformance.shrink import repro_script, shrink, write_artifacts
 from repro.platforms import DEVICE_MATRIX
@@ -88,6 +95,21 @@ def test_trace_records_sources_tags_and_payloads():
     recvs = [e for e in events if e["e"] == "recv"]
     for e in recvs:
         assert e["src"] >= 0 and e["tag"] >= 0 and len(e["d"]) == 16
+
+
+def test_memoised_payload_streams_stay_private_and_bounded():
+    """Payload streams are cached (immutable bytes, bounded); an array
+    payload is still a fresh, writable copy for every caller."""
+    from repro.conformance.grammar import _stream
+
+    assert payload_bytes(7, 3, 1, 181) is payload_bytes(7, 3, 1, 181)
+    assert payload_bytes(7, 3, 1, 181) != payload_bytes(7, 3, 2, 181)
+    a = payload_array(7, 3, 1, "int", 45)
+    b = payload_array(7, 3, 1, "int", 45)
+    assert a is not b and (a == b).all()
+    a[0] += 1  # a receive buffer may be written; the cache must not see it
+    assert (payload_array(7, 3, 1, "int", 45) == b).all()
+    assert _stream.cache_info().maxsize == 256
 
 
 # ------------------------------------------------------------ fault-composed

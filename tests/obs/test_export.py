@@ -72,6 +72,24 @@ def test_write_trace_formats(tmp_path):
         write_trace(bus, str(chrome), "protobuf")
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_streamed_chrome_file_equals_one_shot_dump(tmp_path, monkeypatch, chunk):
+    """write_trace streams record chunks through the C encoder; the file
+    must stay byte-for-byte what ``json.dumps`` of the whole document
+    gives, across chunk boundaries and for non-JSON detail values."""
+    from repro.obs import export
+
+    monkeypatch.setattr(export, "_CHUNK", chunk)
+    bus = _call_bus()
+    bus.emit(7.0, "fault", "node.crash", rank=1,
+             detail={"at": 7.0, "who": frozenset([2]), "skip": None})
+    path = tmp_path / "t.json"
+    write_trace(bus, str(path), "chrome")
+    text = path.read_text()
+    assert text == json.dumps(to_chrome(bus), default=str) + "\n"
+    assert validate_chrome_trace(json.loads(text)) == []
+
+
 # ---------------------------------------------------------------------------
 # the validator itself: bad traces must be rejected
 # ---------------------------------------------------------------------------

@@ -126,26 +126,21 @@ def test_resource_bad_capacity(sim):
 
 
 def test_use_releases_on_exception(sim):
+    """An exception thrown into ``use()`` wherever it is suspended
+    returns the claim (however many events the acquisition yields)."""
     res = Resource(sim, capacity=1)
-
-    def crasher(sim):
-        gen = res.use(100.0)
-        yield next(gen)  # acquire
+    gen = res.use(100.0)
+    next(gen)  # suspended somewhere inside the claim
+    assert res.in_use == 1
+    with pytest.raises(RuntimeError):
         gen.throw(RuntimeError("abort"))  # triggers finally -> release
-        yield sim.timeout(0)
+    assert res.in_use == 0
 
     def after(sim):
         yield sim.timeout(1.0)
         yield from res.use(1.0)
         return sim.now
 
-    def outer(sim):
-        try:
-            yield sim.process(crasher(sim))
-        except RuntimeError:
-            pass
-
-    sim.process(outer(sim))
     p = sim.process(after(sim))
     sim.run()
     assert p.value == 2.0  # not blocked for 100us
