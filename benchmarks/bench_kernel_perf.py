@@ -1,18 +1,14 @@
 """Tracked kernel performance suite — writes ``BENCH_kernel.json``.
 
-Two entry points:
-
-* ``python benchmarks/bench_kernel_perf.py [--quick] [--workers N]
-  [--out PATH]`` — run the four kernel workloads (see
-  ``repro.bench.kernel_perf``), print a table, write the JSON report,
-  and exit non-zero if any workload falls below its events-per-second
-  floor.  ``--quick`` runs reduced problem sizes (CI smoke) and halves
-  the floors; ``--workers N`` overlaps the workloads on the parallel
-  experiment engine (per-shard timing lands in the report).  Floors
-  scale by the ``REPRO_BENCH_FLOOR_SLACK`` env var (relative tolerance
-  for slow or contended runners).
-* ``pytest benchmarks/bench_simulator_throughput.py`` — the same
-  workloads and floors as pytest-benchmark cases.
+``python benchmarks/bench_kernel_perf.py [--quick] [--workers N]
+[--out PATH]`` runs the kernel workloads (see
+``repro.bench.kernel_perf``), prints a table, writes the JSON report,
+and exits non-zero if any workload falls below its events-per-second
+floor.  ``--quick`` runs reduced problem sizes (CI smoke) and halves
+the floors; ``--workers N`` overlaps the workloads on the parallel
+experiment engine (per-shard timing lands in the report).  Floors
+scale by the ``REPRO_BENCH_FLOOR_SLACK`` env var (relative tolerance
+for slow or contended runners).
 
 The report is stamped with git SHA, host info, worker count, and an ISO
 timestamp (``repro.bench.meta``) so the trajectory stays comparable

@@ -222,7 +222,7 @@ def _exec_pingpong(comm, rnd: PingPongRound, program: Program, rec: List[dict]):
 
 
 def _exec_collective(comm, rnd: CollectiveRound, program: Program, rec: List[dict]):
-    from repro.mpi.collectives import MAX, MIN, PROD, SUM
+    from repro.mpi.coll import MAX, MIN, PROD, SUM
 
     ops = {"sum": SUM, "max": MAX, "min": MIN, "prod": PROD}
     seed, cid, rank, size = program.seed, rnd.cid, comm.rank, comm.size
@@ -291,7 +291,7 @@ def _exec_ft(comm, rnd, program: Program, rec: List[dict]):
     agrees, and runs a verification collective on the survivor
     communicator.
     """
-    from repro.mpi.collectives import SUM
+    from repro.mpi.coll import SUM
     from repro.mpi.exceptions import CommRevoked, RankFailed
 
     if comm.rank == rnd.victim:

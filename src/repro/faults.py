@@ -19,7 +19,7 @@ Semantics of the packet-level actions:
 
 ``drop``
     The unit of delivery (Ethernet frame, ATM PDU train, Meiko packet)
-    silently vanishes, exactly like the legacy ``drop_fn`` hook.
+    silently vanishes.
 ``corrupt``
     The unit is delivered damaged and discarded by the receiver's
     checksum (Ethernet CRC, AAL5 CRC-32, Elan packet CRC).  Observable

@@ -11,7 +11,7 @@ Figure 9 credits for ATM's scaling).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.errors import NetworkError
 from repro.sim import Resource, Simulator
@@ -22,13 +22,10 @@ __all__ = ["AtmSwitch"]
 class AtmSwitch:
     """An output-buffered cell switch."""
 
-    def __init__(self, sim: Simulator, params, nports: int = 8, drop_fn=None, injector=None):
+    def __init__(self, sim: Simulator, params, nports: int = 8, injector=None):
         self.sim = sim
         self.params = params
         self.nports = nports
-        #: legacy loss injection hook: return True to drop a PDU train
-        #: (deprecated — prefer a FaultPlan via ``injector``)
-        self.drop_fn: Optional[Callable] = drop_fn
         #: structured fault injection (:class:`repro.faults.FaultInjector`)
         self.injector = injector
         self._ports: Dict[int, Resource] = {
@@ -52,9 +49,6 @@ class AtmSwitch:
         link serialization); forwards it in the background."""
         if pdu.dst not in self.nics:
             raise NetworkError(f"no NIC on port {pdu.dst}")
-        if self.drop_fn is not None and self.drop_fn(pdu):
-            self.pdus_dropped += 1
-            return
         copies = 1
         if self.injector is not None:
             from repro.faults import CORRUPT, DROP, DUPLICATE

@@ -34,7 +34,6 @@ class ClusterMachine:
         params: Any = None,
         kernel_params: Optional[KernelParams] = None,
         seed: int = 0,
-        drop_fn=None,
         host_speeds: Optional[List[float]] = None,
         faults=None,
     ):
@@ -56,7 +55,7 @@ class ClusterMachine:
         injector = faults.injector(network, sim, seed) if faults is not None else None
         if network == "ethernet":
             self.params = params or EthernetParams()
-            self.fabric = Medium(sim, self.params, drop_fn=drop_fn, injector=injector)
+            self.fabric = Medium(sim, self.params, injector=injector)
             kparams = kernel_params or ETH_KERNEL
             for host in self.hosts:
                 nic = EthernetNic(host, self.fabric)
@@ -65,8 +64,7 @@ class ClusterMachine:
         else:
             self.params = params or AtmParams()
             self.fabric = AtmSwitch(
-                sim, self.params, nports=max(8, nhosts), drop_fn=drop_fn,
-                injector=injector,
+                sim, self.params, nports=max(8, nhosts), injector=injector,
             )
             kparams = kernel_params or ATM_KERNEL
             for host in self.hosts:

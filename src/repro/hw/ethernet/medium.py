@@ -12,7 +12,7 @@ workstations communicate at once (Figure 9).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import NetworkError
 from repro.hw.ethernet.frame import BROADCAST, Frame
@@ -38,14 +38,10 @@ class Medium:
         self,
         sim: Simulator,
         params: Optional[EthernetParams] = None,
-        drop_fn: Optional[Callable[[Frame], bool]] = None,
         injector=None,
     ):
         self.sim = sim
         self.params = params or EthernetParams()
-        #: legacy loss injection: return True to silently drop a frame
-        #: (deprecated — prefer a FaultPlan via ``injector``)
-        self.drop_fn = drop_fn
         #: structured fault injection (:class:`repro.faults.FaultInjector`)
         self.injector = injector
         self.nics: Dict[int, "EthernetNicLike"] = {}
@@ -126,9 +122,6 @@ class Medium:
             return attempts
 
     def _schedule_delivery(self, frame: Frame) -> None:
-        if self.drop_fn is not None and self.drop_fn(frame):
-            self.frames_dropped += 1
-            return
         copies = 1
         if self.injector is not None:
             from repro.faults import CORRUPT, DROP, DUPLICATE

@@ -24,9 +24,6 @@ Layout:
 * ``ops`` — reduction operators, tag generations, object helpers;
 * ``registry`` — algorithm registration + the pure auto-selector;
 * ``bcast`` / ``reduce`` / ``barrier`` / ``objects`` — the algorithms.
-
-``repro.mpi.collectives`` remains as a compatibility shim re-exporting
-this package's surface.
 """
 
 from repro.mpi.coll import ops  # noqa: F401  (import order matters)
@@ -35,11 +32,10 @@ from repro.mpi.coll.ops import (  # noqa: F401
     BAND, BOR, LAND, LOR, MAX, MIN, PROD, SUM, Op,
     TAG_AGREE, TAG_ALLGATHER, TAG_ALLTOALL, TAG_BARRIER, TAG_BCAST,
     TAG_GATHER, TAG_OBJ, TAG_REDUCE, TAG_RSCAT, TAG_SCAN, TAG_SCATTER,
-    _SEQ_BASE, _SEQ_SLOTS, _SEQ_WINDOW,
-    _coll_tag, _isend_obj, _just, _recv_obj, _send_obj, is_agree_tag,
+    _coll_tag, is_agree_tag,
 )
 from repro.mpi.coll.registry import algorithms, resolve, select  # noqa: F401
-from repro.mpi.coll.bcast import bcast, _bcast_ptp  # noqa: F401
+from repro.mpi.coll.bcast import bcast  # noqa: F401
 from repro.mpi.coll.reduce import (  # noqa: F401
     allreduce, exscan, reduce, reduce_scatter, scan,
 )

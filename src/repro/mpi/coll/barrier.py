@@ -23,8 +23,6 @@ def barrier(comm, style=None):
     if comm.size == 1:
         return _just(None)
     style = _registry.resolve(comm, "barrier", style, 0)
-    if style is None:
-        style = "dissemination"
     return _registry.get("barrier", style)(comm, tag)
 
 

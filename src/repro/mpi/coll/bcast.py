@@ -55,8 +55,6 @@ def bcast(comm, buf, root: int, count: int, datatype, style=None):
     style = _registry.resolve(
         comm, "bcast", style, _payload_nbytes(buf, count, datatype)
     )
-    if style is None:
-        style = comm.endpoint.bcast_style
     return _registry.get("bcast", style)(comm, buf, root, count, datatype, tag)
 
 

@@ -30,8 +30,6 @@ def gather(comm, obj: Any, root: int, style=None):
     """Gather one object per rank to *root* (rank order)."""
     tag = _coll_tag(comm, TAG_GATHER)
     style = _registry.resolve(comm, "gather", style, 0)
-    if style is None:
-        style = "linear"
     return _registry.get("gather", style)(comm, obj, root, tag)
 
 
@@ -76,8 +74,6 @@ def scatter(comm, objs: Optional[List[Any]], root: int, style=None):
     """Scatter a list of per-rank objects from *root*."""
     tag = _coll_tag(comm, TAG_SCATTER)
     style = _registry.resolve(comm, "scatter", style, 0)
-    if style is None:
-        style = "linear"
     return _registry.get("scatter", style)(comm, objs, root, tag)
 
 
@@ -126,7 +122,7 @@ def _scatter_binomial(comm, objs, root, tag) -> Any:
 def allgather(comm, obj: Any, style=None):
     """All ranks end with [obj_0, ..., obj_{P-1}]."""
     style = _registry.resolve(comm, "allgather", style, 0)
-    if style is None or style == "ring":
+    if style == "ring":
         return allgather_obj(comm, obj, tag=TAG_ALLGATHER)
     tag = _coll_tag(comm, TAG_ALLGATHER)
     return _registry.get("allgather", style)(comm, obj, tag)

@@ -31,8 +31,6 @@ def reduce(comm, sendbuf, root: int, op: Op, style=None):
         raise MPIError("reduce requires a NumPy array buffer")
     tag = _coll_tag(comm, TAG_REDUCE)
     style = _registry.resolve(comm, "reduce", style, sendbuf.nbytes)
-    if style is None:
-        style = "binomial"
     return _registry.get("reduce", style)(comm, sendbuf, root, op, tag)
 
 
@@ -63,8 +61,6 @@ def allreduce(comm, sendbuf, op: Op, style=None):
     """Reduction visible on every rank; style per the tuning table."""
     nbytes = sendbuf.nbytes if isinstance(sendbuf, np.ndarray) else 0
     style = _registry.resolve(comm, "allreduce", style, nbytes)
-    if style is None:
-        style = "reduce_bcast"
     return _registry.get("allreduce", style)(comm, sendbuf, op)
 
 

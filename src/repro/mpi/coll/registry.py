@@ -9,8 +9,8 @@ precedence order:
 2. the ``REPRO_COLL_<OP>`` environment variable (e.g.
    ``REPRO_COLL_BCAST=scatter_allgather``),
 3. the auto-selector :func:`select` driven by the endpoint's
-   per-platform tuning table (``platforms.COLL_TUNING``),
-4. the device's legacy default when no table is stamped.
+   per-platform tuning table (``platforms.COLL_TUNING``), which carries
+   a row for every styled collective on every cell.
 
 Selection is a *pure function* of ``(collective, message bytes, comm
 size, tuning table)`` — every rank of a communicator computes the same
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import os
 from typing import Callable, Dict, List, Optional
+
+from repro.errors import ConfigurationError
 
 __all__ = ["register", "algorithms", "get", "select", "resolve"]
 
@@ -72,10 +74,9 @@ def select(coll: str, nbytes: int, nranks: int,
            table: Optional[Dict[str, Dict]]) -> Optional[str]:
     """Pure auto-selection: the style *table* picks for this call shape.
 
-    Returns None when the table has no entry for *coll* (caller falls
-    back to the device's legacy default).  Must stay side-effect-free
-    and deterministic in its arguments — every rank evaluates it
-    independently with identical inputs.
+    Returns None when the table has no entry for *coll*.  Must stay
+    side-effect-free and deterministic in its arguments — every rank
+    evaluates it independently with identical inputs.
     """
     if not table:
         return None
@@ -93,17 +94,22 @@ def select(coll: str, nbytes: int, nranks: int,
     return entry.get("small")
 
 
-def resolve(comm, coll: str, style: Optional[str], nbytes: int) -> Optional[str]:
+def resolve(comm, coll: str, style: Optional[str], nbytes: int) -> str:
     """Resolve the style for one collective call (precedence above).
 
-    Returns the style name to run, or None meaning "use the device's
-    legacy default path".  The env override is read per call so tests
-    can flip it with monkeypatch; it is run-uniform by construction
-    (every rank of a world shares the process environment in-sim).
+    The env override is read per call so tests can flip it with
+    monkeypatch; it is run-uniform by construction (every rank of a
+    world shares the process environment in-sim).
     """
     if style is not None:
         return style
     env = os.environ.get(f"REPRO_COLL_{coll.upper()}")
     if env:
         return env
-    return select(coll, nbytes, comm.size, comm.endpoint.coll_tuning)
+    style = select(coll, nbytes, comm.size, comm.endpoint.coll_tuning)
+    if style is None:
+        raise ConfigurationError(
+            f"the endpoint's collective tuning table has no {coll!r} row "
+            "(platforms.COLL_TUNING covers every styled collective)"
+        )
+    return style

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import NetworkError
-from repro.mpi import collectives as _coll
+from repro.mpi import coll as _coll
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -81,7 +81,7 @@ class Communicator:
         #: per-communicator collective sequence number — every collective
         #: call draws one, giving each invocation its own internal tag
         #: generation so back-to-back collectives can never cross-match
-        #: (see collectives._coll_tag).  All members of a communicator
+        #: (see coll.ops._coll_tag).  All members of a communicator
         #: execute the same collectives in the same order, so the
         #: per-rank counters stay in lock-step without any traffic.
         self._coll_seq = 0

@@ -13,6 +13,10 @@
 :class:`CxlEndpoint`         load/store shared-memory eager / zero-copy
                              handoff rendezvous (modern fabric)
 ========================  ==================================================
+
+The last four are one protocol engine (:mod:`repro.mpi.device.flow`)
+over two channel families: byte streams (:mod:`~repro.mpi.device.cluster`)
+and NIC-to-NIC fabrics (:mod:`~repro.mpi.device.modern`).
 """
 
 from repro.mpi.device.base import Endpoint

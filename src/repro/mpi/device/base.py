@@ -11,10 +11,14 @@ communicator layer calls:
 * ``iprobe`` / ``probe`` — envelope peeking;
 * ``bcast_hw`` — optional hardware broadcast fast path.
 
-The base class provides the progress-loop wait used by every device
-that matches on the main processor (low-latency Meiko, TCP, UDP): those
-devices implement ``_progress(block)``.  The MPICH device overrides
-``wait`` wholesale since its matching runs on the Elan.
+The base class provides what every device that matches on the main
+processor shares (low-latency Meiko and the credit-flow engine of
+:mod:`repro.mpi.device.flow`): the progress-loop wait, probing the
+unexpected queue, the per-destination send queue and cookie tables the
+FT layer sweeps, and landing a payload in a receive.  Those devices
+implement ``_progress(block)``.  The MPICH device overrides ``wait``,
+``iprobe`` and the FT sweep wholesale since its matching runs on the
+Elan.
 
 Buffered sends (MPI_Bsend) are implemented here once: the payload is
 copied into the attached buffer, the user request completes locally,
@@ -24,7 +28,8 @@ reclaimed when the underlying transfer finishes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import defaultdict, deque
+from typing import Deque, Dict, Sequence, Tuple
 
 from repro.mpi.constants import MODE_STANDARD
 from repro.mpi.exceptions import BufferError_, MPIError
@@ -54,6 +59,17 @@ class Endpoint:
         # bsend buffer accounting
         self._bsend_capacity = 0
         self._bsend_used = 0
+        # Send-side protocol state of the host-matching devices (the
+        # MPICH device keeps its equivalents on the Elan):
+        #: sends waiting for flow control, per destination world rank;
+        #: entries carry at least ``req`` and ``env``
+        self.sendq: Dict[int, Deque] = defaultdict(deque)
+        #: cookie -> (wire, request): rendezvous sends whose payload
+        #: waits for the receiver's match
+        self.pending_rdv: Dict[int, Tuple[bytes, Request]] = {}
+        #: cookie -> request: synchronous eager sends awaiting the ack
+        self.awaiting_ack: Dict[int, Request] = {}
+        self._cookie = 0
 
     # -- to be provided by subclasses ----------------------------------------
     def start_send(self, req: Request):  # pragma: no cover - abstract
@@ -72,21 +88,22 @@ class Endpoint:
         raise NotImplementedError
         yield
 
-    def iprobe(self, source: int, tag: int, comm):  # pragma: no cover - abstract
+    def iprobe(self, source: int, tag: int, comm):
         """Generator -> Optional[Status]: nonblocking envelope peek.
 
         *source* is a communicator rank (or ANY_SOURCE); the returned
         Status carries communicator-scoped ranks.
         """
-        raise NotImplementedError
-        yield
+        yield from self._progress(block=False)
+        arrival = self.queues.probe(source, tag, comm.context_id)
+        if arrival is None:
+            return None
+        env = arrival.envelope
+        return Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
 
     # -- optional device fast paths ------------------------------------------
-    #: broadcast style the device prefers: "hardware", "binomial", "linear"
-    bcast_style = "binomial"
-
-    #: per-platform collective tuning table (platforms.COLL_TUNING entry),
-    #: stamped by the platform builders; None = legacy per-device defaults
+    #: the cell's collective tuning table (platforms.COLL_TUNING entry),
+    #: stamped by the platform builders
     coll_tuning = None
 
     def bcast_hw(self, comm, buf, count, datatype, root: int):
@@ -184,7 +201,7 @@ class Endpoint:
         calls would strand those queued transfers, deadlocking the
         receiver; drive progress until the local send queue is empty.
         """
-        while any(q for q in getattr(self, "sendq", {}).values()):
+        while any(q for q in self.sendq.values()):
             yield from self._progress(block=True)
 
     @staticmethod
@@ -235,6 +252,22 @@ class Endpoint:
         """
         for req in list(self.queues.posted):
             yield req, (lambda r=req: self.queues.cancel_post(r))
+        for dest in list(self.sendq):
+            q = self.sendq[dest]
+            for op in list(q):
+                def cancel(q=q, op=op):
+                    try:
+                        q.remove(op)
+                    except ValueError:
+                        pass
+
+                yield op.req, cancel
+        for cookie in list(self.pending_rdv):
+            _wire, req = self.pending_rdv[cookie]
+            yield req, (lambda c=cookie: self.pending_rdv.pop(c, None))
+        for cookie in list(self.awaiting_ack):
+            yield self.awaiting_ack[cookie], (
+                lambda c=cookie: self.awaiting_ack.pop(c, None))
 
     def _ft_wake(self) -> None:
         """Wake any rank blocked inside this endpoint's progress loop so
@@ -242,7 +275,7 @@ class Endpoint:
 
     def _ft_involves(self, req: Request, dead_world: int) -> bool:
         """Does *req* depend on the dead rank for completion?"""
-        from repro.mpi.collectives import is_agree_tag
+        from repro.mpi.coll import is_agree_tag
         from repro.mpi.constants import ANY_SOURCE, INTERNAL_TAG_BASE
 
         comm = req.comm
@@ -316,7 +349,7 @@ class Endpoint:
         if req.complete:
             return
         if self._ft_revoked and req.comm is not None:
-            from repro.mpi.collectives import is_agree_tag
+            from repro.mpi.coll import is_agree_tag
             from repro.mpi.exceptions import CommRevoked
 
             if (req.comm.context_id in self._ft_revoked
@@ -344,7 +377,7 @@ class Endpoint:
         operation on that context with :class:`CommRevoked` — except
         agreement traffic, which ULFM requires to work on a revoked
         communicator."""
-        from repro.mpi.collectives import is_agree_tag
+        from repro.mpi.coll import is_agree_tag
         from repro.mpi.exceptions import CommRevoked
 
         self._ft_revoked.add(context_id)
@@ -362,6 +395,32 @@ class Endpoint:
             )
 
         self.ft_fail_requests(doomed, factory)
+
+    # -- helpers of the host-matching devices -----------------------------------
+    def _next_cookie(self) -> int:
+        self._cookie += 1
+        return self._cookie
+
+    def _obs_msgid(self, env):
+        """Correlation id for a received envelope (None when it names no
+        sender: the Meiko's slot-less hardware broadcast)."""
+        if env.extra is None:
+            return None
+        return (env.extra, self.world_rank, env.context, env.seq)
+
+    @staticmethod
+    def _capacity_bytes(req: Request) -> float:
+        if req.buf is None:
+            return float("inf")
+        return req.datatype.size * req.count
+
+    def _store(self, req: Request, data: bytes, status: Status) -> None:
+        if req.buf is None:
+            req.data = data
+        else:
+            count = len(data) // req.datatype.size if req.datatype.size else 0
+            req.datatype.unpack(data, req.buf, count)
+        req._complete(status)
 
     # -- buffered sends ----------------------------------------------------------
     def attach_buffer(self, nbytes: int) -> None:

@@ -1,54 +1,36 @@
-"""The cluster MPI device: the paper's protocol over a byte stream.
+"""The byte-stream channel of the cluster MPI devices.
 
-Implements Section 5 of the paper on top of any reliable in-order
-stream (kernel TCP or user-level reliable-UDP):
+Carries the paper's Section-5 protocol — implemented once, in
+:mod:`repro.mpi.device.flow` — over any reliable in-order stream
+(kernel TCP or user-level reliable-UDP):
 
 * **Wire format** — every protocol message starts with a 25-byte
   header: 1 type byte, 4 bytes of piggybacked freed-credit count, and a
   20-byte envelope / DMA-request record (exactly Table 1's accounting).
-* **Credit flow control** — the receiver reserves memory per sender;
-  envelopes and eager payloads are sent *optimistically* against that
-  reservation and the receiver piggybacks freed byte counts on its own
-  traffic (or sends an explicit credit message when idle).  Classic
-  sliding windows don't work here because tags/communicators mean
-  messages are not consumed in FIFO order — this is the paper's
-  explicit design point.
-* **Eager vs rendezvous** — small messages piggyback their data on the
-  envelope (latency); large ones send the envelope first and the data
-  only after the receiver's request, straight into the user buffer
-  (no intermediate copy).
-* **Receive path** — the progress loop reads 1 byte of message type,
-  then the 24 remaining header bytes, then any payload: three separate
-  read syscalls whose costs are the rows of Table 1.
-* **Broadcast** — a succession of point-to-point messages
-  (``bcast_style = "linear"``), as the paper implements on the cluster.
+* **Flow units** are reserved *bytes*: a message occupies its header
+  plus, when eager, its payload in the receiver's per-sender
+  reservation.
+* **Receive path** — the poll reads 1 byte of message type, then the
+  24 remaining header bytes, then any payload: three separate read
+  syscalls whose costs are the rows of Table 1.
+* **Rendezvous is a push** — the receiver's request (``RDV_REQ``)
+  makes the *sender's CPU* write header + payload into the stream.
+* **No cost hooks** — copies and protocol processing are charged by
+  the kernel stack's syscalls, not by the device.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mpi.constants import MODE_BUFFERED, MODE_READY, MODE_STANDARD, MODE_SYNCHRONOUS
-from repro.mpi.device.base import Endpoint
+from repro.mpi.device.flow import EAGER, RDV_DATA, RDV_REQ, RTS, CreditFlowEndpoint
 from repro.mpi.envelope import Envelope
-from repro.mpi.exceptions import ReadyModeError, TruncationError
-from repro.mpi.matching import Arrival
-from repro.mpi.request import Request
-from repro.mpi.status import Status
-from repro.sim.notify import Notify
 
 __all__ = ["ClusterConfig", "StreamEndpoint"]
-
-# message types (the 1-byte discriminator of Table 1)
-MSG_EAGER = 1
-MSG_RDV_ENV = 2
-MSG_RDV_REQ = 3
-MSG_RDV_DATA = 4
-MSG_CREDIT = 5
-MSG_SYNC_ACK = 6
 
 #: 20-byte envelope record: src rank, context, tag, nbytes, cookie, mode
 _ENV = struct.Struct("<hHiiiB3x")
@@ -97,34 +79,22 @@ class ClusterConfig:
 
 
 class _RxState:
-    """Per-peer incremental parse state (keeps progress non-blocking)."""
+    """Per-peer incremental parse state (keeps the poll non-blocking)."""
 
     __slots__ = ("header", "need")
 
     def __init__(self):
-        self.header: Optional[Tuple[int, int, Envelope]] = None
+        self.header: Optional[Tuple[int, Envelope]] = None
         self.need = 0
 
 
-class _QueuedSend:
-    __slots__ = ("req", "env", "wire", "msg_type")
-
-    def __init__(self, req, env, wire, msg_type):
-        self.req = req
-        self.env = env
-        self.wire = wire
-        self.msg_type = msg_type
-
-
-class StreamEndpoint(Endpoint):
+class StreamEndpoint(CreditFlowEndpoint):
     """One rank's endpoint over per-peer reliable streams.
 
-    Subclasses provide :meth:`wire` (mesh construction) and the
+    Subclasses provide :meth:`_connect_pair_now`, which fills the
     ``conns`` mapping (peer world rank -> stream connection exposing
-    ``send``/``recv_exact``/``available``/``on_data``).
+    ``send``/``recv_exact``/``available``/``on_data``/``error``).
     """
-
-    bcast_style = "linear"
 
     #: above this many ranks, ``wire`` defers pair construction to first
     #: use instead of pre-building the O(P²) full mesh.  Lazy creation
@@ -136,38 +106,20 @@ class StreamEndpoint(Endpoint):
     LAZY_MESH_THRESHOLD = 32
 
     def __init__(self, world_rank: int, host, config: Optional[ClusterConfig] = None):
-        super().__init__(world_rank, host)
-        self.host = host
+        super().__init__(world_rank, host, config or ClusterConfig())
         self.kernel = host.stack
-        self.config = config or ClusterConfig()
-        self.queues.max_unexpected = self.config.max_unexpected
-        self.peers = []
         #: peer world rank -> stream connection
         self.conns: Dict[int, object] = {}
-        #: lazy-mesh state, set by ``wire`` above LAZY_MESH_THRESHOLD
-        self._lazy_mesh = False
+        #: lazy mesh (``wire`` above LAZY_MESH_THRESHOLD): every rank's
+        #: endpoint, to build a pair from on first use; None = eager mesh
         self._mesh_endpoints = None
-        self.kick = Notify(self.sim, f"mpi{world_rank}-kick")
         self._rx: Dict[int, _RxState] = defaultdict(_RxState)
-        #: send credit remaining at each peer
-        self.credits: Dict[int, int] = defaultdict(lambda: self.config.reserve_bytes)
-        #: freed bytes owed to each peer (piggybacked on the next send)
-        self.owed: Dict[int, int] = defaultdict(int)
-        self.sendq: Dict[int, Deque[_QueuedSend]] = defaultdict(deque)
-        self.pending_rdv: Dict[int, Tuple[bytes, Request]] = {}
-        self.awaiting_ack: Dict[int, Request] = {}
-        self.rdv_recv: Dict[Tuple[int, int], Tuple[Request, Envelope, bool]] = {}
-        self._cookie = 0
-        self._seq: Dict[Tuple[int, int], int] = defaultdict(int)
-        self.ready_violations = 0
         # Observability only (the wire header carries no sequence
         # number — adding one would change Table 1's byte accounting):
         # streams are FIFO and each send emits exactly one envelope, so
         # counting envelope arrivals per (peer, context) reconstructs
         # the sender's sequence numbers exactly.
         self._obs_arrive_seq: Dict[Tuple[int, int], int] = defaultdict(int)
-        #: observability only: sender cookie -> message id
-        self._obs_cookie: Dict[int, Tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------- plumbing
     def attach_conn(self, peer_world: int, conn) -> None:
@@ -179,33 +131,18 @@ class StreamEndpoint(Endpoint):
         """Build and attach the connection pair between two endpoints."""
         raise NotImplementedError
 
-    def _ensure_conn(self, dest: int) -> None:
-        """Lazy mesh: build the pair to *dest* on first outbound use.
-
-        Both directions attach (the peer gets its ``on_data`` kick), so
-        a rank that only ever receives from us never needs its own
-        ensure call.
-        """
-        if dest not in self.conns:
-            self._connect_pair_now(self, self._mesh_endpoints[dest])
-
-    def _next_cookie(self) -> int:
-        self._cookie += 1
-        return self._cookie
-
-    def _pack_header(self, msg_type: int, peer: int, env: Envelope) -> bytes:
-        credits = self.owed[peer]
-        self.owed[peer] = 0
-        return _HDR_FULL.pack(
-            msg_type,
-            credits,
-            env.src,
-            env.context,
-            env.tag,
-            env.nbytes,
-            env.cookie or 0,
-            _MODES[env.mode],
-        )
+    def _link_ready(self, dest: int) -> bool:
+        """Is there a stream to *dest*?  Lazy mesh: build the pair on
+        first outbound use.  Both directions attach (the peer gets its
+        ``on_data`` kick), so a rank that only ever receives from us
+        never needs its own call.  Handshake mode: False while the
+        connection is still being established."""
+        if dest in self.conns:
+            return True
+        if self._mesh_endpoints is None:
+            return False
+        self._connect_pair_now(self, self._mesh_endpoints[dest])
+        return True
 
     @staticmethod
     def _unpack_env(raw: bytes, src_world: int) -> Envelope:
@@ -220,386 +157,121 @@ class StreamEndpoint(Endpoint):
             extra=src_world,
         )
 
-    # ------------------------------------------------------------------ send
-    def start_send(self, req: Request):
-        cfg = self.config
-        obs = self.sim.obs
-        t0 = self.sim.now
-        yield from self.host.cpu.execute(cfg.send_overhead)
-        wire = req.datatype.pack(req.buf, req.count)
-        dest_world = req.comm.world_rank(req.peer)
-        key = (dest_world, req.comm.context_id)
-        env = Envelope(
-            src=req.comm.rank,
-            tag=req.tag,
-            context=req.comm.context_id,
-            nbytes=len(wire),
-            mode=req.mode,
-            seq=self._seq[key],
-            extra=self.world_rank,
-        )
-        self._seq[key] += 1
-        msg_type = MSG_EAGER if len(wire) <= cfg.eager_threshold else MSG_RDV_ENV
-        if obs is not None:
-            obs.emit(t0, "dev", "msg.send", rank=self.world_rank,
-                     msg=(self.world_rank, dest_world, env.context, env.seq),
-                     detail={"tag": env.tag, "nbytes": env.nbytes,
-                             "proto": "eager" if msg_type == MSG_EAGER else "rdv",
-                             "mode": env.mode})
-        self.sendq[dest_world].append(_QueuedSend(req, env, wire, msg_type))
-        yield from self._issue_sends()
+    # ------------------------------------------------------------ flow units
+    def _flow_initial(self) -> int:
+        return self.config.reserve_bytes
 
-    def _issue_sends(self):
-        issued = False
-        obs = self.sim.obs
-        for dest in list(self.sendq):
-            if dest not in self.conns:
-                if self._lazy_mesh:
-                    self._ensure_conn(dest)
-                else:
-                    continue  # connection still being established; stay queued
-            q = self.sendq[dest]
-            while q:
-                op = q[0]
-                need = HEADER_BYTES + (len(op.wire) if op.msg_type == MSG_EAGER else 0)
-                if self.credits[dest] < need:
-                    if obs is not None:
-                        obs.emit(self.sim.now, "dev", "stall.credit",
-                                 rank=self.world_rank,
-                                 detail={"dest": dest, "need": need,
-                                         "credits": self.credits[dest],
-                                         "queued": len(q)})
-                    break  # optimistic sending stops when the reservation is full
-                q.popleft()
-                self.credits[dest] -= need
-                yield from self._issue_one(dest, op)
-                issued = True
-            if not q:
-                del self.sendq[dest]
-        return issued
+    def _flow_need(self, nbytes: int, eager: bool) -> int:
+        return HEADER_BYTES + (nbytes if eager else 0)
 
-    def _issue_one(self, dest: int, op: _QueuedSend):
-        env, req = op.env, op.req
-        conn = self.conns[dest]
-        obs = self.sim.obs
-        mid = (self.world_rank, dest, env.context, env.seq) if obs is not None else None
-        if op.msg_type == MSG_EAGER:
-            if env.mode == MODE_SYNCHRONOUS:
-                env.cookie = self._next_cookie()
-                self.awaiting_ack[env.cookie] = req
-                if obs is not None:
-                    self._obs_cookie[env.cookie] = mid
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "env.sent", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": env.nbytes, "proto": "eager"})
-            header = self._pack_header(MSG_EAGER, dest, env)
-            yield from conn.send(header + op.wire)
-            if env.mode != MODE_SYNCHRONOUS:
-                req._complete(Status(tag=env.tag, count_bytes=env.nbytes))
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "send.complete",
-                             rank=self.world_rank, msg=mid)
+    # ------------------------------------------------------------------- put
+    def _put(self, dest: int, kind: int, env, data=b""):
+        credits = self.owed[dest]
+        self.owed[dest] = 0
+        if env is None:  # explicit credit message: an all-zero envelope
+            header = _HDR_FULL.pack(kind, credits, 0, 0, 0, 0, 0, 0)
         else:
-            env.cookie = self._next_cookie()
-            self.pending_rdv[env.cookie] = (op.wire, req)
-            if obs is not None:
-                self._obs_cookie[env.cookie] = mid
-                obs.emit(self.sim.now, "dev", "env.sent", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": env.nbytes, "proto": "rdv"})
-            header = self._pack_header(MSG_RDV_ENV, dest, env)
-            yield from conn.send(header)
-
-    # ---------------------------------------------------------------- receive
-    def start_recv(self, req: Request):
-        cfg = self.config
-        yield from self.host.cpu.execute(cfg.recv_overhead)
-        arrival, comparisons = self.queues.post(req)
-        if comparisons:
-            yield from self.host.cpu.execute(
-                cfg.match_cost + cfg.match_per_comparison * max(0, comparisons - 1)
+            header = _HDR_FULL.pack(
+                kind,
+                credits,
+                env.src,
+                env.context,
+                env.tag,
+                env.nbytes,
+                env.cookie or 0,
+                _MODES[env.mode],
             )
-        if arrival is not None:
-            obs = self.sim.obs
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "match.hit", rank=self.world_rank,
-                         msg=self._obs_msgid(arrival.envelope),
-                         detail={"unexpected": True, "comparisons": comparisons})
-            yield from self._fulfill(req, arrival)
+        return self.conns[dest].send(header + data)
 
-    # ------------------------------------------------------------ fault tolerance
-    def _ft_requests(self):
-        yield from super()._ft_requests()
-        for dest in list(self.sendq):
-            q = self.sendq[dest]
-            for op in list(q):
-                def cancel(q=q, op=op):
-                    try:
-                        q.remove(op)
-                    except ValueError:
-                        pass
-
-                yield op.req, cancel
-        for cookie in list(self.pending_rdv):
-            _wire, req = self.pending_rdv[cookie]
-            yield req, (lambda c=cookie: self.pending_rdv.pop(c, None))
-        for cookie in list(self.awaiting_ack):
-            yield self.awaiting_ack[cookie], (
-                lambda c=cookie: self.awaiting_ack.pop(c, None))
-        for key in list(self.rdv_recv):
-            req, _env, _trunc = self.rdv_recv[key]
-            yield req, (lambda k=key: self.rdv_recv.pop(k, None))
-
-    def _ft_wake(self) -> None:
-        self.kick.set()
-
-    # --------------------------------------------------------------- progress
-    def _progress(self, block: bool):
-        did = False
-        for peer in list(self.conns):
-            if peer in self._ft_dead:
-                continue  # the FT layer announced this peer dead
-            got = yield from self._drain_conn(peer)
-            did = did or got
-        issued = yield from self._issue_sends()
-        did = did or issued
-        yield from self._refresh_credits()
-        if block and not did:
-            yield self.kick.wait1()
-            return True
-        return did
-
-    def _drain_conn(self, peer: int):
+    # ------------------------------------------------------------------ poll
+    def _poll(self):
         """Parse as many complete messages as are buffered (never blocks).
 
         A dead connection (retransmissions exhausted, peer reset) raises
         its terminal error here, surfacing device failure inside whatever
         MPI call is driving progress.
         """
-        conn = self.conns[peer]
-        err = getattr(conn, "error", None)
-        if err is not None:
-            ft = getattr(self.sim, "ft", None)
-            if ft is not None and ft.is_crashing(peer):
-                # transport-level failure detection: retransmissions to
-                # the crashed host exhausted before the detector fired
-                ft.mark_failed(peer, cause="retransmit")
-                return False
-            raise err
-        st = self._rx[peer]
         did = False
-        while True:
-            if st.header is None:
-                if conn.available < HEADER_BYTES:
+        obs = self.sim.obs
+        for peer in list(self.conns):
+            if peer in self._ft_dead:
+                continue  # the FT layer announced this peer dead
+            conn = self.conns[peer]
+            if conn.error is not None:
+                ft = getattr(self.sim, "ft", None)
+                if ft is not None and ft.is_crashing(peer):
+                    # transport-level failure detection: retransmissions to
+                    # the crashed host exhausted before the detector fired
+                    ft.mark_failed(peer, cause="retransmit")
+                    continue
+                raise conn.error
+            st = self._rx[peer]
+            while True:
+                if st.header is None:
+                    if conn.available < HEADER_BYTES:
+                        break
+                    type_raw = yield from conn.recv_exact(1)  # read for msg type
+                    rest = yield from conn.recv_exact(HEADER_BYTES - 1)  # read for envelope
+                    kind = type_raw[0]
+                    credits = int.from_bytes(rest[:4], "little")
+                    if credits:
+                        self.credits[peer] += credits
+                    env = self._unpack_env(rest[4:], peer)
+                    if obs is not None and kind <= RTS:
+                        # reconstruct the sender's sequence number (FIFO
+                        # stream, one envelope per send => arrival order
+                        # == sequence order)
+                        akey = (peer, env.context)
+                        env.seq = self._obs_arrive_seq[akey]
+                        self._obs_arrive_seq[akey] = env.seq + 1
+                    st.header = (kind, env)
+                    st.need = env.nbytes if kind in (EAGER, RDV_DATA) else 0
+                kind, env = st.header
+                if conn.available < st.need:
                     break
-                type_raw = yield from conn.recv_exact(1)  # read for msg type
-                rest = yield from conn.recv_exact(HEADER_BYTES - 1)  # read for envelope
-                msg_type = type_raw[0]
-                credits = int.from_bytes(rest[:4], "little")
-                if credits:
-                    self.credits[peer] += credits
-                env = self._unpack_env(rest[4:], peer)
-                payload = 0
-                if msg_type in (MSG_EAGER, MSG_RDV_DATA):
-                    payload = env.nbytes
-                st.header = (msg_type, payload, env)
-                st.need = payload
-            msg_type, payload, env = st.header
-            if conn.available < st.need:
-                break
-            data = b""
-            if st.need:
-                data = yield from conn.recv_exact(st.need)
-            st.header = None
-            st.need = 0
-            yield from self._dispatch(peer, msg_type, env, data)
-            did = True
+                data = b""
+                if st.need:
+                    data = yield from conn.recv_exact(st.need)
+                st.header = None
+                st.need = 0
+                yield from self._dispatch(peer, kind, env, data)
+                did = True
         return did
 
-    def _dispatch(self, peer: int, msg_type: int, env: Envelope, data: bytes):
-        cfg = self.config
+    # ------------------------------------------------------------ rendezvous
+    def _rdv_fetch(self, peer: int, env: Envelope):
+        return self._put(peer, RDV_REQ, env)
+
+    def _rdv_unit(self, peer: int, kind: int, env: Envelope, data: bytes):
+        """Sender-CPU push: ``RDV_REQ`` makes this CPU write the payload
+        into the stream; ``RDV_DATA`` is that payload arriving."""
+        if kind == RDV_DATA:
+            entry = self.rdv_recv.pop((peer, env.cookie), None)
+            if entry is not None:  # else the receive already failed: drop it
+                self._land(entry[0], entry[1], data)
+            return
+        sent = self._rdv_send_take(env.cookie)
+        if sent is None:
+            return
+        wire, sreq, mid = sent
         obs = self.sim.obs
-        if msg_type == MSG_CREDIT:
-            return
-        if msg_type == MSG_SYNC_ACK:
-            req = self.awaiting_ack.pop(env.cookie, None)
-            mid = self._obs_cookie.pop(env.cookie, None)
-            if req is None or req.complete:
-                return  # op already failed (peer death / revoke); stale ack
-            req._complete(Status(tag=req.tag, count_bytes=req.datatype.size * req.count))
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "send.complete", rank=self.world_rank,
-                         msg=mid, detail={"sync": True})
-            return
-        if msg_type == MSG_RDV_REQ:
-            # the receiver asks for our rendezvous payload
-            entry = self.pending_rdv.pop(env.cookie, None)
-            if entry is None:
-                self._obs_cookie.pop(env.cookie, None)
-                return  # send already failed (peer death / revoke)
-            wire, sreq = entry
-            conn = self.conns[peer]
-            mid = self._obs_cookie.pop(env.cookie, None) if obs is not None else None
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "rdv.data", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": len(wire)})
-            header = self._pack_header(MSG_RDV_DATA, peer, env)
-            yield from conn.send(header + wire)
-            if not sreq.complete:
-                sreq._complete(Status(tag=sreq.tag, count_bytes=len(wire)))
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "send.complete",
-                         rank=self.world_rank, msg=mid)
-            return
-        if msg_type == MSG_RDV_DATA:
-            rdv_entry = self.rdv_recv.pop((peer, env.cookie), None)
-            if rdv_entry is None:
-                return  # receive already failed; drop the payload
-            req, orig_env, truncated = rdv_entry
-            status = Status(source=orig_env.src, tag=orig_env.tag, count_bytes=orig_env.nbytes)
-            if truncated:
-                req._fail(
-                    TruncationError(
-                        f"{orig_env.nbytes} bytes into a "
-                        f"{self._capacity_bytes(req)}-byte receive"
-                    )
-                )
-            else:
-                self._store(req, data, status)
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "msg.complete", rank=self.world_rank,
-                             msg=self._obs_msgid(orig_env),
-                             detail={"nbytes": orig_env.nbytes})
-            return
-        # EAGER or RDV_ENV: run the matching engine
         if obs is not None:
-            # reconstruct the sender's sequence number (FIFO stream, one
-            # envelope per send => arrival order == sequence order)
-            akey = (peer, env.context)
-            env.seq = self._obs_arrive_seq[akey]
-            self._obs_arrive_seq[akey] = env.seq + 1
-            obs.emit(self.sim.now, "dev", "env.arrived", rank=self.world_rank,
-                     msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-        arrival = Arrival(env, data=data if msg_type == MSG_EAGER else None)
-        req, comparisons = self.queues.arrive(arrival)
-        yield from self.host.cpu.execute(
-            cfg.match_cost + cfg.match_per_comparison * max(0, comparisons - 1)
-        )
-        if obs is not None:
-            obs.emit(self.sim.now, "dev",
-                     "match.hit" if req is not None else "match.miss",
-                     rank=self.world_rank, msg=self._obs_msgid(env),
-                     detail={"unexpected": False, "comparisons": comparisons})
-        # the reserved space is drained as soon as we've read the message
-        self.owed[peer] += HEADER_BYTES + (len(data) if msg_type == MSG_EAGER else 0)
-        if req is not None:
-            yield from self._fulfill(req, arrival)
-        elif env.mode == MODE_READY:
-            self.ready_violations += 1
-            if cfg.strict_ready:
-                raise ReadyModeError(
-                    f"ready-mode send from rank {env.src} (tag {env.tag}) "
-                    "arrived before the matching receive was posted"
-                )
-
-    def _fulfill(self, req: Request, arrival: Arrival):
-        env = arrival.envelope
-        capacity = self._capacity_bytes(req)
-        truncated = env.nbytes > capacity
-        status = Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
-        peer = env.extra
-        obs = self.sim.obs
-        if arrival.data is not None:
-            if truncated:
-                req._fail(TruncationError(f"{env.nbytes} bytes into a {capacity}-byte receive"))
-            else:
-                self._store(req, arrival.data, status)
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "msg.complete", rank=self.world_rank,
-                             msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-            if env.mode == MODE_SYNCHRONOUS:
-                conn = self.conns[peer]
-                header = self._pack_header(MSG_SYNC_ACK, peer, env)
-                yield from conn.send(header)
-        else:
-            # rendezvous: ask the sender for the data
-            self.rdv_recv[(peer, env.cookie)] = (req, env, truncated)
-            conn = self.conns[peer]
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "rdv.rts", rank=self.world_rank,
-                         msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-            header = self._pack_header(MSG_RDV_REQ, peer, env)
-            yield from conn.send(header)
-
-    def _refresh_credits(self):
-        """Explicit credit messages when a lot is owed and we are idle."""
-        for peer, owed in list(self.owed.items()):
-            if owed >= self.config.credit_refresh and peer not in self._ft_dead:
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "credit.grant", rank=self.world_rank,
-                             detail={"peer": peer, "bytes": owed})
-                env = Envelope(src=0, tag=0, context=0, nbytes=0, extra=self.world_rank)
-                header = self._pack_header(MSG_CREDIT, peer, env)
-                yield from self.conns[peer].send(header)
-
-    # ----------------------------------------------------------------- helpers
-    def _obs_msgid(self, env: Envelope):
-        """Correlation id for a received envelope (seq reconstructed at
-        arrival — see ``_obs_arrive_seq``)."""
-        if env.extra is None:
-            return None
-        return (env.extra, self.world_rank, env.context, env.seq)
-
-    def _flow_snapshot(self) -> dict:
-        return {
-            "sends_waiting_for_credit": {
-                dest: {"tags": [op.env.tag for op in q], "credits": self.credits[dest]}
-                for dest, q in self.sendq.items() if q
-            },
-            "credits_owed": {p: o for p, o in self.owed.items() if o},
-            "rendezvous_awaiting_request": len(self.pending_rdv),
-            "rendezvous_awaiting_data": len(self.rdv_recv),
-            "ssends_awaiting_ack": len(self.awaiting_ack),
-        }
-
-    def _describe_flow(self, flow: dict) -> str:
-        waiting = ", ".join(
-            f"dest={dest}:[{', '.join(f'tag={t}' for t in d['tags'])}] "
-            f"credits={d['credits']}"
-            for dest, d in flow["sends_waiting_for_credit"].items()
-        ) or "none"
-        owed = flow["credits_owed"] or "none"
-        return (
-            f"sends-waiting-for-credit=[{waiting}]; credits-owed={owed}; "
-            f"rendezvous-awaiting-request={flow['rendezvous_awaiting_request']}; "
-            f"rendezvous-awaiting-data={flow['rendezvous_awaiting_data']}; "
-            f"ssends-awaiting-ack={flow['ssends_awaiting_ack']}"
-        )
-
-    @staticmethod
-    def _capacity_bytes(req: Request) -> float:
-        if req.buf is None:
-            return float("inf")
-        return req.datatype.size * req.count
-
-    def _store(self, req: Request, data: bytes, status: Status) -> None:
-        if req.buf is None:
-            req.data = data
-        else:
-            count = len(data) // req.datatype.size if req.datatype.size else 0
-            req.datatype.unpack(data, req.buf, count)
-        req._complete(status)
-
-    # ------------------------------------------------------------------ probe
-    def iprobe(self, source: int, tag: int, comm):
-        yield from self._progress(block=False)
-        arrival = self.queues.probe(source, tag, comm.context_id)
-        if arrival is None:
-            return None
-        env = arrival.envelope
-        return Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
+            obs.emit(self.sim.now, "dev", "rdv.data", rank=self.world_rank,
+                     msg=mid, detail={"nbytes": len(wire)})
+        yield from self._put(peer, RDV_DATA, env, wire)
+        self._rdv_send_done(wire, sreq, mid)
 
     # --------------------------------------------------------------- wiring
     @classmethod
-    def wire(cls, machine, endpoints) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def wire(cls, machine, endpoints) -> None:
+        """Static, pre-established full mesh — or, for large worlds, each
+        pair deferred until a first send needs it: pre-building O(P²)
+        connections dominates construction time and memory, and most
+        pairs of a wide collective never talk."""
+        if len(endpoints) > cls.LAZY_MESH_THRESHOLD:
+            for ep in endpoints:
+                ep._mesh_endpoints = endpoints
+            return
+        for i, ep_i in enumerate(endpoints):
+            for j in range(i + 1, len(endpoints)):
+                cls._connect_pair_now(ep_i, endpoints[j])

@@ -108,8 +108,6 @@ class _QueuedSend:
 class LowLatencyEndpoint(Endpoint):
     """One rank's endpoint of the low-latency Meiko device."""
 
-    bcast_style = "hardware"
-
     def __init__(self, world_rank: int, node, config: Optional[LowLatencyConfig] = None):
         super().__init__(world_rank, node)
         self.node = node
@@ -121,16 +119,10 @@ class LowLatencyEndpoint(Endpoint):
         self.kick = node.event("mpi-kick")
         #: envelope arrivals deposited by the Elan, drained by the SPARC
         self.arrivals: Deque[Arrival] = deque()
-        #: per-destination envelope-slot tokens (free slots remaining)
+        #: per-destination envelope-slot tokens (free slots remaining);
+        #: sends waiting for one sit in ``sendq``
         slots = self.config.slots_per_sender
         self.tokens: Dict[int, int] = defaultdict(lambda: slots)
-        #: sends waiting for a free slot, per destination world rank
-        self.sendq: Dict[int, Deque[_QueuedSend]] = defaultdict(deque)
-        #: rendezvous sends awaiting the receiver's request, by cookie
-        self.pending_rdv: Dict[int, Tuple[bytes, Request]] = {}
-        #: synchronous sends awaiting the matched acknowledgement
-        self.awaiting_ack: Dict[int, Request] = {}
-        self._cookie = 0
         #: rendezvous receives whose DMA is in flight, by (sender, cookie)
         self.rdv_wait: Dict[Tuple[int, int], Request] = {}
         #: per-(dest, context) envelope sequence numbers (testability)
@@ -234,10 +226,6 @@ class LowLatencyEndpoint(Endpoint):
                 debug=f"ll-rdv-env tag={env.tag}",
             )
 
-    def _next_cookie(self) -> int:
-        self._cookie += 1
-        return self._cookie
-
     # ---------------------------------------------------------------- receives
     def start_recv(self, req: Request):
         cfg = self.config
@@ -257,22 +245,6 @@ class LowLatencyEndpoint(Endpoint):
     # ------------------------------------------------------- fault tolerance
     def _ft_requests(self):
         yield from super()._ft_requests()
-        for dest in list(self.sendq):
-            q = self.sendq[dest]
-            for op in list(q):
-                def cancel(q=q, op=op):
-                    try:
-                        q.remove(op)
-                    except ValueError:
-                        pass
-
-                yield op.req, cancel
-        for cookie in list(self.pending_rdv):
-            _wire, req = self.pending_rdv[cookie]
-            yield req, (lambda c=cookie: self.pending_rdv.pop(c, None))
-        for cookie in list(self.awaiting_ack):
-            yield self.awaiting_ack[cookie], (
-                lambda c=cookie: self.awaiting_ack.pop(c, None))
         for key in list(self.rdv_wait):
             yield self.rdv_wait[key], (lambda k=key: self.rdv_wait.pop(k, None))
 
@@ -449,12 +421,6 @@ class LowLatencyEndpoint(Endpoint):
         self.kick.set()
 
     # ----------------------------------------------------------------- helpers
-    def _obs_msgid(self, env: Envelope):
-        """Correlation id for an envelope (None for slot-less broadcast)."""
-        if env.extra is None:
-            return None
-        return (env.extra, self.world_rank, env.context, env.seq)
-
     def _flow_snapshot(self) -> dict:
         return {
             "sends_waiting_for_slot": {
@@ -474,29 +440,6 @@ class LowLatencyEndpoint(Endpoint):
             f"rendezvous-awaiting-request={flow['rendezvous_awaiting_request']}; "
             f"ssends-awaiting-ack={flow['ssends_awaiting_ack']}"
         )
-
-    @staticmethod
-    def _capacity_bytes(req: Request) -> float:
-        if req.buf is None:
-            return float("inf")
-        return req.datatype.size * req.count
-
-    def _store(self, req: Request, data: bytes, status: Status) -> None:
-        if req.buf is None:
-            req.data = data
-        else:
-            count = len(data) // req.datatype.size if req.datatype.size else 0
-            req.datatype.unpack(data, req.buf, count)
-        req._complete(status)
-
-    # ------------------------------------------------------------------ probe
-    def iprobe(self, source: int, tag: int, comm):
-        yield from self._progress(block=False)
-        arrival = self.queues.probe(source, tag, comm.context_id)
-        if arrival is None:
-            return None
-        env = arrival.envelope
-        return Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
 
     # ---------------------------------------------------------- hw broadcast
     def bcast_hw(self, comm, buf, count, datatype, root: int):

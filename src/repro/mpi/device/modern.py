@@ -1,11 +1,11 @@
-"""Shared protocol engine of the modern-fabric MPI devices.
+"""The NIC-to-NIC channel of the modern-fabric MPI devices.
 
 The ``rdma`` and ``cxl`` endpoints answer the paper's protocol
-questions with the same structure as the Section-5 cluster device —
-match on the main processor, eager below a threshold, receiver-driven
-rendezvous above it, credit flow control without sliding windows — but
-over a :class:`repro.hw.modern.ModernFabric` instead of a kernel byte
-stream:
+questions with the Section-5 engine itself
+(:mod:`repro.mpi.device.flow`: match on the main processor, eager below
+a threshold, receiver-driven rendezvous above it, credit flow control
+without sliding windows) — but over a
+:class:`repro.hw.modern.ModernFabric` instead of a kernel byte stream:
 
 * the wire unit is a structured packet (envelope + payload), not a
   parsed byte stream: delivery appends a completion-queue entry at the
@@ -17,8 +17,7 @@ stream:
   out of the exposed region without sender CPU; a FIN from the
   receiver completes the sender's request;
 * flow control is counted in device units (pre-posted receive slots on
-  ``rdma``, shared-segment bytes on ``cxl``) with the cluster device's
-  optimistic-send + piggybacked-return credit scheme.
+  ``rdma``, shared-segment bytes on ``cxl``).
 
 Subclasses provide only the cost model: what injecting/delivering an
 eager payload costs, what exposing/mapping a rendezvous region costs,
@@ -27,98 +26,43 @@ and how many flow units a message consumes.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Deque, Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional
 
-from repro.mpi.constants import MODE_READY, MODE_SYNCHRONOUS
-from repro.mpi.device.base import Endpoint
+from repro.mpi.device.flow import EAGER, FIN, RDV_DATA, CreditFlowEndpoint
 from repro.mpi.envelope import Envelope
-from repro.mpi.exceptions import ReadyModeError, TruncationError
-from repro.mpi.matching import Arrival
-from repro.mpi.request import Request
-from repro.mpi.status import Status
-from repro.sim.notify import Notify
 
 __all__ = ["ModernEndpoint", "CONTROL_BYTES"]
 
 #: wire bytes of a control packet (envelope/RTS/FIN/ACK/credit)
 CONTROL_BYTES = 32
 
-# packet kinds
-PKT_EAGER = 1
-PKT_RTS = 2
-PKT_RDV_DATA = 3
-PKT_FIN = 4
-PKT_SYNC_ACK = 5
-PKT_CREDIT = 6
-
 
 class _Pkt:
     """One fabric unit: kind + piggybacked credit return + payload."""
 
-    __slots__ = ("kind", "src", "credits", "env", "data", "cookie")
+    __slots__ = ("kind", "src", "credits", "env", "data")
 
-    def __init__(self, kind, src, credits=0, env=None, data=None, cookie=None):
+    def __init__(self, kind, src, credits, env, data=None):
         self.kind = kind
         self.src = src
         self.credits = credits
         self.env = env
         self.data = data
-        self.cookie = cookie
 
 
-class _QueuedSend:
-    __slots__ = ("req", "env", "wire", "eager")
-
-    def __init__(self, req, env, wire, eager):
-        self.req = req
-        self.env = env
-        self.wire = wire
-        self.eager = eager
-
-
-class ModernEndpoint(Endpoint):
+class ModernEndpoint(CreditFlowEndpoint):
     """One rank's endpoint on a modern fabric (abstract cost model)."""
 
-    bcast_style = "binomial"
-
     def __init__(self, world_rank: int, host, config):
-        super().__init__(world_rank, host)
-        self.config = config
-        self.queues.max_unexpected = config.max_unexpected
-        self.peers = []
+        super().__init__(world_rank, host, config)
         self.fabric = None
-        self.kick = Notify(self.sim, f"mpi{world_rank}-cq")
         #: the completion queue: fabric deliveries land here CPU-free
         self.cq: Deque[_Pkt] = deque()
-        #: send credit remaining at each peer (slots or bytes)
-        self.credits: Dict[int, int] = defaultdict(self._flow_initial)
-        #: freed units owed to each peer (piggybacked on the next packet)
-        self.owed: Dict[int, int] = defaultdict(int)
-        self.sendq: Dict[int, Deque[_QueuedSend]] = defaultdict(deque)
-        #: cookie -> (wire, request): rendezvous sends exposed for READ
-        self.pending_rdv: Dict[int, Tuple[bytes, Request]] = {}
-        #: cookie -> request: synchronous eager sends awaiting the ack
-        self.awaiting_ack: Dict[int, Request] = {}
-        #: (peer, cookie) -> (request, envelope, truncated): issued pulls
-        self.rdv_pull: Dict[Tuple[int, int], Tuple[Request, Envelope, bool]] = {}
-        self._cookie = 0
-        self._seq: Dict[Tuple[int, int], int] = defaultdict(int)
         #: peer -> NetworkError from a dead link, surfaced in progress
         self._dead_links: Dict[int, Exception] = {}
-        self.ready_violations = 0
-        #: observability only: sender cookie -> message id
-        self._obs_cookie: Dict[int, Tuple[int, int, int, int]] = {}
 
     # -- cost model (subclass responsibility) --------------------------------
-    def _flow_initial(self) -> int:  # pragma: no cover - abstract
-        """Initial per-peer send credit (slots or bytes)."""
-        raise NotImplementedError
-
-    def _flow_need(self, nbytes: int, eager: bool) -> int:  # pragma: no cover
-        """Flow units one message consumes at the receiver."""
-        raise NotImplementedError
-
     def _eager_inject(self, nbytes: int):  # pragma: no cover - abstract
         """Generator: sender CPU cost of launching an eager payload."""
         raise NotImplementedError
@@ -145,15 +89,6 @@ class ModernEndpoint(Endpoint):
         yield
 
     # -------------------------------------------------------------- plumbing
-    def _next_cookie(self) -> int:
-        self._cookie += 1
-        return self._cookie
-
-    def _take_owed(self, peer: int) -> int:
-        owed = self.owed[peer]
-        self.owed[peer] = 0
-        return owed
-
     def _on_unit(self, pkt: _Pkt) -> None:
         """Fabric delivery: append a CQE and kick the polling rank."""
         self.cq.append(pkt)
@@ -163,157 +98,21 @@ class ModernEndpoint(Endpoint):
         self._dead_links.setdefault(peer, err)
         self.kick.set()
 
-    # ------------------------------------------------------------------ send
-    def start_send(self, req: Request):
-        cfg = self.config
-        obs = self.sim.obs
-        t0 = self.sim.now
-        yield from self.host.cpu.execute(cfg.send_overhead)
-        wire = req.datatype.pack(req.buf, req.count)
-        dest_world = req.comm.world_rank(req.peer)
-        key = (dest_world, req.comm.context_id)
-        env = Envelope(
-            src=req.comm.rank,
-            tag=req.tag,
-            context=req.comm.context_id,
-            nbytes=len(wire),
-            mode=req.mode,
-            seq=self._seq[key],
-            extra=self.world_rank,
+    # ------------------------------------------------------------------- put
+    def _put(self, dest: int, kind: int, env, data=None):
+        """Post one packet: the NIC moves it, so there is nothing for the
+        CPU to wait on."""
+        credits = self.owed[dest]
+        self.owed[dest] = 0
+        self.fabric.send(
+            self.world_rank, dest,
+            CONTROL_BYTES + (env.nbytes if kind == EAGER else 0),
+            _Pkt(kind, self.world_rank, credits, env, data),
         )
-        self._seq[key] += 1
-        eager = len(wire) <= cfg.eager_threshold
-        if obs is not None:
-            obs.emit(t0, "dev", "msg.send", rank=self.world_rank,
-                     msg=(self.world_rank, dest_world, env.context, env.seq),
-                     detail={"tag": env.tag, "nbytes": env.nbytes,
-                             "proto": "eager" if eager else "rdv",
-                             "mode": env.mode})
-        self.sendq[dest_world].append(_QueuedSend(req, env, wire, eager))
-        yield from self._issue_sends()
+        return ()
 
-    def _issue_sends(self):
-        issued = False
-        obs = self.sim.obs
-        for dest in list(self.sendq):
-            q = self.sendq[dest]
-            while q:
-                op = q[0]
-                need = self._flow_need(len(op.wire), op.eager)
-                if self.credits[dest] < need:
-                    if obs is not None:
-                        obs.emit(self.sim.now, "dev", "stall.credit",
-                                 rank=self.world_rank,
-                                 detail={"dest": dest, "need": need,
-                                         "credits": self.credits[dest],
-                                         "queued": len(q)})
-                    break  # optimistic sending stops when the slots are gone
-                q.popleft()
-                self.credits[dest] -= need
-                yield from self._issue_one(dest, op)
-                issued = True
-            if not q:
-                del self.sendq[dest]
-        return issued
-
-    def _issue_one(self, dest: int, op: _QueuedSend):
-        env, req = op.env, op.req
-        obs = self.sim.obs
-        mid = (self.world_rank, dest, env.context, env.seq) if obs is not None else None
-        if op.eager:
-            yield from self._eager_inject(env.nbytes)
-            if env.mode == MODE_SYNCHRONOUS:
-                env.cookie = self._next_cookie()
-                self.awaiting_ack[env.cookie] = req
-                if obs is not None:
-                    self._obs_cookie[env.cookie] = mid
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "env.sent", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": env.nbytes, "proto": "eager"})
-            self.fabric.send(
-                self.world_rank, dest, CONTROL_BYTES + env.nbytes,
-                _Pkt(PKT_EAGER, self.world_rank, self._take_owed(dest),
-                     env=env, data=op.wire),
-            )
-            if env.mode != MODE_SYNCHRONOUS:
-                # the RDMA write / segment store completes locally once
-                # posted (standard mode needs no remote completion)
-                req._complete(Status(tag=env.tag, count_bytes=env.nbytes))
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "send.complete",
-                             rank=self.world_rank, msg=mid)
-        else:
-            yield from self._rdv_expose(req, env.nbytes)
-            env.cookie = self._next_cookie()
-            self.pending_rdv[env.cookie] = (op.wire, req)
-            if obs is not None:
-                self._obs_cookie[env.cookie] = mid
-                obs.emit(self.sim.now, "dev", "env.sent", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": env.nbytes, "proto": "rdv"})
-            self.fabric.send(
-                self.world_rank, dest, CONTROL_BYTES,
-                _Pkt(PKT_RTS, self.world_rank, self._take_owed(dest), env=env),
-            )
-
-    def _serve_read(self, cookie: int) -> Optional[_Pkt]:
-        """NIC-side READ service: hand back the exposed bytes, CPU-free.
-
-        Called by the fabric when the receiver's READ request arrives.
-        Returns None when the exposed region was withdrawn (the send was
-        poisoned by the FT layer) — the pull is abandoned and the
-        receiver's request dies through the same FT sweep.
-        """
-        entry = self.pending_rdv.get(cookie)
-        if entry is None:
-            return None
-        wire, _req = entry
-        return _Pkt(PKT_RDV_DATA, self.world_rank, 0, data=wire, cookie=cookie)
-
-    # ---------------------------------------------------------------- receive
-    def start_recv(self, req: Request):
-        cfg = self.config
-        yield from self.host.cpu.execute(cfg.recv_overhead)
-        arrival, comparisons = self.queues.post(req)
-        if comparisons:
-            yield from self.host.cpu.execute(
-                cfg.match_cost + cfg.match_per_comparison * max(0, comparisons - 1)
-            )
-        if arrival is not None:
-            obs = self.sim.obs
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "match.hit", rank=self.world_rank,
-                         msg=self._obs_msgid(arrival.envelope),
-                         detail={"unexpected": True, "comparisons": comparisons})
-            yield from self._fulfill(req, arrival)
-
-    # ------------------------------------------------------------ fault tolerance
-    def _ft_requests(self):
-        yield from super()._ft_requests()
-        for dest in list(self.sendq):
-            q = self.sendq[dest]
-            for op in list(q):
-                def cancel(q=q, op=op):
-                    try:
-                        q.remove(op)
-                    except ValueError:
-                        pass
-
-                yield op.req, cancel
-        for cookie in list(self.pending_rdv):
-            _wire, req = self.pending_rdv[cookie]
-            yield req, (lambda c=cookie: self.pending_rdv.pop(c, None))
-        for cookie in list(self.awaiting_ack):
-            yield self.awaiting_ack[cookie], (
-                lambda c=cookie: self.awaiting_ack.pop(c, None))
-        for key in list(self.rdv_pull):
-            req, _env, _trunc = self.rdv_pull[key]
-            yield req, (lambda k=key: self.rdv_pull.pop(k, None))
-
-    def _ft_wake(self) -> None:
-        self.kick.set()
-
-    # --------------------------------------------------------------- progress
-    def _progress(self, block: bool):
+    # ------------------------------------------------------------------ poll
+    def _poll(self):
         if self._dead_links:
             self._surface_dead_links()
         did = False
@@ -321,14 +120,10 @@ class ModernEndpoint(Endpoint):
         while cq:
             pkt = cq.popleft()
             yield from self.host.cpu.execute(self.config.cq_poll_cost)
-            yield from self._dispatch(pkt)
+            if pkt.credits:
+                self.credits[pkt.src] += pkt.credits
+            yield from self._dispatch(pkt.src, pkt.kind, pkt.env, pkt.data)
             did = True
-        issued = yield from self._issue_sends()
-        did = did or issued
-        self._refresh_credits()
-        if block and not did:
-            yield self.kick.wait1()
-            return True
         return did
 
     def _surface_dead_links(self) -> None:
@@ -350,205 +145,49 @@ class ModernEndpoint(Endpoint):
                 continue
             raise err
 
-    def _dispatch(self, pkt: _Pkt):
-        cfg = self.config
+    # ------------------------------------------------------------ rendezvous
+    def _rdv_fetch(self, peer: int, env: Envelope):
+        """Pull the payload with an RDMA READ."""
+        peer_ep = self.peers[peer]
+        self.fabric.read(
+            self.world_rank, peer, CONTROL_BYTES + env.nbytes,
+            lambda: peer_ep._serve_read(env),
+        )
+        return ()
+
+    def _serve_read(self, env: Envelope) -> Optional[_Pkt]:
+        """NIC-side READ service: hand back the exposed bytes, CPU-free.
+
+        Called by the fabric when the receiver's READ request arrives.
+        Returns None when the exposed region was withdrawn (the send was
+        poisoned by the FT layer) — the pull is abandoned and the
+        receiver's request dies through the same FT sweep.
+        """
+        entry = self.pending_rdv.get(env.cookie)
+        if entry is None:
+            return None
+        return _Pkt(RDV_DATA, self.world_rank, 0, env, entry[0])
+
+    def _rdv_unit(self, peer: int, kind: int, env: Envelope, data):
+        """NIC pull: ``RDV_DATA`` is our READ completing (answered with a
+        ``FIN``); a ``FIN`` says the receiver has read what we exposed."""
+        if kind == FIN:
+            sent = self._rdv_send_take(env.cookie)
+            if sent is not None:
+                self._rdv_send_done(*sent)
+            return
+        entry = self.rdv_recv.pop((peer, env.cookie), None)
+        if entry is None:
+            return  # receive already failed; drop the payload
+        req, env = entry
+        yield from self._rdv_complete(env.nbytes)
         obs = self.sim.obs
-        peer = pkt.src
-        if pkt.credits:
-            self.credits[peer] += pkt.credits
-        kind = pkt.kind
-        if kind == PKT_CREDIT:
-            return
-        if kind == PKT_SYNC_ACK:
-            req = self.awaiting_ack.pop(pkt.cookie, None)
-            mid = self._obs_cookie.pop(pkt.cookie, None)
-            if req is None or req.complete:
-                return  # op already failed (peer death / revoke); stale ack
-            req._complete(Status(tag=req.tag, count_bytes=req.datatype.size * req.count))
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "send.complete", rank=self.world_rank,
-                         msg=mid, detail={"sync": True})
-            return
-        if kind == PKT_FIN:
-            # the receiver's pull finished; retire the rendezvous send
-            entry = self.pending_rdv.pop(pkt.cookie, None)
-            mid = self._obs_cookie.pop(pkt.cookie, None)
-            if entry is None:
-                return  # send already failed (peer death / revoke)
-            wire, sreq = entry
-            if not sreq.complete:
-                sreq._complete(Status(tag=sreq.tag, count_bytes=len(wire)))
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "send.complete",
-                         rank=self.world_rank, msg=mid)
-            return
-        if kind == PKT_RDV_DATA:
-            entry = self.rdv_pull.pop((peer, pkt.cookie), None)
-            if entry is None:
-                return  # receive already failed; drop the payload
-            req, env, truncated = entry
-            yield from self._rdv_complete(env.nbytes)
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "rdv.data", rank=self.world_rank,
-                         msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-            if truncated:
-                req._fail(
-                    TruncationError(
-                        f"{env.nbytes} bytes into a "
-                        f"{self._capacity_bytes(req)}-byte receive"
-                    )
-                )
-            else:
-                self._store(req, pkt.data, Status(
-                    source=env.src, tag=env.tag, count_bytes=env.nbytes))
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "msg.complete",
-                             rank=self.world_rank, msg=self._obs_msgid(env),
-                             detail={"nbytes": env.nbytes})
-            # FIN fires from the completion handler's doorbell: no CPU
-            self.fabric.send(
-                self.world_rank, peer, CONTROL_BYTES,
-                _Pkt(PKT_FIN, self.world_rank, self._take_owed(peer),
-                     cookie=pkt.cookie),
-            )
-            return
-        # EAGER or RTS: run the matching engine
-        env = pkt.env
         if obs is not None:
-            obs.emit(self.sim.now, "dev", "env.arrived", rank=self.world_rank,
+            obs.emit(self.sim.now, "dev", "rdv.data", rank=self.world_rank,
                      msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-        arrival = Arrival(env, data=pkt.data if kind == PKT_EAGER else None)
-        req, comparisons = self.queues.arrive(arrival)
-        yield from self.host.cpu.execute(
-            cfg.match_cost + cfg.match_per_comparison * max(0, comparisons - 1)
-        )
-        if obs is not None:
-            obs.emit(self.sim.now, "dev",
-                     "match.hit" if req is not None else "match.miss",
-                     rank=self.world_rank, msg=self._obs_msgid(env),
-                     detail={"unexpected": False, "comparisons": comparisons})
-        # the slot/segment space drains once the CQE is processed
-        self.owed[peer] += self._flow_need(env.nbytes, kind == PKT_EAGER)
-        if req is not None:
-            yield from self._fulfill(req, arrival)
-        elif env.mode == MODE_READY:
-            self.ready_violations += 1
-            if cfg.strict_ready:
-                raise ReadyModeError(
-                    f"ready-mode send from rank {env.src} (tag {env.tag}) "
-                    "arrived before the matching receive was posted"
-                )
-
-    def _fulfill(self, req: Request, arrival: Arrival):
-        env = arrival.envelope
-        capacity = self._capacity_bytes(req)
-        truncated = env.nbytes > capacity
-        status = Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
-        peer = env.extra
-        obs = self.sim.obs
-        if arrival.data is not None:
-            if truncated:
-                req._fail(TruncationError(
-                    f"{env.nbytes} bytes into a {capacity}-byte receive"))
-            else:
-                yield from self._eager_deliver(env.nbytes)
-                self._store(req, arrival.data, status)
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "msg.complete",
-                             rank=self.world_rank, msg=self._obs_msgid(env),
-                             detail={"nbytes": env.nbytes})
-            if env.mode == MODE_SYNCHRONOUS:
-                self.fabric.send(
-                    self.world_rank, peer, CONTROL_BYTES,
-                    _Pkt(PKT_SYNC_ACK, self.world_rank, self._take_owed(peer),
-                         cookie=env.cookie),
-                )
-        else:
-            # rendezvous: pull the payload with an RDMA READ
-            self.rdv_pull[(peer, env.cookie)] = (req, env, truncated)
-            yield from self._rdv_prepare_pull(req, env.nbytes)
-            if obs is not None:
-                obs.emit(self.sim.now, "dev", "rdv.rts", rank=self.world_rank,
-                         msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-            peer_ep = self.peers[peer]
-            cookie = env.cookie
-            self.fabric.read(
-                self.world_rank, peer, CONTROL_BYTES + env.nbytes,
-                lambda: peer_ep._serve_read(cookie),
-            )
-
-    def _refresh_credits(self) -> None:
-        """Explicit credit return when a lot is owed and we are idle."""
-        cfg = self.config
-        for peer, owed in list(self.owed.items()):
-            if owed >= cfg.credit_refresh and peer not in self._ft_dead:
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "credit.grant",
-                             rank=self.world_rank,
-                             detail={"peer": peer, "bytes": owed})
-                self.owed[peer] = 0
-                self.fabric.send(self.world_rank, peer, CONTROL_BYTES,
-                                 _Pkt(PKT_CREDIT, self.world_rank, owed))
-
-    # ----------------------------------------------------------------- helpers
-    def _obs_msgid(self, env: Envelope):
-        if env.extra is None:
-            return None
-        if env.extra == self.world_rank:
-            return None  # no self-sends on this device layer
-        return (env.extra, self.world_rank, env.context, env.seq)
-
-    def _flow_snapshot(self) -> dict:
-        return {
-            "sends_waiting_for_credit": {
-                dest: {"tags": [op.env.tag for op in q], "credits": self.credits[dest]}
-                for dest, q in self.sendq.items() if q
-            },
-            "credits_owed": {p: o for p, o in self.owed.items() if o},
-            "rendezvous_exposed": len(self.pending_rdv),
-            "pulls_in_flight": len(self.rdv_pull),
-            "ssends_awaiting_ack": len(self.awaiting_ack),
-            "cq_depth": len(self.cq),
-        }
-
-    def _describe_flow(self, flow: dict) -> str:
-        waiting = ", ".join(
-            f"dest={dest}:[{', '.join(f'tag={t}' for t in d['tags'])}] "
-            f"credits={d['credits']}"
-            for dest, d in flow["sends_waiting_for_credit"].items()
-        ) or "none"
-        owed = flow["credits_owed"] or "none"
-        return (
-            f"sends-waiting-for-credit=[{waiting}]; credits-owed={owed}; "
-            f"rendezvous-exposed={flow['rendezvous_exposed']}; "
-            f"pulls-in-flight={flow['pulls_in_flight']}; "
-            f"ssends-awaiting-ack={flow['ssends_awaiting_ack']}; "
-            f"cq-depth={flow['cq_depth']}"
-        )
-
-    @staticmethod
-    def _capacity_bytes(req: Request) -> float:
-        if req.buf is None:
-            return float("inf")
-        return req.datatype.size * req.count
-
-    def _store(self, req: Request, data: bytes, status: Status) -> None:
-        if req.buf is None:
-            req.data = data
-        else:
-            count = len(data) // req.datatype.size if req.datatype.size else 0
-            req.datatype.unpack(data, req.buf, count)
-        req._complete(status)
-
-    # ------------------------------------------------------------------ probe
-    def iprobe(self, source: int, tag: int, comm):
-        yield from self._progress(block=False)
-        arrival = self.queues.probe(source, tag, comm.context_id)
-        if arrival is None:
-            return None
-        env = arrival.envelope
-        return Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
+        self._land(req, env, data)
+        # FIN fires from the completion handler's doorbell: no CPU
+        self._put(peer, FIN, env)
 
     # --------------------------------------------------------------- wiring
     @classmethod

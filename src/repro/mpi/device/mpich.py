@@ -94,8 +94,6 @@ class MpichConfig:
 class MpichEndpoint(Endpoint):
     """One rank's endpoint of the MPICH/tport device."""
 
-    bcast_style = "binomial"
-
     def __init__(self, world_rank: int, node, tport: TPort, config: Optional[MpichConfig] = None):
         super().__init__(world_rank, node)
         self.node = node
@@ -103,7 +101,6 @@ class MpichEndpoint(Endpoint):
         self.config = config or MpichConfig()
         #: set by the platform builder: world rank -> MpichEndpoint
         self.peers = []
-        self._cookie = 0
         #: incomplete requests with live tport handles (fault tolerance)
         self._outstanding = []
         #: observability only: per-(dest, context) send sequence numbers

@@ -29,18 +29,8 @@ class TcpEndpoint(StreamEndpoint):
     def wire(cls, machine, endpoints) -> None:
         if endpoints and endpoints[0].config.handshake:
             cls._wire_handshake(machine, endpoints)
-            return
-        if len(endpoints) > cls.LAZY_MESH_THRESHOLD:
-            # large worlds: defer each pair until a first send needs it —
-            # pre-building O(P²) connections dominates construction time
-            # and memory, and most pairs of a wide collective never talk
-            for ep in endpoints:
-                ep._lazy_mesh = True
-                ep._mesh_endpoints = endpoints
-            return
-        for i, ep_i in enumerate(endpoints):
-            for j in range(i + 1, len(endpoints)):
-                cls._connect_pair_now(ep_i, endpoints[j])
+        else:
+            super().wire(machine, endpoints)
 
     @staticmethod
     def _connect_pair_now(ep_i, ep_j) -> None:

@@ -21,19 +21,6 @@ _PORT_BASE = 40000
 class UdpEndpoint(StreamEndpoint):
     """One rank's endpoint over per-peer reliable-UDP streams."""
 
-    @classmethod
-    def wire(cls, machine, endpoints) -> None:
-        if len(endpoints) > cls.LAZY_MESH_THRESHOLD:
-            # large worlds: defer each pair until a first send needs it
-            # (see StreamEndpoint.LAZY_MESH_THRESHOLD)
-            for ep in endpoints:
-                ep._lazy_mesh = True
-                ep._mesh_endpoints = endpoints
-            return
-        for i, ep_i in enumerate(endpoints):
-            for j in range(i + 1, len(endpoints)):
-                cls._connect_pair_now(ep_i, endpoints[j])
-
     @staticmethod
     def _connect_pair_now(ep_i, ep_j) -> None:
         i, j = ep_i.world_rank, ep_j.world_rank

@@ -88,11 +88,6 @@ class World:
         paper's testbed mixes 133 MHz Indys with a faster Challenge.
     kernel_params:
         Cluster platforms only: kernel cost-model override.
-    drop_fn:
-        Cluster platforms only, **deprecated**: ad-hoc frame/PDU loss
-        hook.  Use ``faults`` instead — a :class:`repro.faults.FaultPlan`
-        is deterministic, composable, works on every fabric (including
-        the Meiko), and keeps its own accounting.
     faults:
         A :class:`repro.faults.FaultPlan`: packet loss / duplication /
         corruption, link-down windows, node crash / pause / slow-down.
@@ -123,7 +118,6 @@ class World:
         device_config: Any = None,
         host_speeds: Any = None,
         kernel_params: Any = None,
-        drop_fn: Any = None,
         faults: Any = None,
         obs: Any = None,
         ft: Any = None,
@@ -137,7 +131,7 @@ class World:
         self.platform_name = platform
         self.platform = build_platform(
             platform, device, nprocs, self.sim, seed, machine_params, device_config,
-            host_speeds, kernel_params, drop_fn, faults,
+            host_speeds, kernel_params, faults,
         )
         self.endpoints = self.platform.endpoints
         self.machine = self.platform.machine

@@ -91,6 +91,7 @@ def _cluster_tuning(shared_medium: bool = False) -> dict:
         "bcast": bcast,
         "allreduce": {"small": "reduce_bcast", "large": "ring",
                       "large_bytes": 65536, "large_max_ranks": 64},
+        "reduce": {"small": "binomial"},
         "barrier": {"small": "dissemination", "wide": "tree", "wide_ranks": 512},
         "gather": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
         "scatter": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
@@ -108,6 +109,7 @@ def _modern_tuning() -> dict:
                   "large_bytes": 131072, "large_max_ranks": 128},
         "allreduce": {"small": "reduce_bcast", "large": "ring",
                       "large_bytes": 131072, "large_max_ranks": 128},
+        "reduce": {"small": "binomial"},
         "barrier": {"small": "dissemination", "wide": "tree", "wide_ranks": 512},
         "gather": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
         "scatter": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
@@ -123,6 +125,7 @@ COLL_TUNING = {
         "bcast": {"small": "hardware"},
         "allreduce": {"small": "reduce_bcast", "large": "ring",
                       "large_bytes": 65536, "large_max_ranks": 128},
+        "reduce": {"small": "binomial"},
         "barrier": {"small": "dissemination", "wide": "tree", "wide_ranks": 512},
         "gather": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
         "scatter": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
@@ -133,6 +136,7 @@ COLL_TUNING = {
                   "large_bytes": 65536, "large_max_ranks": 128},
         "allreduce": {"small": "reduce_bcast", "large": "ring",
                       "large_bytes": 65536, "large_max_ranks": 128},
+        "reduce": {"small": "binomial"},
         "barrier": {"small": "dissemination", "wide": "tree", "wide_ranks": 512},
         "gather": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
         "scatter": {"small": "linear", "wide": "binomial", "wide_ranks": 16},
@@ -170,13 +174,12 @@ def build_platform(
     device_config: Any = None,
     host_speeds: Any = None,
     kernel_params: Any = None,
-    drop_fn: Any = None,
     faults: Any = None,
 ) -> Platform:
     """Build *platform* with *nprocs* ranks on *sim*.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) is valid on every
-    platform; the legacy ``drop_fn`` hook is cluster-only and deprecated.
+    platform.
     """
     if nprocs < 1:
         raise ConfigurationError(f"nprocs must be >= 1, got {nprocs}")
@@ -186,24 +189,24 @@ def build_platform(
         )
     device = device or DEFAULT_DEVICES[platform]
     if platform == "meiko":
-        if host_speeds is not None or kernel_params is not None or drop_fn is not None:
+        if host_speeds is not None or kernel_params is not None:
             raise ConfigurationError(
-                "host_speeds/kernel_params/drop_fn apply to the workstation clusters only"
+                "host_speeds/kernel_params apply to the workstation clusters only"
             )
         return _build_meiko(
             device, nprocs, sim, seed, machine_params, device_config, faults
         )
     if platform == "modern":
-        if host_speeds is not None or kernel_params is not None or drop_fn is not None:
+        if host_speeds is not None or kernel_params is not None:
             raise ConfigurationError(
-                "host_speeds/kernel_params/drop_fn apply to the workstation clusters only"
+                "host_speeds/kernel_params apply to the workstation clusters only"
             )
         return _build_modern(
             device, nprocs, sim, seed, machine_params, device_config, faults
         )
     return _build_cluster(
         platform, device, nprocs, sim, seed, machine_params, device_config,
-        host_speeds, kernel_params, drop_fn, faults,
+        host_speeds, kernel_params, faults,
     )
 
 
@@ -281,14 +284,13 @@ def _build_modern(
 
 def _build_cluster(
     platform, device, nprocs, sim, seed, machine_params, device_config,
-    host_speeds=None, kernel_params=None, drop_fn=None, faults=None,
+    host_speeds=None, kernel_params=None, faults=None,
 ) -> Platform:
     from repro.hw.cluster import ClusterMachine
 
     machine = ClusterMachine(
         sim, nprocs, network=platform, params=machine_params, seed=seed,
-        host_speeds=host_speeds, kernel_params=kernel_params, drop_fn=drop_fn,
-        faults=faults,
+        host_speeds=host_speeds, kernel_params=kernel_params, faults=faults,
     )
     if device == "tcp":
         from repro.mpi.device.tcpdev import TcpEndpoint

@@ -38,7 +38,7 @@ The run loop is compiled down to plain-list and tuple operations:
   are recycled the moment their callbacks have run.  Public
   :meth:`Simulator.timeout` / :meth:`Simulator.event` handles are never
   pooled -- callers may retain them, put them in conditions, or cancel
-  them late.  Set ``REPRO_SIM_POOL=0`` to disable recycling (records
+  them late.  ``Simulator(pool=False)`` disables recycling (records
   are then ordinary garbage); event order is identical either way.
 * **Inlined scheduling.**  ``succeed``/``fail``/``Timeout()`` push the
   heap entry directly instead of funnelling through :meth:`_schedule`.
@@ -64,7 +64,6 @@ run loops drain batches in exactly the order the heap yields them.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappush, heappop
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -548,16 +547,14 @@ class Simulator:
     >>> p.value
     3.0
 
-    ``pool`` controls record recycling for the internal
-    :meth:`timeout1`/:meth:`event1` fast paths; the default follows the
-    ``REPRO_SIM_POOL`` environment variable (on unless set to ``0``).
-    ``elide=False`` makes :meth:`elide` refuse, so every elidable event
-    takes its heap trip -- the oracle the equivalence tests compare
-    against.  Event order and sequence numbers are identical for every
-    combination of the two.
+    ``pool=False`` turns off record recycling for the internal
+    :meth:`timeout1`/:meth:`event1` fast paths and ``elide=False`` makes
+    :meth:`elide` refuse, so every elidable event takes its heap trip --
+    the two oracles the equivalence tests compare against.  Event order
+    and sequence numbers are identical for every combination of the two.
     """
 
-    def __init__(self, pool: Optional[bool] = None, elide: bool = True):
+    def __init__(self, pool: bool = True, elide: bool = True):
         self._now = 0.0
         self._heap: List = []
         self._seq = 0
@@ -573,9 +570,7 @@ class Simulator:
         #: optional :class:`repro.obs.EventBus`; None keeps every
         #: emission site to a single attribute load + None check
         self.obs = None
-        if pool is None:
-            pool = os.environ.get("REPRO_SIM_POOL", "1") != "0"
-        self._pool_on = bool(pool)
+        self._pool_on = pool
         if not elide:
             self.elide = _never_elide  # type: ignore[method-assign]
         #: free lists of recycled records (see timeout1/event1)

@@ -10,12 +10,13 @@ Three families of guarantees (see ``docs/COLLECTIVES.md``):
   non-power-of-two, and single-rank communicators;
 * **resolution precedence** — explicit ``style=`` beats the
   ``REPRO_COLL_<OP>`` environment override beats the platform tuning
-  table beats the device's legacy default.
+  table, which has a row for every styled collective on every cell.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.mpi import World
 from repro.mpi.coll import registry
 from repro.platforms import COLL_TUNING
@@ -23,6 +24,8 @@ from tests.mpi.conftest import run_world
 
 #: collectives with a forced-style knob and at least two algorithms
 STYLED = ["bcast", "allreduce", "barrier", "gather", "scatter", "allgather"]
+#: every collective whose dispatcher calls ``registry.resolve``
+RESOLVED = STYLED + ["reduce"]
 
 
 # ---------------------------------------------------------------- selection
@@ -56,7 +59,7 @@ def test_select_precedence_large_beats_wide_beats_small():
     assert registry.select("bcast", 4096, 32, table) == "scatter_allgather"
     # the rank cap pushes a large payload back to the wide choice
     assert registry.select("bcast", 4096, 65, table) == "binomial"
-    # no table / no entry -> None (caller falls back to the device default)
+    # no table / no entry -> None
     assert registry.select("bcast", 8, 4, None) is None
     assert registry.select("scan", 8, 4, table) is None
 
@@ -189,11 +192,18 @@ def test_resolve_precedence(monkeypatch):
     # explicit style beats the env
     assert registry.resolve(comm, "bcast", "scatter_allgather", 64) \
         == "scatter_allgather"
-    # no table, no env, no style -> None (device legacy default)
+    # there is no fourth tier: a table without the row is an error
     monkeypatch.delenv("REPRO_COLL_BCAST")
-    comm.endpoint.coll_tuning = None
-    assert registry.resolve(comm, "bcast", None, 64) is None
-    comm.endpoint.coll_tuning = _StubEndpoint.coll_tuning
+    with pytest.raises(ConfigurationError, match="no 'barrier' row"):
+        registry.resolve(comm, "barrier", None, 0)
+
+
+def test_every_cell_resolves_every_styled_collective():
+    """Resolution is total: each shipped table names a registered
+    default for every collective that resolves a style."""
+    for cell, table in COLL_TUNING.items():
+        for coll in RESOLVED:
+            assert table[coll]["small"] in registry.algorithms(coll), (cell, coll)
 
 
 def test_env_override_matches_forced_style(monkeypatch):

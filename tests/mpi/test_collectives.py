@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import World
-from repro.mpi import collectives as coll
+from repro.mpi import coll
 from tests.mpi.conftest import run_world
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, World
-from repro.mpi import collectives as coll
+from repro.mpi import coll
 from repro.mpi.exceptions import MPIError
 from tests.conftest import run_world
 

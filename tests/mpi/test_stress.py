@@ -168,14 +168,8 @@ def test_mpi_over_lossy_fabric_still_correct():
     """10% frame loss on the Ethernet: TCP retransmits underneath and the
     MPI layer never notices — every message arrives exactly once, in
     order (end-to-end fault-tolerance of the stack)."""
-    import random
-
+    from repro.faults import FaultPlan
     from repro.net.kernel import KernelParams
-
-    rng = random.Random(3)
-
-    def lossy(frame):
-        return rng.random() < 0.10
 
     kp = KernelParams().with_overrides(rto=8_000.0)
 
@@ -190,22 +184,18 @@ def test_mpi_over_lossy_fabric_still_correct():
             out.append(bytes(data))
         return out
 
-    res = World(2, platform="ethernet", device="tcp",
-                kernel_params=kp, drop_fn=lossy).run(main)
+    world = World(2, platform="ethernet", device="tcp", kernel_params=kp,
+                  faults=FaultPlan.loss(0.10), seed=3)
+    res = world.run(main)
+    assert world.platform.machine.fabric.frames_dropped > 0
     for rank in range(2):
         assert res[rank] == [payload_for(1 - rank, 2, i, 300) for i in range(12)]
 
 
 def test_mpi_udp_over_lossy_fabric_still_correct():
     """The same under reliable-UDP: the user-level layer recovers."""
-    import random
-
+    from repro.faults import FaultPlan
     from repro.net.kernel import KernelParams
-
-    rng = random.Random(9)
-
-    def lossy(frame):
-        return rng.random() < 0.08
 
     kp = KernelParams().with_overrides(rto=8_000.0)
 
@@ -219,8 +209,10 @@ def test_mpi_udp_over_lossy_fabric_still_correct():
         for i in range(10):
             yield from comm.send(payload_for(1, 1, i, 500), dest=0, tag=1)
 
-    res = World(2, platform="ethernet", device="udp",
-                kernel_params=kp, drop_fn=lossy).run(main)
+    world = World(2, platform="ethernet", device="udp", kernel_params=kp,
+                  faults=FaultPlan.loss(0.08), seed=9)
+    res = world.run(main)
+    assert world.platform.machine.fabric.frames_dropped > 0
     assert res[0] == [payload_for(1, 1, i, 500) for i in range(10)]
 
 
@@ -229,5 +221,9 @@ def test_meiko_rejects_cluster_only_options():
 
     from repro.errors import ConfigurationError
 
+    from repro.net.kernel import KernelParams
+
     with _pytest.raises(ConfigurationError):
-        World(2, platform="meiko", drop_fn=lambda f: False)
+        World(2, platform="meiko", kernel_params=KernelParams())
+    with _pytest.raises(ConfigurationError):
+        World(2, platform="meiko", host_speeds=[1.0, 2.0])

@@ -10,6 +10,7 @@ from repro.errors import NetworkError
 from repro.hw.atm import AAL34, AAL5, AtmNic, AtmParams, AtmSwitch, aal_cells, aal_wire_bytes
 from repro.hw.node import Host
 from repro.sim import Simulator
+from tests.net.fakes import DropIf
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_unknown_port_rejected():
 def test_loss_injection():
     sim = Simulator()
     params = AtmParams()
-    switch = AtmSwitch(sim, params, drop_fn=lambda pdu: True)
+    switch = AtmSwitch(sim, params, injector=DropIf(lambda nbytes: True))
     hosts = [Host(sim, i) for i in range(2)]
     nics = [AtmNic(h, switch) for h in hosts]
     got = []

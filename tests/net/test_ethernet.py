@@ -6,6 +6,7 @@ from repro.errors import NetworkError
 from repro.hw.ethernet import BROADCAST, EthernetParams, Frame, Medium
 from repro.hw.node import Host
 from repro.sim import Simulator
+from tests.net.fakes import DropIf
 
 
 class StubNic:
@@ -123,7 +124,7 @@ def test_contention_grows_with_stations():
 
 def test_loss_injection():
     sim = Simulator()
-    medium = Medium(sim, drop_fn=lambda frame: True)
+    medium = Medium(sim, injector=DropIf(lambda nbytes: True))
     host = Host(sim, 0)
     a, b = StubNic(0), StubNic(1)
     medium.attach(a)

@@ -8,11 +8,14 @@ from repro.hw.cluster import ClusterMachine
 from repro.net.ip import IP_HEADER, IpPacket
 from repro.net.udp import UdpDatagram
 from repro.sim import Simulator
+from tests.net.fakes import DropIf
 
 
-def build(network="ethernet", n=2, drop_fn=None):
+def build(network="ethernet", n=2, drop_if=None):
     sim = Simulator()
-    machine = ClusterMachine(sim, n, network=network, drop_fn=drop_fn)
+    machine = ClusterMachine(sim, n, network=network)
+    if drop_if is not None:
+        machine.fabric.injector = DropIf(drop_if)
     return sim, machine
 
 
@@ -61,11 +64,11 @@ def test_fragmented_datagram_reassembles_and_delivers():
 def test_lost_fragment_loses_datagram():
     drops = {"n": 0}
 
-    def drop_second(frame):
+    def drop_second(nbytes):
         drops["n"] += 1
         return drops["n"] == 2  # drop exactly the second frame
 
-    sim, m = build("ethernet", drop_fn=drop_second)
+    sim, m = build("ethernet", drop_if=drop_second)
     sock = m.kernels[1].udp.bind(7)
 
     def sender(sim):

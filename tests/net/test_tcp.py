@@ -9,11 +9,14 @@ from repro.hw.cluster import ClusterMachine
 from repro.net.kernel import KernelParams
 from repro.net.tcp import TcpLayer
 from repro.sim import Simulator
+from tests.net.fakes import DropIf
 
 
-def build(network="ethernet", drop_fn=None, kernel_params=None):
+def build(network="ethernet", drop_if=None, kernel_params=None, **kw):
     sim = Simulator()
-    m = ClusterMachine(sim, 2, network=network, drop_fn=drop_fn, kernel_params=kernel_params)
+    m = ClusterMachine(sim, 2, network=network, kernel_params=kernel_params, **kw)
+    if drop_if is not None:
+        m.fabric.injector = DropIf(drop_if)
     return sim, m
 
 
@@ -127,20 +130,11 @@ def test_duplicate_listen_rejected():
 def test_retransmission_recovers_from_loss():
     """Drop 20%% of frames: the stream still arrives intact, with
     retransmissions recorded."""
-    import random
-
-    rng = random.Random(7)
-    dropped = {"n": 0}
-
-    def lossy(frame):
-        if rng.random() < 0.2:
-            dropped["n"] += 1
-            return True
-        return False
+    from repro.faults import FaultPlan
 
     # short RTO so the test completes quickly
     kp = KernelParams().with_overrides(rto=10_000.0)
-    sim, m = build("ethernet", drop_fn=lossy, kernel_params=kp)
+    sim, m = build("ethernet", kernel_params=kp, faults=FaultPlan.loss(0.2), seed=7)
     a, b = pair(m)
     payload = bytes(range(256)) * 80  # 20 KB
 
@@ -154,7 +148,7 @@ def test_retransmission_recovers_from_loss():
     p = sim.process(receiver(sim))
     sim.run(until=60_000_000.0)
     assert p.value == payload
-    assert dropped["n"] > 0
+    assert m.fabric.frames_dropped > 0
     assert a.retransmissions + b.retransmissions > 0
 
 
@@ -348,13 +342,13 @@ def test_fast_retransmit_beats_rto():
     the 200 ms RTO."""
     state = {"data_frames": 0}
 
-    def drop_third_data(frame):
-        if frame.nbytes > 500:
+    def drop_third_data(nbytes):
+        if nbytes > 500:
             state["data_frames"] += 1
             return state["data_frames"] == 3
         return False
 
-    sim, m = build("atm", drop_fn=drop_third_data)
+    sim, m = build("atm", drop_if=drop_third_data)
     a, b = pair(m)
     total = m.kernels[0].mss * 8  # enough segments after the hole
 

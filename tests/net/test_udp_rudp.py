@@ -11,11 +11,14 @@ from repro.hw.cluster import ClusterMachine
 from repro.net.kernel import KernelParams
 from repro.net.rudp import RudpConnection
 from repro.sim import Simulator
+from tests.net.fakes import DropIf
 
 
-def build(network="ethernet", drop_fn=None, kernel_params=None):
+def build(network="ethernet", drop_if=None, kernel_params=None):
     sim = Simulator()
-    m = ClusterMachine(sim, 2, network=network, drop_fn=drop_fn, kernel_params=kernel_params)
+    m = ClusterMachine(sim, 2, network=network, kernel_params=kernel_params)
+    if drop_if is not None:
+        m.fabric.injector = DropIf(drop_if)
     return sim, m
 
 
@@ -128,15 +131,15 @@ def test_rudp_recovers_from_loss():
     arrives intact through retransmission."""
     dropped = {"n": 0, "seen": 0}
 
-    def lossy(frame):
-        if frame.nbytes > 500:  # a data-bearing frame
+    def lossy(nbytes):
+        if nbytes > 500:  # a data-bearing frame
             dropped["seen"] += 1
             if dropped["seen"] % 4 == 0:
                 dropped["n"] += 1
                 return True
         return False
 
-    sim, m = build("ethernet", drop_fn=lossy)
+    sim, m = build("ethernet", drop_if=lossy)
     a, b = rudp_pair(m, rto=8000.0)
     payload = bytes(range(256)) * 40
 

@@ -7,12 +7,20 @@ import pytest
 from repro.errors import DeadlockError
 from repro.faults import FaultPlan, PacketLoss
 from repro.mpi import World
+from tests.conftest import CLUSTER_DEVICES, MODERN_DEVICES
+
+
+#: flow-control keys every credit-flow cell reports (one engine, one dump)
+FLOW_KEYS = {"sends_waiting_for_credit", "credits_owed",
+             "rendezvous_awaiting_request", "rendezvous_awaiting_data",
+             "ssends_awaiting_ack"}
 
 
 @pytest.mark.parametrize(
     "platform, device",
     [("meiko", "lowlatency"), ("meiko", "mpich"),
-     ("ethernet", "tcp"), ("atm", "udp")],
+     ("ethernet", "tcp"), ("atm", "udp"),
+     ("modern", "rdma"), ("modern", "cxl")],
 )
 def test_state_snapshot_is_structured(platform, device):
     """Every device reports posted/unexpected queues as plain dicts, and
@@ -40,6 +48,15 @@ def test_state_snapshot_is_structured(platform, device):
     if "flow" in snap:
         assert isinstance(snap["flow"], dict)
     assert "tag=7" in out["desc"]  # rendering reflects the snapshot
+
+
+def test_credit_flow_cells_share_flow_keys():
+    """All six credit-flow cells dump the same flow-control keys (rdma
+    adds only its registration cache)."""
+    for platform, device in CLUSTER_DEVICES + MODERN_DEVICES:
+        world = World(2, platform=platform, device=device)
+        flow = world.platform.endpoints[0].state_snapshot()["flow"]
+        assert set(flow) - {"registration_cache"} == FLOW_KEYS, (platform, device)
 
 
 def test_lowlatency_flow_snapshot_keys():

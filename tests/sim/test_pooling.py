@@ -7,28 +7,25 @@ the pool must never still be reachable as a *live* record (scheduled
 and unfired, or fired with callbacks pending) — aliasing one would
 deliver a value to the wrong waiter.  And pooling must be purely a
 wall-clock optimisation: event order, sequence numbering, and every
-simulated timestamp are identical with pooling forced on or off.
+simulated timestamp are identical with pooling forced on or off
+(``Simulator(pool=False)``, a constructor-only test oracle).
 """
 
-import os
+import functools
 import random
 
 import pytest
 
+import repro.mpi.world
 from repro.sim import Simulator
 
 from tests.test_determinism import GOLDEN_RING_TRACE, _ring_trace
 
 
-@pytest.fixture
-def pool_env():
-    """Restore REPRO_SIM_POOL after a test that forces it."""
-    saved = os.environ.get("REPRO_SIM_POOL")
-    yield
-    if saved is None:
-        os.environ.pop("REPRO_SIM_POOL", None)
-    else:
-        os.environ["REPRO_SIM_POOL"] = saved
+def force_world_pool(monkeypatch, pool: bool) -> None:
+    """Make every ``World`` built in this test use ``Simulator(pool=pool)``."""
+    monkeypatch.setattr(repro.mpi.world, "Simulator",
+                        functools.partial(Simulator, pool=pool))
 
 
 def test_pool_never_aliases_live_records():
@@ -82,10 +79,9 @@ def test_pool_never_aliases_live_records():
     assert reused > 100, f"pool recycled only {reused} records"
 
 
-def test_pool_disabled_never_recycles(pool_env):
-    """REPRO_SIM_POOL=0 switches to plain throwaway records."""
-    os.environ["REPRO_SIM_POOL"] = "0"
-    sim = Simulator()
+def test_pool_disabled_never_recycles():
+    """``pool=False`` switches to plain throwaway records."""
+    sim = Simulator(pool=False)
 
     def driver(sim):
         first = sim.timeout1(1.0)
@@ -122,21 +118,22 @@ def test_pool_reuses_after_fire():
 
 
 @pytest.mark.parametrize("platform", sorted(GOLDEN_RING_TRACE))
-@pytest.mark.parametrize("pool", ["1", "0"])
-def test_ring_golden_with_pool_forced(platform, pool, pool_env):
+@pytest.mark.parametrize("pool", [pytest.param(True, id="1"), pytest.param(False, id="0")])
+def test_ring_golden_with_pool_forced(platform, pool, monkeypatch):
     """The determinism goldens hold with pooling forced on AND off."""
-    os.environ["REPRO_SIM_POOL"] = pool
+    force_world_pool(monkeypatch, pool)
     assert _ring_trace(platform) == GOLDEN_RING_TRACE[platform]
 
 
-def test_seq_identical_with_and_without_pool(pool_env):
+def test_seq_identical_with_and_without_pool(monkeypatch):
     """Pooling changes no sequence numbers: same event count either way."""
-    counts = {}
-    for pool in ("1", "0"):
-        os.environ["REPRO_SIM_POOL"] = pool
-        from repro.mpi import World
+    from repro.mpi import World
 
+    counts = {}
+    for pool in (True, False):
+        force_world_pool(monkeypatch, pool)
         world = World(4, platform="meiko", device="lowlatency")
+        assert world.sim._pool_on is pool
 
         def main(comm):
             for i in range(3):
@@ -149,4 +146,4 @@ def test_seq_identical_with_and_without_pool(pool_env):
 
         world.run(main)
         counts[pool] = (world.sim._seq, world.sim.now)
-    assert counts["1"] == counts["0"]
+    assert counts[True] == counts[False]

@@ -223,8 +223,7 @@ def test_fabric_counters_match_plan_accounting(platform):
 
 
 def test_lossy_run_still_correct_under_faultplan():
-    """The FaultPlan equivalent of the legacy drop_fn stress test: MPI
-    delivers every message exactly once, in order, over 10% loss."""
+    """MPI delivers every message exactly once, in order, over 10% loss."""
 
     def main(comm):
         other = 1 - comm.rank
@@ -319,6 +318,6 @@ def test_host_rule_bad_node_id_rejected():
 
 def test_meiko_still_rejects_cluster_only_options_but_takes_faults():
     with pytest.raises(ConfigurationError):
-        World(2, platform="meiko", drop_fn=lambda f: False)
+        World(2, platform="meiko", kernel_params=LOSSY_KP)
     # faults are fine on the meiko
     World(2, platform="meiko", faults=FaultPlan.loss(0.0))
