@@ -9,10 +9,15 @@ behaviour (event order, RNG draw order, matching cost, or byte
 accounting), which is a bug even if every other test still passes.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import figures
+from repro.faults import FaultPlan, PacketLoss
 from repro.mpi import World
+from repro.net.kernel import ATM_KERNEL, ETH_KERNEL
+from repro.obs import EventBus
 
 # (completion wtime µs rounded to 3 dp, rank, iteration) for a 4-rank
 # 5-iteration 64-byte ring with even ranks sending first, seed=3 —
@@ -54,6 +59,20 @@ GOLDEN_FIG05 = {
     "mpi/tcp/eth": {1: 1308.9146666666663, 1024: 3097.1186666666677},
     "tcp/atm": {1: 1063.1586995884782, 1024: 1477.1750452674903},
     "tcp/eth": {1: 1006.5480000000002, 1024: 2686.752000000003},
+}
+
+# (final simulated time, events scheduled, timeout retransmissions) of
+# 40 round trips of a 20 000-byte payload under 5 % packet loss with a
+# short RTO, seed=1.  Multi-segment on purpose: window stalls, the
+# delayed-ACK resume, duplicate ACKs and RTO backoff all fire, so this
+# pins the retransmit-timer RNG draw order of *both* stream transports
+# under loss — the fault-free goldens above and the chaos digests reach
+# only TCP there.
+GOLDEN_LOSSY_STREAM = {
+    ("ethernet", "tcp"): (2030782.940661654, 39197, 129),
+    ("ethernet", "udp"): (3056312.146215324, 67118, 189),
+    ("atm", "tcp"): (543405.656110008, 15098, 26),
+    ("atm", "udp"): (497210.66237033234, 17760, 22),
 }
 
 
@@ -104,3 +123,30 @@ def test_fig05_tcp_latency_pinned():
         got = dict(series[label])
         for n, v in want.items():
             assert got[n] == pytest.approx(v, abs=1e-9), (label, n)
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_LOSSY_STREAM), ids="-".join)
+def test_lossy_stream_pinned(cell):
+    platform, device = cell
+    base = ETH_KERNEL if platform == "ethernet" else ATM_KERNEL
+    bus = EventBus()
+    world = World(
+        2, platform, device,
+        faults=FaultPlan.of(PacketLoss(probability=0.05)),
+        kernel_params=replace(base, rto=4000.0, rto_max=64000.0, max_retries=8),
+        seed=1, obs=bus,
+    )
+    payload = bytes(20000)
+
+    def main(comm):
+        for _ in range(40):
+            if comm.rank == 0:
+                yield from comm.send(payload, dest=1, tag=1)
+                yield from comm.recv(source=1, tag=2)
+            else:
+                data, _status = yield from comm.recv(source=0, tag=1)
+                yield from comm.send(data, dest=0, tag=2)
+
+    world.run(main)
+    retx = sum(1 for e in bus if e.kind in ("seg.retx", "pkt.retx"))
+    assert (world.sim.now, world.sim._seq, retx) == GOLDEN_LOSSY_STREAM[cell]
