@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench import harness
-from repro.mpi import World
 
 __all__ = [
     "LATENCY_SIZES",
@@ -305,15 +304,6 @@ def table1_overheads():
 # ---------------------------------------------------------------------------
 # Figures 7-9: applications
 # ---------------------------------------------------------------------------
-
-
-def _app_time(platform: str, device: str, nprocs: int, app, **kw) -> float:
-    def main(comm):
-        _, elapsed = yield from app(comm, **kw)
-        return elapsed
-
-    world = World(nprocs, platform=platform, device=device)
-    return max(world.run(main))
 
 
 def _app_cells(configs) -> List[dict]:

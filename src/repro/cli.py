@@ -9,7 +9,7 @@ Commands
 ``bandwidth``
     One-way streaming bandwidth for one configuration.
 ``figure``
-    Regenerate one of the paper's figures/tables (fig01..fig09, table1)
+    Regenerate one of the paper's figures/tables (fig01..fig10, table1)
     as a table and an ASCII chart.
 ``app``
     Run one of the applications (linsolve, matmul, nbody, jacobi) and
@@ -20,6 +20,9 @@ Commands
 ``phases``
     Trace a 2-rank ping-pong per message size and print the Table-1
     envelope/match/data phase breakdown from the event bus.
+``perf``
+    Time the simulator-kernel performance workloads (best of
+    ``--repeats``), optionally under cProfile (``--profile``).
 ``fuzz``
     Differential MPI conformance fuzzer: generate a random program
     from a seed, run it on every device in the matrix, and assert all

@@ -2,9 +2,10 @@
 
 The paper's MPI-over-UDP keeps the same device protocol as TCP but must
 make UDP reliable itself: sequence numbers, cumulative ACKs, timeout
-retransmission and duplicate suppression, all at user level — every
-packet costs real sendto/recvfrom syscalls, which is why the paper
-found its UDP implementation "very similar to that of TCP".
+retransmission and duplicate suppression — the shared engine of
+:mod:`repro.net.stream` — all at user level, so every packet costs
+real sendto/recvfrom syscalls, which is why the paper found its UDP
+implementation "very similar to that of TCP".
 
 Packet format (inside the UDP payload):
 ``<QQB3x`` header = 8-byte seq, 8-byte ack, 1 flag byte, 3 pad = 20
@@ -14,12 +15,10 @@ bytes, followed by stream data.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional
 
-from repro.errors import ConnectionClosed, NetworkError, RetransmitExhausted
-from repro.net.bytebuf import ByteQueue
+from repro.errors import ConnectionClosed
+from repro.net.stream import ReliableStream
 from repro.net.udp import UdpSocket
-from repro.sim.notify import Notify
 
 __all__ = ["RUDP_HEADER", "RudpConnection"]
 
@@ -29,138 +28,37 @@ RUDP_HEADER = _HDR.size
 
 _FLAG_FIN = 1
 
+#: user-level per-packet bookkeeping in µs (header pack/unpack, timer
+#: management) — the cost that makes reliable UDP perform "very similar
+#: to TCP" (paper, Sec. 5.2)
+PROC_COST = 35.0
 
-class RudpConnection:
-    """One endpoint of a reliable-UDP stream."""
 
-    def __init__(
-        self,
-        kernel,
-        sock: UdpSocket,
-        remote_host: int,
-        remote_port: int,
-        mss: Optional[int] = None,
-        window: int = 65535,
-        rto: Optional[float] = None,
-        proc_cost: float = 35.0,
-    ):
-        self.kernel = kernel
-        self.sim = kernel.sim
+class RudpConnection(ReliableStream):
+    """One endpoint of a reliable-UDP stream: the stream engine over
+    packets sent and received through a :class:`UdpSocket` at user
+    level.  Window, RTO, retry budget and ACK delay are the kernel
+    profile's, as for TCP."""
+
+    proto = "rudp"
+    retx_kind = "pkt.retx"
+
+    def __init__(self, kernel, sock: UdpSocket, remote_host: int, remote_port: int):
+        # stream bytes per packet are bounded so that one packet fits a
+        # few IP fragments at most
+        super().__init__(kernel, sock.port, remote_host, remote_port, min(kernel.mss, 8192))
         self.sock = sock
-        self.remote_host = remote_host
-        self.remote_port = remote_port
-        p = kernel.params
-        #: stream bytes per packet (bounded so one packet fits a few
-        #: IP fragments at most)
-        self.mss = mss or min(kernel.mss, 8192)
-        self.window = window
-        self.rto = rto if rto is not None else p.rto
-        #: user-level per-packet bookkeeping (header pack/unpack, timer
-        #: management) — the cost that makes reliable UDP perform "very
-        #: similar to TCP" (paper, Sec. 5.2)
-        self.proc_cost = proc_cost
-        # send side
-        self.snd_una = 0
-        self.snd_nxt = 0
-        self._unsent = ByteQueue()
-        self._unacked = ByteQueue()
-        self._send_kick = Notify(self.sim, "rudp-send")
-        self._space = Notify(self.sim, "rudp-space")
-        self._ack_version = 0
-        # retransmission timer: cancellable callback, no dedicated
-        # process — same draw-order contract as the TCP one
-        self._retx_timer = None
-        self._retx_arming = False
-        self._retx_attempts = 0
-        self._retx_epoch = 0
-        self._retx_deadline = -1.0
-        # receive side
-        self.rcv_nxt = 0
-        self._rcvbuf = ByteQueue()
-        self._ooo: Dict[int, bytes] = {}
-        self._readable = Notify(self.sim, "rudp-read")
-        self.peer_closed = False
-        self.on_data: Optional[Callable] = None
         self.closed = False
-        #: terminal failure (RetransmitExhausted); raised by send/recv
-        self.error: Optional[NetworkError] = None
-        self.max_retries = p.max_retries
-        # delayed-ACK state (mirrors the kernel TCP policy: acks ride
-        # outgoing data; a standalone ack waits ack_delay or 2*mss)
-        self._ack_pending = 0
-        self._ack_timer = None
-        self._ack_deadline = -1.0
-        self.ack_delay = p.ack_delay
+        self._route = f"rudp to host {remote_host}:{remote_port}"
         # statistics
         self.packets_sent = 0
         self.packets_received = 0
-        self.retransmissions = 0
-        self.duplicates = 0
-        self.sim.process(self._sender(), name=f"rudp-snd-{sock.port}")
         self.sim.process(self._receiver(), name=f"rudp-rcv-{sock.port}")
 
     # -------------------------------------------------------------- user API
-    @property
-    def available(self) -> int:
-        return len(self._rcvbuf)
-
-    def send(self, data: bytes):
-        """Generator: append to the stream (blocks on buffer space)."""
-        if self.error is not None:
-            raise self.error
+    def _check_open(self) -> None:
         if self.closed:
             raise ConnectionClosed("send on a closed RUDP connection")
-        if not isinstance(data, bytes) and not (
-            isinstance(data, memoryview) and data.readonly
-        ):
-            data = bytes(data)  # freeze mutable buffers once, at the API edge
-        total = len(data)
-        sndbuf = self.kernel.params.sndbuf
-        offset = 0
-        view = None
-        while offset < total:
-            if self.error is not None:
-                raise self.error
-            used = len(self._unsent) + len(self._unacked)
-            if used >= sndbuf:
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.emit(
-                        self.sim.now,
-                        "net",
-                        "stall.sndbuf",
-                        rank=self.kernel.host.hostid,
-                        detail={"port": self.sock.port, "used": used, "pending": total - offset},
-                    )
-                yield self._space.wait1()
-                continue
-            take = min(sndbuf - used, total - offset)
-            if offset == 0 and take == total:
-                self._unsent.append(data)  # whole buffer, by reference
-            else:
-                if view is None:
-                    view = memoryview(data)
-                self._unsent.append(view[offset : offset + take])
-            offset += take
-            self._send_kick.set()
-
-    def recv_exact(self, n: int):
-        """Generator -> bytes: block until *n* stream bytes are readable.
-
-        Unlike TCP this is a user-level buffer read: the syscalls were
-        already paid per packet by the receive pump.
-        """
-        if n < 0:
-            raise NetworkError(f"negative read size {n}")
-        while len(self._rcvbuf) < n:
-            if self.error is not None:
-                raise self.error
-            if self.peer_closed:
-                raise ConnectionClosed(
-                    f"peer closed with {len(self._rcvbuf)} of {n} bytes buffered"
-                )
-            yield self._readable.wait1()
-        return self._rcvbuf.take(n)
 
     def close(self) -> None:
         self.closed = True
@@ -176,24 +74,9 @@ class RudpConnection:
             if self.error is not None:
                 return
             while self._unsent:
-                inflight = self.snd_nxt - self.snd_una
-                room = self.window - inflight
-                if room <= 0:
-                    obs = self.sim.obs
-                    if obs is not None:
-                        obs.emit(
-                            self.sim.now,
-                            "net",
-                            "stall.window",
-                            rank=self.kernel.host.hostid,
-                            detail={
-                                "dst": self.remote_host,
-                                "inflight": inflight,
-                                "window": self.window,
-                            },
-                        )
+                n = self._window_room()
+                if n <= 0:
                     break
-                n = min(self.mss, len(self._unsent), room)
                 chunk = self._unsent.take(n)
                 self._unacked.append(chunk)
                 self.packets_sent += 1
@@ -207,7 +90,7 @@ class RudpConnection:
                         rank=self.kernel.host.hostid,
                         detail={"dst": self.remote_host, "seq": self.snd_nxt, "nbytes": n},
                     )
-                yield from self.kernel.charge(self.proc_cost)
+                yield from self.kernel.charge(PROC_COST)
                 yield from self.sock.sendto(
                     self.remote_host, self.remote_port, self._packet(self.snd_nxt, chunk)
                 )
@@ -218,121 +101,19 @@ class RudpConnection:
                     self.remote_host, self.remote_port, self._packet(self.snd_nxt, b"", _FLAG_FIN)
                 )
 
-    # ------------------------------------------------- retransmission timer
-    # Timeout retransmission with exponential backoff and deterministic
-    # (seeded) jitter; after ``max_retries`` unanswered attempts the
-    # connection fails locally.  Cancellable-callback scheme with the
-    # same RNG-draw-order contract as the TCP timer: fresh arms draw in
-    # a zero-delay event, a full ACK cancels but keeps the deadline so a
-    # re-arm before it resumes the old window without drawing, and
-    # fire-time re-arms draw inline.
+    def _emit_retx(self, seq: int, chunk: bytes):
+        return self.sock.sendto(self.remote_host, self.remote_port, self._packet(seq, chunk))
 
-    def _arm_retx(self) -> None:
-        """Ensure the retransmission timer is running (called on transmit)."""
-        if self._retx_timer is not None or self._retx_arming or self.error is not None:
-            return
-        if self.sim.now < self._retx_deadline:
-            self._retx_timer = self.sim.call_later(
-                self._retx_deadline - self.sim.now, self._on_retx_timer
-            )
-            return
-        self._retx_arming = True
-        self.sim.call_later(0.0, self._arm_retx_fresh)
-
-    def _arm_retx_fresh(self, _event=None) -> None:
-        """Draw a jittered RTO and start a fresh retransmission window."""
-        self._retx_arming = False
-        if self._retx_timer is not None or self.error is not None:
-            return
-        if self.snd_una >= self.snd_nxt:
-            self._retx_attempts = 0
-            return
-        p = self.kernel.params
-        rto = min(self.rto * p.rto_backoff**self._retx_attempts, p.rto_max)
-        if p.retx_jitter:
-            # jitter_stream: batched floats when the host RNG has no
-            # raw-bits consumer, the raw stream otherwise (same values)
-            rto *= 1.0 + p.retx_jitter * self.kernel.host.jitter_stream().uniform(-1.0, 1.0)
-        self._retx_epoch = self._ack_version
-        self._retx_deadline = self.sim.now + rto
-        self._retx_timer = self.sim.call_later(rto, self._on_retx_timer)
-
-    def _on_retx_timer(self, _event=None) -> None:
-        self._retx_timer = None
-        if self.error is not None:
-            return
-        if self.snd_una >= self.snd_nxt:
-            self._retx_attempts = 0
-            return  # all data acked: dormant until the next transmit
-        if self._ack_version != self._retx_epoch:
-            self._retx_attempts = 0
-            self._arm_retx_fresh()
-            return  # progress was made
-        self._retx_attempts += 1
-        if self._retx_attempts > self.max_retries:
-            self._fail(RetransmitExhausted(
-                f"rudp to host {self.remote_host}:{self.remote_port}: "
-                f"{self.max_retries} retransmissions of seq {self.snd_una} unanswered"
-            ))
-            return
-        self.sim.process(self._retransmit_oldest(), name=f"rudp-rtx-{self.sock.port}")
-
-    def _retransmit_oldest(self):
-        """Short-lived process: resend the oldest unacked packet."""
-        # cap at what has actually been sent: _unacked may hold bytes the
-        # sender appended but has not yet put on the wire (it yields for
-        # the kernel charge between the two), and resending those would
-        # advance the receiver past our snd_nxt
-        n = min(self.mss, self.snd_nxt - self.snd_una, len(self._unacked))
-        if n <= 0:
-            self._arm_retx_fresh()
-            return
-        # pin the sequence number: sendto yields for the kernel charge,
-        # and an ACK landing there advances snd_una — stamping the old
-        # bytes with the new snd_una would make the receiver accept them
-        # as fresh data past our snd_nxt
-        seq = self.snd_una
-        chunk = self._unacked.peek(n)
-        self.retransmissions += 1
-        obs = self.sim.obs
-        if obs is not None:
-            obs.emit(
-                self.sim.now,
-                "net",
-                "pkt.retx",
-                rank=self.kernel.host.hostid,
-                detail={
-                    "dst": self.remote_host,
-                    "seq": seq,
-                    "nbytes": n,
-                    "attempt": self._retx_attempts,
-                },
-            )
-        yield from self.sock.sendto(
-            self.remote_host, self.remote_port, self._packet(seq, chunk)
+    def _emit_ack(self):
+        return self.sock.sendto(
+            self.remote_host, self.remote_port, self._packet(self.snd_nxt, b"")
         )
-        self._arm_retx_fresh()
-
-    def _cancel_retx(self) -> None:
-        if self._retx_timer is not None:
-            self._retx_timer.cancel()
-            self._retx_timer = None
-
-    def _fail(self, exc: NetworkError) -> None:
-        """Terminal failure: record it and wake every waiter."""
-        self._cancel_retx()
-        self.error = exc
-        self._readable.set()
-        self._space.set()
-        self._send_kick.set()
-        if self.on_data is not None:
-            self.on_data()
 
     def _receiver(self):
         """User-level receive pump: one recvfrom syscall per packet."""
         while True:
             _src, payload = yield from self.sock.recvfrom()
-            yield from self.kernel.charge(self.proc_cost)
+            yield from self.kernel.charge(PROC_COST)
             seq, ack, flags = _HDR.unpack_from(payload)
             # zero-copy view of the stream bytes after the header
             data = memoryview(payload)[RUDP_HEADER:]
@@ -347,83 +128,10 @@ class RudpConnection:
                     detail={"src": _src, "seq": seq, "ack": ack, "nbytes": len(data)},
                 )
             if ack > self.snd_una:
-                self._unacked.drop(ack - self.snd_una)
-                self.snd_una = ack
-                self._ack_version += 1
-                if self.snd_una >= self.snd_nxt:
-                    # fully acked: cancel in O(1); _retx_deadline is kept
-                    # so a re-arm before it resumes the old window
-                    self._cancel_retx()
-                self._space.set()
-                self._send_kick.set()
+                self._ack_advance(ack)
             if flags & _FLAG_FIN:
-                self.peer_closed = True
-                self._readable.set()
-                if self.on_data is not None:
-                    self.on_data()
+                self._peer_fin()
             if data:
                 self._accept(seq, data)
-                self._ack_pending += len(data)
-                if self._ack_pending >= 2 * self.mss:
+                if self._arm_dack(len(data)):
                     yield from self._send_ack()
-                else:
-                    self._arm_dack()
-
-    # Delayed-ACK timer (mirrors the TCP one, deadline-resume included).
-    def _ack_rides_out(self) -> None:
-        """An outgoing packet carries the current ack: a pending
-        standalone-ACK timer would fire dead, so cancel it."""
-        self._ack_pending = 0
-        if self._ack_timer is not None:
-            self._ack_timer.cancel()
-            self._ack_timer = None
-
-    def _arm_dack(self) -> None:
-        if self._ack_timer is not None:
-            return
-        now = self.sim.now
-        if now < self._ack_deadline:
-            delay = self._ack_deadline - now  # resume the cancelled window
-        else:
-            delay = self.ack_delay
-            self._ack_deadline = now + delay
-        self._ack_timer = self.sim.call_later(delay, self._on_ack_timer)
-
-    def _on_ack_timer(self, _event=None) -> None:
-        self._ack_timer = None
-        if self._ack_pending > 0:
-            self.sim.process(self._send_ack(), name="rudp-dack")
-
-    def _send_ack(self):
-        self._ack_rides_out()
-        obs = self.sim.obs
-        if obs is not None:
-            obs.emit(
-                self.sim.now,
-                "net",
-                "ack.send",
-                rank=self.kernel.host.hostid,
-                detail={"dst": self.remote_host, "ack": self.rcv_nxt},
-            )
-        yield from self.sock.sendto(
-            self.remote_host, self.remote_port, self._packet(self.snd_nxt, b"")
-        )
-
-    def _accept(self, seq: int, data) -> None:
-        if seq + len(data) <= self.rcv_nxt:
-            self.duplicates += 1
-            return
-        if seq > self.rcv_nxt:
-            self._ooo.setdefault(seq, data)
-            return
-        if seq < self.rcv_nxt:
-            data = data[self.rcv_nxt - seq:]
-        self._rcvbuf.append(data)
-        self.rcv_nxt += len(data)
-        while self.rcv_nxt in self._ooo:
-            nxt = self._ooo.pop(self.rcv_nxt)
-            self._rcvbuf.append(nxt)
-            self.rcv_nxt += len(nxt)
-        self._readable.set()
-        if self.on_data is not None:
-            self.on_data()

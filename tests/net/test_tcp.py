@@ -1,4 +1,8 @@
-"""TCP tests: streams, handshake, windows, retransmission under loss."""
+"""TCP tests: streams, handshake, windows, retransmission under loss.
+
+The tests taking ``stream_pair`` check behaviour of the shared stream
+engine; ``test_udp_rudp.py`` imports them to run on a reliable-UDP pair.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +11,9 @@ from hypothesis import strategies as st
 from repro.errors import ConnectionClosed
 from repro.hw.cluster import ClusterMachine
 from repro.net.kernel import KernelParams
-from repro.net.tcp import TcpLayer
+from repro.obs import EventBus
 from repro.sim import Simulator
+from tests.net.conftest import tcp_pair as pair
 from tests.net.fakes import DropIf
 
 
@@ -20,13 +25,9 @@ def build(network="ethernet", drop_if=None, kernel_params=None, **kw):
     return sim, m
 
 
-def pair(m, pa=5000, pb=5000):
-    return TcpLayer.connect_pair(m.kernels[0], m.kernels[1], pa, pb)
-
-
-def test_basic_stream():
+def test_basic_stream(stream_pair):
     sim, m = build()
-    a, b = pair(m)
+    a, b = stream_pair(m)
 
     def sender(sim):
         yield from a.send(b"hello world")
@@ -152,11 +153,43 @@ def test_retransmission_recovers_from_loss():
     assert a.retransmissions + b.retransmissions > 0
 
 
-def test_window_backpressure():
+def test_recovers_from_periodic_loss(stream_pair):
+    """Deterministically drop every 4th *data* frame: the stream still
+    arrives intact through retransmission."""
+    dropped = {"n": 0, "seen": 0}
+
+    def lossy(nbytes):
+        if nbytes > 500:  # a data-bearing frame
+            dropped["seen"] += 1
+            if dropped["seen"] % 4 == 0:
+                dropped["n"] += 1
+                return True
+        return False
+
+    kp = KernelParams().with_overrides(rto=8000.0)
+    sim, m = build("ethernet", drop_if=lossy, kernel_params=kp)
+    a, b = stream_pair(m)
+    payload = bytes(range(256)) * 40
+
+    def sender(sim):
+        yield from a.send(payload)
+
+    def receiver(sim):
+        return (yield from b.recv_exact(len(payload)))
+
+    sim.process(sender(sim))
+    p = sim.process(receiver(sim))
+    sim.run(until=60_000_000.0)
+    assert p.value == payload
+    assert dropped["n"] > 0
+    assert a.retransmissions > 0
+
+
+def test_window_backpressure(stream_pair):
     """With a tiny advertised window, in-flight data never exceeds it."""
     kp = KernelParams().with_overrides(window=2000)
     sim, m = build("ethernet", kernel_params=kp)
-    a, b = pair(m)
+    a, b = stream_pair(m)
     total = 20000
 
     def sender(sim):
@@ -180,9 +213,34 @@ def test_window_backpressure():
     assert maxin["v"] <= 2000
 
 
-def test_close_wakes_blocked_reader():
+def test_send_larger_than_sndbuf_blocks_then_completes(stream_pair):
+    """A write bigger than the send buffer stalls on buffer space
+    (``stall.sndbuf``) and resumes as ACKs free it."""
+    kp = KernelParams().with_overrides(sndbuf=4096)
+    sim, m = build("ethernet", kernel_params=kp)
+    sim.obs = bus = EventBus()
+    a, b = stream_pair(m)
+    payload = bytes(range(256)) * 64  # four send buffers' worth
+
+    def sender(sim):
+        yield from a.send(payload)
+        return sim.now
+
+    def receiver(sim):
+        return (yield from b.recv_exact(len(payload)))
+
+    ps = sim.process(sender(sim))
+    pr = sim.process(receiver(sim))
+    sim.run(until=10_000_000.0)
+    assert pr.value == payload
+    stalls = [e.detail for e in bus if e.kind == "stall.sndbuf"]
+    assert stalls and all(d["used"] >= 4096 and d["pending"] > 0 for d in stalls)
+    assert ps.value > 0.0  # the writer was held, then released
+
+
+def test_close_wakes_blocked_reader(stream_pair):
     sim, m = build()
-    a, b = pair(m)
+    a, b = stream_pair(m)
 
     def closer(sim):
         yield sim.timeout(5000.0)
@@ -265,10 +323,10 @@ def test_bandwidth_ordering_atm_much_faster():
 
 @settings(max_examples=15, deadline=None)
 @given(chunks=st.lists(st.binary(min_size=1, max_size=4000), min_size=1, max_size=8))
-def test_property_stream_integrity(chunks):
+def test_property_stream_integrity(stream_pair, chunks):
     """Any sequence of writes is read back as the exact concatenation."""
     sim, m = build("atm")
-    a, b = pair(m)
+    a, b = stream_pair(m)
     whole = b"".join(chunks)
 
     def sender(sim):

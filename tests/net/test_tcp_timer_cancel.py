@@ -3,18 +3,18 @@
 Before cancellable timers, every segment left a sleeping retransmit
 process in the heap that woke at the RTO just to discover its data had
 been ACKed.  Now the ACK cancels the timer outright; on a lossless
-network the retransmit callback must never run at all.
+network the retransmit callback must never run at all.  The timer is
+the stream engine's, so ``test_udp_rudp.py`` runs these on RUDP too.
 """
 
 from repro.hw.cluster import ClusterMachine
-from repro.net.tcp import TcpLayer
 from repro.sim import Simulator
 
 
-def _pingpong(rounds=20, payload=512):
+def _pingpong(stream_pair, rounds=20, payload=512):
     sim = Simulator()
     m = ClusterMachine(sim, 2, network="ethernet")
-    a, b = TcpLayer.connect_pair(m.kernels[0], m.kernels[1], 5000, 5000)
+    a, b = stream_pair(m)
 
     fires = []
     for conn in (a, b):
@@ -45,16 +45,16 @@ def _pingpong(rounds=20, payload=512):
     return a, b, fires
 
 
-def test_lossless_run_never_fires_retx_timer():
-    a, b, fires = _pingpong()
+def test_lossless_run_never_fires_retx_timer(stream_pair):
+    a, b, fires = _pingpong(stream_pair)
     assert fires == [], "retransmit timer fired on a lossless network"
     assert a.retransmissions == 0
     assert b.retransmissions == 0
     assert a.error is None and b.error is None
 
 
-def test_lossless_run_leaves_no_armed_timers():
-    a, b, _ = _pingpong(rounds=5)
+def test_lossless_run_leaves_no_armed_timers(stream_pair):
+    a, b, _ = _pingpong(stream_pair, rounds=5)
     for conn in (a, b):
         assert conn._retx_timer is None
         timer = conn._ack_timer
