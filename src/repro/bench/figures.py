@@ -11,23 +11,28 @@ table of the paper's evaluation and returns a dict with:
 Values are simulated microseconds (latency) or MB/s (bandwidth);
 Figures 7-9 report application times.
 
-Every sweep point is expressed as an independent *cell* (a plain dict
-dispatched through :mod:`repro.parallel.tasks`), so a figure can be
-evaluated serially (the default — identical to calling the harness
-directly) or fanned out over the parallel experiment engine by passing
-``runner=`` a callable that maps a cell list to a result list in the
-same order (``repro sweep --workers N`` does exactly that).
+Every sweep point is an independent *cell* (a plain dict dispatched
+through :mod:`repro.parallel.tasks`), and every figure is a :class:`Plan`:
+its cell list plus a pure ``finish(values) -> dict`` that turns the
+cells' values, in order, into the result.  ``figNN_*()`` evaluates its
+own plan in-process; ``figNN_*.plan()`` returns the plan unevaluated, so
+a caller that wants several figures (``repro sweep``) concatenates their
+cells into **one** :func:`evaluate` — one ``run_cells``, one cache scan,
+one worker pool — however many figures it asked for.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.bench import harness
 
 __all__ = [
     "LATENCY_SIZES",
     "BANDWIDTH_SIZES",
+    "Plan",
+    "evaluate",
     "fig01_transfer_mechanisms",
     "fig02_meiko_latency",
     "fig03_meiko_bandwidth",
@@ -44,23 +49,41 @@ __all__ = [
 LATENCY_SIZES = (1, 16, 64, 128, 180, 256, 512, 1024)
 BANDWIDTH_SIZES = (1024, 4096, 16384, 65536, 262144, 1048576)
 
-#: a runner maps an ordered cell list to an ordered result list
-Runner = Callable[[List[dict]], List]
+
+class Plan(NamedTuple):
+    """One figure, unevaluated: which cells, and what their values mean."""
+
+    cells: List[dict]
+    finish: Callable[[List], dict]   #: pure: the cells' values -> result
 
 
-def _eval(cells: List[dict], runner: Optional[Runner]) -> List:
-    if runner is None:
-        from repro.parallel.tasks import run_cell
+def evaluate(plans: Sequence[Plan], workers: Optional[int] = None, cache=False):
+    """Run the cells of every plan as one engine batch and finish each
+    plan on its slice.  Returns ``([result per plan], RunReport)``."""
+    from repro.parallel import run_batches
 
-        return [run_cell(cell) for cell in cells]
-    return runner(cells)
+    values, report = run_batches(
+        [plan.cells for plan in plans], workers=workers, cache=cache
+    )
+    return [plan.finish(vals) for plan, vals in zip(plans, values)], report
 
 
-def _series(cells: List[dict], xs_per_series: Dict[str, Sequence],
-            runner: Optional[Runner]) -> Dict[str, List]:
-    """Evaluate the flat cell list and slice it back into named series
-    (cells are ordered series-by-series, matching ``xs_per_series``)."""
-    values = _eval(cells, runner)
+def _figure(plan_fn):
+    """The public figure function of a plan builder: evaluates the plan
+    in-process; the builder itself stays reachable as ``.plan``."""
+
+    @functools.wraps(plan_fn)
+    def figure(*args, **kwargs):
+        (result,), _ = evaluate([plan_fn(*args, **kwargs)])
+        return result
+
+    figure.plan = plan_fn
+    return figure
+
+
+def _series(values: List, xs_per_series: Dict[str, Sequence]) -> Dict[str, List]:
+    """Slice the flat value list back into named series (cells are
+    ordered series-by-series, matching ``xs_per_series``)."""
     out: Dict[str, List] = {}
     pos = 0
     for name, xs in xs_per_series.items():
@@ -74,28 +97,33 @@ def _series(cells: List[dict], xs_per_series: Dict[str, Sequence],
 # ---------------------------------------------------------------------------
 
 
+def _forced_protocol_cells(platform: str, device: str, sizes) -> List[dict]:
+    """Ping-pong cells with eager, then rendezvous, forced on for all sizes."""
+    return [
+        {"kind": "pingpong_rtt", "platform": platform, "device": device,
+         "nbytes": n, "config": {"eager_threshold": threshold}}
+        for threshold in (10**9, -1) for n in sizes
+    ]
+
+
+@_figure
 def fig01_transfer_mechanisms(
     sizes: Sequence[int] = (1, 32, 64, 96, 128, 160, 180, 220, 256, 320, 400, 512),
-    runner: Optional[Runner] = None,
 ):
     """RTT of the two low-latency transfer mechanisms, forced on for all
     sizes, plus the measured crossover (paper: 180 bytes)."""
-    cells = [
-        {"kind": "pingpong_rtt", "platform": "meiko", "device": "lowlatency",
-         "nbytes": n, "config": {"eager_threshold": 10**9}}
-        for n in sizes
-    ] + [
-        {"kind": "pingpong_rtt", "platform": "meiko", "device": "lowlatency",
-         "nbytes": n, "config": {"eager_threshold": -1}}
-        for n in sizes
-    ]
-    series = _series(cells, {"Buffering": sizes, "No buffering": sizes}, runner)
-    cross = harness.crossover(series["Buffering"], series["No buffering"])
-    return {
-        "series": series,
-        "crossover": cross,
-        "paper": {"crossover": 180},
-    }
+
+    def finish(values):
+        series = _series(values, {"Buffering": sizes, "No buffering": sizes})
+        return {
+            "series": series,
+            "crossover": harness.crossover(
+                series["Buffering"], series["No buffering"]
+            ),
+            "paper": {"crossover": 180},
+        }
+
+    return Plan(_forced_protocol_cells("meiko", "lowlatency", sizes), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +131,17 @@ def fig01_transfer_mechanisms(
 # ---------------------------------------------------------------------------
 
 
-def fig02_meiko_latency(sizes: Sequence[int] = LATENCY_SIZES,
-                        runner: Optional[Runner] = None):
+def _series_plan(cells: List[dict], xs_per_series: Dict[str, Sequence],
+                 paper: dict) -> Plan:
+    """The common shape: named series sliced off the cell list, plus the
+    paper's reference numbers."""
+    return Plan(cells, lambda values: {
+        "series": _series(values, xs_per_series), "paper": paper,
+    })
+
+
+@_figure
+def fig02_meiko_latency(sizes: Sequence[int] = LATENCY_SIZES):
     cells = (
         [{"kind": "pingpong_rtt", "platform": "meiko", "device": "mpich",
           "nbytes": n} for n in sizes]
@@ -112,16 +149,15 @@ def fig02_meiko_latency(sizes: Sequence[int] = LATENCY_SIZES,
             "nbytes": n} for n in sizes]
         + [{"kind": "tport_rtt", "nbytes": n} for n in sizes]
     )
-    return {
-        "series": _series(cells, {
-            "MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes,
-        }, runner),
-        "paper": {"tport_1B": 52.0, "lowlatency_1B": 104.0, "mpich_1B": 210.0},
-    }
+    return _series_plan(
+        cells,
+        {"MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes},
+        {"tport_1B": 52.0, "lowlatency_1B": 104.0, "mpich_1B": 210.0},
+    )
 
 
-def fig03_meiko_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES,
-                          runner: Optional[Runner] = None):
+@_figure
+def fig03_meiko_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES):
     cells = (
         [{"kind": "bandwidth", "platform": "meiko", "device": "mpich",
           "nbytes": n} for n in sizes]
@@ -129,12 +165,11 @@ def fig03_meiko_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES,
             "nbytes": n} for n in sizes]
         + [{"kind": "tport_bandwidth", "nbytes": n} for n in sizes]
     )
-    return {
-        "series": _series(cells, {
-            "MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes,
-        }, runner),
-        "paper": {"dma_peak_MBps": 39.0, "note": "peak nearly reached; low latency >= mpich"},
-    }
+    return _series_plan(
+        cells,
+        {"MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes},
+        {"dma_peak_MBps": 39.0, "note": "peak nearly reached; low latency >= mpich"},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +177,8 @@ def fig03_meiko_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES,
 # ---------------------------------------------------------------------------
 
 
-def fig04_atm_latency(sizes: Sequence[int] = LATENCY_SIZES,
-                      runner: Optional[Runner] = None):
+@_figure
+def fig04_atm_latency(sizes: Sequence[int] = LATENCY_SIZES):
     cells = (
         [{"kind": "raw_rtt", "network": "atm", "transport": "tcp", "nbytes": n}
          for n in sizes]
@@ -151,23 +186,25 @@ def fig04_atm_latency(sizes: Sequence[int] = LATENCY_SIZES,
            for n in sizes]
         + [{"kind": "fore_rtt", "nbytes": n} for n in sizes]
     )
-    return {
-        "series": _series(cells, {"TCP": sizes, "UDP": sizes, "Fore aal4": sizes},
-                          runner),
-        "paper": {
+    return _series_plan(
+        cells,
+        {"TCP": sizes, "UDP": sizes, "Fore aal4": sizes},
+        {
             "tcp_1B": 1065.0,
             "note": "indistinguishable except at small sizes (STREAMS overhead)",
         },
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
 # Figure 5/6: TCP latency and bandwidth, Ethernet vs ATM, raw vs MPI
 # ---------------------------------------------------------------------------
 
+_TCP_SERIES = ("mpi/tcp/atm", "mpi/tcp/eth", "tcp/atm", "tcp/eth")
 
-def fig05_tcp_latency(sizes: Sequence[int] = LATENCY_SIZES,
-                      runner: Optional[Runner] = None):
+
+@_figure
+def fig05_tcp_latency(sizes: Sequence[int] = LATENCY_SIZES):
     cells = (
         [{"kind": "pingpong_rtt", "platform": "atm", "device": "tcp",
           "nbytes": n} for n in sizes]
@@ -178,17 +215,15 @@ def fig05_tcp_latency(sizes: Sequence[int] = LATENCY_SIZES,
         + [{"kind": "raw_rtt", "network": "ethernet", "transport": "tcp",
             "nbytes": n} for n in sizes]
     )
-    return {
-        "series": _series(cells, {
-            "mpi/tcp/atm": sizes, "mpi/tcp/eth": sizes,
-            "tcp/atm": sizes, "tcp/eth": sizes,
-        }, runner),
-        "paper": {"tcp_eth_1B": 925.0, "tcp_atm_1B": 1065.0, "mpi_adds_per_way": 210.0},
-    }
+    return _series_plan(
+        cells,
+        {name: sizes for name in _TCP_SERIES},
+        {"tcp_eth_1B": 925.0, "tcp_atm_1B": 1065.0, "mpi_adds_per_way": 210.0},
+    )
 
 
-def fig06_tcp_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES[:-1],
-                        runner: Optional[Runner] = None):
+@_figure
+def fig06_tcp_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES[:-1]):
     cells = (
         [{"kind": "bandwidth", "platform": "atm", "device": "tcp",
           "nbytes": n} for n in sizes]
@@ -199,13 +234,11 @@ def fig06_tcp_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES[:-1],
         + [{"kind": "raw_bandwidth", "network": "ethernet", "transport": "tcp",
             "nbytes": n} for n in sizes]
     )
-    return {
-        "series": _series(cells, {
-            "mpi/tcp/atm": sizes, "mpi/tcp/eth": sizes,
-            "tcp/atm": sizes, "tcp/eth": sizes,
-        }, runner),
-        "paper": {"note": "ATM roughly an order of magnitude above 10 Mb/s Ethernet"},
-    }
+    return _series_plan(
+        cells,
+        {name: sizes for name in _TCP_SERIES},
+        {"note": "ATM roughly an order of magnitude above 10 Mb/s Ethernet"},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,45 +246,43 @@ def fig06_tcp_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES[:-1],
 # ---------------------------------------------------------------------------
 
 
+@_figure
 def fig10_modern_crossover(
     sizes: Sequence[int] = (256, 1024, 2048, 4096, 8192, 12288, 16384,
                             24576, 32768, 65536),
-    runner: Optional[Runner] = None,
 ):
     """Eager vs rendezvous RTT, each forced on for all sizes, on the
     modern ``rdma`` and ``cxl`` cells — the paper's protocol-crossover
     experiment (Figure 1) replayed cross-era.  Returns one measured
     crossover per device (tables in docs/FABRICS.md)."""
-    series: Dict[str, List] = {}
-    crossover: Dict[str, Optional[float]] = {}
-    for device in ("rdma", "cxl"):
-        cells = [
-            {"kind": "pingpong_rtt", "platform": "modern", "device": device,
-             "nbytes": n, "config": {"eager_threshold": 10**9}}
-            for n in sizes
-        ] + [
-            {"kind": "pingpong_rtt", "platform": "modern", "device": device,
-             "nbytes": n, "config": {"eager_threshold": -1}}
-            for n in sizes
-        ]
-        dev_series = _series(
-            cells, {f"{device} eager": sizes, f"{device} rendezvous": sizes},
-            runner,
-        )
-        series.update(dev_series)
-        crossover[device] = harness.crossover(
-            dev_series[f"{device} eager"], dev_series[f"{device} rendezvous"]
-        )
-    return {
-        "series": series,
-        "crossover": crossover,
-        "paper": {
-            "crossover": 180,
-            "note": "paper-era Meiko crossover was 180 B; registration "
-                    "and copy costs push the modern switch points into "
-                    "the KiB range",
-        },
-    }
+    devices = ("rdma", "cxl")
+
+    def finish(values):
+        series = _series(values, {
+            f"{device} {protocol}": sizes
+            for device in devices for protocol in ("eager", "rendezvous")
+        })
+        return {
+            "series": series,
+            "crossover": {
+                device: harness.crossover(
+                    series[f"{device} eager"], series[f"{device} rendezvous"]
+                )
+                for device in devices
+            },
+            "paper": {
+                "crossover": 180,
+                "note": "paper-era Meiko crossover was 180 B; registration "
+                        "and copy costs push the modern switch points into "
+                        "the KiB range",
+            },
+        }
+
+    cells = [
+        cell for device in devices
+        for cell in _forced_protocol_cells("modern", device, sizes)
+    ]
+    return Plan(cells, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -306,68 +337,63 @@ def table1_overheads():
 # ---------------------------------------------------------------------------
 
 
-def _app_cells(configs) -> List[dict]:
-    """configs: iterable of (platform, device, nprocs, app name, kwargs)."""
-    return [
+def _app_plan(configs, labels: Sequence[str], nprocs_list: Sequence[int],
+              note: str, scale: float = 1.0) -> Plan:
+    """One series per label, one app run per process count.
+
+    configs: iterable of (platform, device, nprocs, app name, kwargs),
+    ordered label by label; values are simulated us, divided by *scale*.
+    """
+    cells = [
         {"kind": "app_time", "platform": platform, "device": device,
          "nprocs": nprocs, "app": app, "kwargs": kwargs}
         for platform, device, nprocs, app, kwargs in configs
     ]
 
+    def finish(values):
+        return {
+            "series": _series([t / scale for t in values],
+                              {label: nprocs_list for label in labels}),
+            "paper": {"note": note},
+        }
 
-def fig07_linsolve(nprocs_list: Sequence[int] = (1, 2, 4, 8, 16, 32), n: int = 192,
-                   runner: Optional[Runner] = None):
+    return Plan(cells, finish)
+
+
+_MEIKO_DEVICES = (("mpich", "mpich"), ("lowlatency", "low latency"))
+
+
+@_figure
+def fig07_linsolve(nprocs_list: Sequence[int] = (1, 2, 4, 8, 16, 32), n: int = 192):
     """Meiko linear solver times (seconds) vs processes."""
-    devices = (("mpich", "mpich"), ("lowlatency", "low latency"))
-    cells = _app_cells(
-        ("meiko", device, p, "linsolve", {"n": n, "seed": 0})
-        for device, _ in devices for p in nprocs_list
+    return _app_plan(
+        (("meiko", device, p, "linsolve", {"n": n, "seed": 0})
+         for device, _ in _MEIKO_DEVICES for p in nprocs_list),
+        [label for _, label in _MEIKO_DEVICES], nprocs_list,
+        "hardware broadcast beats pt2pt; gap grows with P", scale=1e6,
     )
-    values = _eval(cells, runner)
-    series: Dict[str, List] = {}
-    for i, (_, key) in enumerate(devices):
-        chunk = values[i * len(nprocs_list):(i + 1) * len(nprocs_list)]
-        series[key] = [(p, t / 1e6) for p, t in zip(nprocs_list, chunk)]
-    return {
-        "series": series,
-        "paper": {"note": "hardware broadcast beats pt2pt; gap grows with P"},
-    }
 
 
+@_figure
 def fig08_meiko_nbody(nprocs_list: Sequence[int] = (1, 2, 3, 4, 6, 8),
-                      nparticles: int = 24, runner: Optional[Runner] = None):
+                      nparticles: int = 24):
     """Meiko pairwise-interaction times (µs) vs processes."""
-    devices = (("mpich", "mpich"), ("lowlatency", "low latency"))
-    cells = _app_cells(
-        ("meiko", device, p, "nbody_ring", {"nparticles": nparticles, "seed": 0})
-        for device, _ in devices for p in nprocs_list
+    return _app_plan(
+        (("meiko", device, p, "nbody_ring", {"nparticles": nparticles, "seed": 0})
+         for device, _ in _MEIKO_DEVICES for p in nprocs_list),
+        [label for _, label in _MEIKO_DEVICES], nprocs_list,
+        "24 particles; low latency wins (even loads, synchronized phases)",
     )
-    values = _eval(cells, runner)
-    series: Dict[str, List] = {}
-    for i, (_, key) in enumerate(devices):
-        chunk = values[i * len(nprocs_list):(i + 1) * len(nprocs_list)]
-        series[key] = list(zip(nprocs_list, chunk))
-    return {
-        "series": series,
-        "paper": {"note": "24 particles; low latency wins (even loads, synchronized phases)"},
-    }
 
 
-def fig09_tcp_nbody(nprocs_list: Sequence[int] = (1, 2, 4, 8), nparticles: int = 128,
-                    runner: Optional[Runner] = None):
+@_figure
+def fig09_tcp_nbody(nprocs_list: Sequence[int] = (1, 2, 4, 8), nparticles: int = 128):
     """Cluster pairwise-interaction times (µs) vs processes, Ethernet vs ATM."""
     platforms = (("ethernet", "Ethernet"), ("atm", "ATM"))
-    cells = _app_cells(
-        (platform, "tcp", p, "nbody_ring",
-         {"nparticles": nparticles, "seed": 0, "flop_time": 0.03})
-        for platform, _ in platforms for p in nprocs_list
+    return _app_plan(
+        ((platform, "tcp", p, "nbody_ring",
+          {"nparticles": nparticles, "seed": 0, "flop_time": 0.03})
+         for platform, _ in platforms for p in nprocs_list),
+        [label for _, label in platforms], nprocs_list,
+        "ATM wins: no contention + higher bandwidth (128 particles)",
     )
-    values = _eval(cells, runner)
-    series: Dict[str, List] = {}
-    for i, (_, key) in enumerate(platforms):
-        chunk = values[i * len(nprocs_list):(i + 1) * len(nprocs_list)]
-        series[key] = list(zip(nprocs_list, chunk))
-    return {
-        "series": series,
-        "paper": {"note": "ATM wins: no contention + higher bandwidth (128 particles)"},
-    }

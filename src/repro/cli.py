@@ -327,32 +327,24 @@ def cmd_figure(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from repro.parallel import run_cells
-
     names = args.names or ["fig02", "fig05"]
     unknown = [n for n in names if n not in FIGURES]
     if unknown:
         print(f"sweep: unknown figure(s) {', '.join(unknown)} "
               f"(choose from {', '.join(sorted(FIGURES))})", file=out)
         return 2
-    reports = []
-
-    def runner(cells):
-        report = run_cells(cells, workers=args.workers,
-                           cache=not args.no_cache)
-        reports.append(report)
-        return report.results
-
-    for name in names:
-        fn, _, _ = FIGURES[name]
-        _print_figure(name, fn(runner=runner), args.chart, out)
-    cached = sum(r.cached for r in reports)
-    executed = sum(r.executed for r in reports)
-    wall = sum(r.wall_s for r in reports)
+    # the cells of every requested figure in one engine batch: one cache
+    # scan, one pool, one merge (a pool per figure can never pay)
+    results, report = figures.evaluate(
+        [FIGURES[name][0].plan() for name in names],
+        workers=args.workers, cache=not args.no_cache,
+    )
+    for name, result in zip(names, results):
+        _print_figure(name, result, args.chart, out)
     print(
-        f"sweep: {len(names)} figure(s), workers={max(1, args.workers or 1)}, "
-        f"cells={cached + executed} (cached={cached} executed={executed}), "
-        f"wall={wall:.2f}s",
+        f"sweep: {len(names)} figure(s), workers={report.workers}, "
+        f"cells={len(report.results)} (cached={report.cached} "
+        f"executed={report.executed}), wall={report.wall_s:.2f}s",
         file=sys.stderr,
     )
     return 0
@@ -575,7 +567,7 @@ def cmd_perf(args, out) -> int:
 
 def cmd_fuzz(args, out) -> int:
     from repro.conformance.corpus import run_corpus
-    from repro.conformance.executor import check_faulty, differential
+    from repro.conformance.executor import check_programs, differential
     from repro.conformance.grammar import generate
     from repro.conformance.shrink import shrink, write_artifacts
 
@@ -609,15 +601,18 @@ def cmd_fuzz(args, out) -> int:
     if args.seeds:
         seeds += [int(s) for s in args.seeds.split(",") if s.strip()]
 
+    # every program first, then all their cells in one engine batch
+    programs = [generate(seed, nprocs=args.nprocs, profile=args.profile)
+                for seed in seeds]
+    verdicts, report = check_programs(
+        programs, workers=args.workers,
+        use_cache=args.workers is not None and not args.no_cache,
+    )
     failed = 0
-    for seed in seeds:
-        program = generate(seed, nprocs=args.nprocs, profile=args.profile)
-        result = differential(program, workers=args.workers,
-                              use_cache=args.workers is not None and not args.no_cache)
+    for seed, program, (result, fault_result) in zip(seeds, programs, verdicts):
         print(result.summary(), file=out)
         ok = result.ok
-        if ok and program.fault is not None:
-            fault_result = check_faulty(program)
+        if ok and fault_result is not None:
             print(fault_result.summary() + " [fault-composed]", file=out)
             ok = fault_result.ok
         if args.dump_trace and result.reference is not None:
@@ -630,6 +625,8 @@ def cmd_fuzz(args, out) -> int:
             for path in write_artifacts(small, args.artifacts,
                                         label=f"repro_seed{seed}"):
                 print(f"shrunk repro: {path}", file=out)
+    if args.workers is not None:
+        print(report.stats_line(), file=sys.stderr)
     return 1 if failed else 0
 
 

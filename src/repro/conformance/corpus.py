@@ -108,7 +108,7 @@ def run_corpus(
         result = differential(program, matrix=matrix)
         fault_result = None
         if result.ok and program.fault is not None:
-            fault_result = check_faulty(program)
+            fault_result = check_faulty(program, clean=result.canons)
         ran += 1
         if result.reference is not None:
             canons[f"{profile}-{seed}"] = result.canons[result.reference]

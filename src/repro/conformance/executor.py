@@ -37,6 +37,9 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 __all__ = [
     "run_program",
     "canonical_trace",
+    "cells",
+    "judge",
+    "check_programs",
     "differential",
     "check_faulty",
     "DifferentialResult",
@@ -412,21 +415,20 @@ def canonical_trace(trace: dict) -> str:
 
 
 # ------------------------------------------------------------- differential
-def _strip_styles(program: Program) -> Optional[Program]:
-    """A copy of *program* with every forced collective ``style``
-    removed, or None when no round carries one.
+def _strip_styles(spec: dict) -> Optional[dict]:
+    """*spec* (a ``Program.to_dict()``) with every forced collective
+    ``style`` removed, or None when no round carries one.
 
     Algorithm styles must never change a collective's *result* — the
     fuzzer's payloads are exact-arithmetic, so a styled program and its
     stripped twin (running the device/selector defaults) must produce
     byte-identical semantic traces.
     """
-    if not any(getattr(r, "style", None) for r in program.rounds):
+    if not any("style" in rnd for rnd in spec["rounds"]):
         return None
-    d = program.to_dict()
-    for r in d["rounds"]:
-        r.pop("style", None)
-    return Program.from_dict(d)
+    return {**spec, "rounds": [
+        {k: v for k, v in rnd.items() if k != "style"} for rnd in spec["rounds"]
+    ]}
 
 
 @dataclass
@@ -451,123 +453,223 @@ class DifferentialResult:
         return f"seed {self.program.seed}: FAIL ({'; '.join(parts)})"
 
 
+# Every run a verdict needs is one ``conformance_cell`` of the parallel
+# engine (pure data in, ``{"canon"}`` or ``{"error"}`` out), named by a
+# run key: ``"platform-device"`` for a matrix run, ``STYLED`` for the
+# style-stripped twin, ``"fault:platform-device"`` for a lossy run and
+# ``"clean:platform-device"`` for the fault-free run it is compared with
+# when the matrix did not run that cell.  ``cells`` says which runs,
+# ``judge`` says what their results mean; serial callers, the engine and
+# the mutation tests differ only in how the cells get executed in between.
+STYLED = "styled-reference"
+
+
+def run_conformance_cell(
+    cell: dict, world_mutator: Optional[Callable[[World], None]] = None
+) -> dict:
+    """Execute one ``conformance_cell``: ``{"canon": ...}``, or
+    ``{"error": "TypeName: message"}`` — any failure is a finding.
+
+    A lossy (``fault``) run that fails also says whether the failure is
+    the *documented* one (``CommError`` / ``RetransmitExhausted`` or a
+    subclass): the exception type does not survive the process
+    boundary, so its classification crosses it as data.
+    """
+    from repro.errors import RetransmitExhausted
+    from repro.mpi.exceptions import CommError
+
+    fault = cell.get("fault", False)
+    try:
+        trace = run_program(
+            Program.from_dict(cell["program"]), cell["platform"], cell["device"],
+            fault=fault, world_mutator=world_mutator,
+        )
+        return {"canon": canonical_trace(trace)}
+    except Exception as exc:  # noqa: BLE001 - any failure is a finding
+        out: Dict[str, Any] = {"error": f"{type(exc).__name__}: {exc}"}
+        if fault:
+            out["documented"] = isinstance(exc, (CommError, RetransmitExhausted))
+        return out
+
+
+def _cell(spec: dict, platform: str, device: str, **extra) -> dict:
+    return {"kind": "conformance_cell", "program": spec,
+            "platform": platform, "device": device, **extra}
+
+
+def _differential_cells(spec: dict, matrix) -> Dict[str, dict]:
+    """The matrix runs, plus the style-stripped twin on ``matrix[0]``
+    when the program forces collective algorithms."""
+    from repro.platforms import DEVICE_MATRIX, device_key
+
+    matrix = DEVICE_MATRIX if matrix is None else matrix
+    plan = {device_key(p, d): _cell(spec, p, d) for p, d in matrix}
+    stripped = _strip_styles(spec)
+    if stripped is not None and plan:
+        plan[STYLED] = _cell(stripped, *matrix[0])
+    return plan
+
+
+def _fault_cells(spec: dict, have) -> Dict[str, dict]:
+    """The lossy run on each cluster cell, plus the fault-free run it is
+    compared with wherever *have* does not already hold that cell's."""
+    from repro.platforms import PLATFORM_DEVICES, device_key
+
+    plan: Dict[str, dict] = {}
+    for platform in FAULT_PLATFORMS:
+        for device in PLATFORM_DEVICES[platform]:
+            key = device_key(platform, device)
+            if key not in have:
+                plan["clean:" + key] = _cell(spec, platform, device)
+            plan["fault:" + key] = _cell(spec, platform, device, fault=True)
+    return plan
+
+
+def cells(
+    program: Program, matrix: Optional[Sequence[Tuple[str, str]]] = None
+) -> Dict[str, dict]:
+    """Every run the full verdict on *program* needs, as an ordered
+    ``{run key: engine cell}`` mapping — ready for one ``run_cells``.
+
+    The lossy runs are included speculatively (``judge`` callers ignore
+    them when the differential fails) so a whole command is one batch;
+    they reuse the matrix's own fault-free runs, and only a cluster cell
+    a restricted *matrix* leaves out is simulated fault-free again.
+    """
+    spec = program.to_dict()
+    plan = _differential_cells(spec, matrix)
+    if program.fault is not None:
+        plan.update(_fault_cells(spec, have=plan))
+    return plan
+
+
+def judge(
+    program: Program, results: Dict[str, dict]
+) -> Tuple[DifferentialResult, Optional[DifferentialResult]]:
+    """The verdicts on *program* given its runs' results by run key:
+    ``(differential, fault-composed or None)``.
+
+    *Differential*: every matrix run must produce the byte-identical
+    semantic trace (the first that ran is the reference), and the
+    style-stripped twin must equal it too — forcing an algorithm must
+    not change semantics.  *Fault-composed* (None without lossy runs): a
+    lossy run must converge to the fault-free trace of the same cell or
+    fail the documented way.  The only place either is decided.
+    """
+    runs: Dict[str, Dict[str, dict]] = {"": {}, "clean": {}, "fault": {}}
+    for key, res in results.items():
+        role, _, cell = key.rpartition(":")
+        runs[role][cell] = res
+    styled = runs[""].pop(STYLED, None)
+
+    canons: Dict[str, str] = {}
+    errors: Dict[str, str] = {}
+    for key, res in runs[""].items():
+        if "error" in res:
+            errors[key] = res["error"]
+        else:
+            canons[key] = res["canon"]
+    reference = next(iter(canons), None)
+    mismatched = [
+        key for key, canon in canons.items() if canon != canons[reference]
+    ]
+    if styled is not None and reference is not None and not mismatched:
+        if "error" in styled:
+            errors[STYLED] = styled["error"]
+        elif styled["canon"] != canons[reference]:
+            mismatched.append(STYLED)
+    verdict = DifferentialResult(
+        program=program, ok=not errors and not mismatched and bool(canons),
+        reference=reference, canons=canons, errors=errors, mismatched=mismatched,
+    )
+    if not runs["fault"]:
+        return verdict, None
+
+    clean: Dict[str, str] = {}
+    fault_errors: Dict[str, str] = {}
+    fault_mismatched: List[str] = []
+    for key, lossy in runs["fault"].items():
+        res = runs["clean"].get(key) or runs[""][key]
+        if "error" in res:  # no fault-free trace to converge to
+            fault_errors[key] = res["error"]
+            continue
+        clean[key] = res["canon"]
+        if "error" in lossy:
+            if not lossy["documented"]:
+                fault_errors[key] = lossy["error"]
+        elif lossy["canon"] != clean[key]:
+            fault_mismatched.append(key)
+    return verdict, DifferentialResult(
+        program=program,
+        ok=not fault_errors and not fault_mismatched and bool(clean),
+        reference=next(iter(clean), None), canons=clean,
+        errors=fault_errors, mismatched=fault_mismatched,
+    )
+
+
+def _execute(plans: Sequence[Dict[str, dict]], workers, use_cache):
+    """One engine batch for the cells of every plan.  Returns
+    ``([{run key: result} per plan], RunReport)``."""
+    from repro.parallel import run_batches
+
+    values, report = run_batches(
+        [plan.values() for plan in plans], workers=workers, cache=use_cache
+    )
+    return [dict(zip(plan, vals)) for plan, vals in zip(plans, values)], report
+
+
+def check_programs(
+    programs: Sequence[Program],
+    matrix: Optional[Sequence[Tuple[str, str]]] = None,
+    workers: Optional[int] = None,
+    use_cache: bool = False,
+):
+    """Judge every program from **one** engine batch (see :func:`cells`).
+    Returns ``([judge(...) pair per program], RunReport)``."""
+    results, report = _execute(
+        [cells(program, matrix) for program in programs], workers, use_cache
+    )
+    return [judge(p, res) for p, res in zip(programs, results)], report
+
+
 def differential(
     program: Program,
     matrix: Optional[Sequence[Tuple[str, str]]] = None,
     mutators: Optional[Dict[str, Callable[[World], None]]] = None,
-    workers: Optional[int] = None,
-    use_cache: bool = False,
 ) -> DifferentialResult:
-    """Run *program* on every (platform, device) of *matrix* and demand
-    byte-identical semantic traces.
+    """Run *program* on every (platform, device) of *matrix*, in-process,
+    and demand byte-identical semantic traces (see :func:`judge`;
+    :func:`check_programs` is the sharded, cached, many-program form).
 
     ``mutators`` maps "platform-device" keys to world mutation hooks —
-    used by the mutation tests to verify a deliberately broken device
-    is caught.  ``workers`` > 1 fans the matrix cells out over the
-    parallel engine (``repro.parallel``) — each cell is an independent
-    deterministic simulation, so the merged result is identical to the
-    serial loop; mutators are in-process callables and force the serial
-    path.  ``use_cache`` additionally consults the content-addressed
-    result cache (parallel path only).
+    used by the mutation tests to verify a deliberately broken device is
+    caught; they are in-process callables, so such a run executes the
+    same cells without the engine.
     """
-    from repro.platforms import device_key
-
-    if matrix is None:
-        from repro.platforms import DEVICE_MATRIX
-
-        matrix = DEVICE_MATRIX
-    canons: Dict[str, str] = {}
-    errors: Dict[str, str] = {}
-    if workers and workers > 1 and not mutators:
-        from repro.parallel import run_cells
-
-        cells = [
-            {"kind": "conformance_cell", "program": program.to_dict(),
-             "platform": platform, "device": device}
-            for platform, device in matrix
-        ]
-        report = run_cells(cells, workers=workers, cache=use_cache)
-        for (platform, device), res in zip(matrix, report.results):
-            key = device_key(platform, device)
-            if "error" in res:
-                errors[key] = res["error"]
-            else:
-                canons[key] = res["canon"]
+    plan = _differential_cells(program.to_dict(), matrix)
+    if mutators:
+        results = {
+            key: run_conformance_cell(cell, mutators.get(key))
+            for key, cell in plan.items()
+        }
     else:
-        for platform, device in matrix:
-            key = device_key(platform, device)
-            mut = (mutators or {}).get(key)
-            try:
-                trace = run_program(program, platform, device, world_mutator=mut)
-                canons[key] = canonical_trace(trace)
-            except Exception as exc:  # noqa: BLE001 - any failure is a finding
-                errors[key] = f"{type(exc).__name__}: {exc}"
-    reference = next(iter(canons), None)
-    mismatched = [
-        key for key, canon in canons.items()
-        if reference is not None and canon != canons[reference]
-    ]
-    # styled programs additionally diff against a style-stripped run on
-    # the reference cell: forcing an algorithm must not change semantics
-    stripped = _strip_styles(program)
-    if stripped is not None and reference is not None and not mismatched:
-        platform, device = matrix[0]
-        try:
-            naive = canonical_trace(run_program(stripped, platform, device))
-        except Exception as exc:  # noqa: BLE001 - any failure is a finding
-            errors["styled-reference"] = f"{type(exc).__name__}: {exc}"
-        else:
-            if naive != canons[reference]:
-                mismatched.append("styled-reference")
-    ok = not errors and not mismatched and bool(canons)
-    return DifferentialResult(
-        program=program, ok=ok, reference=reference, canons=canons,
-        errors=errors, mismatched=mismatched,
-    )
+        (results,), _ = _execute([plan], None, False)
+    return judge(program, results)[0]
 
 
 def check_faulty(
-    program: Program,
-    matrix: Optional[Sequence[Tuple[str, str]]] = None,
+    program: Program, clean: Optional[Dict[str, str]] = None
 ) -> DifferentialResult:
     """Fault-composed mode: a lossy run must converge to the fault-free
     semantic trace or raise the documented ``CommError`` /
     ``RetransmitExhausted``.  Restricted to the cluster fabrics, where
-    RUDP/TCP recovery is deterministic."""
-    from repro.errors import RetransmitExhausted
-    from repro.mpi.exceptions import CommError
+    RUDP/TCP recovery is deterministic.
 
-    if matrix is None:
-        from repro.platforms import PLATFORM_DEVICES
-
-        matrix = [
-            (p, d) for p in FAULT_PLATFORMS for d in PLATFORM_DEVICES[p]
-        ]
-    from repro.platforms import device_key
-
-    canons: Dict[str, str] = {}
-    errors: Dict[str, str] = {}
-    mismatched: List[str] = []
-    reference = None
-    for platform, device in matrix:
-        key = device_key(platform, device)
-        clean = canonical_trace(run_program(program, platform, device))
-        if reference is None:
-            reference = key
-        canons[key] = clean
-        try:
-            lossy = canonical_trace(
-                run_program(program, platform, device, fault=True)
-            )
-        except (CommError, RetransmitExhausted):
-            continue  # the documented failure mode — acceptable
-        except Exception as exc:  # noqa: BLE001 - undocumented escape
-            errors[key] = f"{type(exc).__name__}: {exc}"
-            continue
-        if lossy != clean:
-            mismatched.append(key)
-    ok = not errors and not mismatched and bool(canons)
-    return DifferentialResult(
-        program=program, ok=ok, reference=reference, canons=canons,
-        errors=errors, mismatched=mismatched,
-    )
+    *clean* is the fault-free canons already in hand by cell key
+    (``differential(program).canons``); a cluster cell it lacks — a
+    restricted matrix, or no differential at all — is simulated here.
+    """
+    results = {key: {"canon": canon} for key, canon in (clean or {}).items()}
+    plan = _fault_cells(program.to_dict(), have=results)
+    (more,), _ = _execute([plan], None, False)
+    return judge(program, {**results, **more})[1]

@@ -20,6 +20,7 @@ from repro.parallel.engine import (
     RunReport,
     ShardReport,
     plan_shards,
+    run_batches,
     run_cells,
 )
 from repro.parallel.tasks import TASKS, run_cell, task
@@ -34,6 +35,7 @@ __all__ = [
     "ShardReport",
     "plan_shards",
     "run_cells",
+    "run_batches",
     "TASKS",
     "run_cell",
     "task",

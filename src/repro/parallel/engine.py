@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.tasks import cacheable_spec, run_cell
@@ -44,6 +44,7 @@ __all__ = [
     "plan_shards",
     "retry_backoff_s",
     "run_cells",
+    "run_batches",
 ]
 
 
@@ -252,3 +253,20 @@ def run_cells(
     if errors:
         raise errors[0]
     return report
+
+
+def run_batches(
+    batches: Sequence[Sequence[dict]], **kwargs
+) -> Tuple[List[List[Any]], RunReport]:
+    """Several cell lists as **one** :func:`run_cells` — one cache scan,
+    one pool, one merge — with the results sliced back per list.
+
+    What a command with many independent parts (the figures of a sweep,
+    the seeds of a fuzz run) calls instead of ``run_cells`` per part: a
+    part is tens of milliseconds of simulation, less than a forked
+    worker's copy-on-write faults cost, so a pool per part can never pay
+    (docs/PERF.md).  Keyword arguments are ``run_cells``'s.
+    """
+    report = run_cells([cell for batch in batches for cell in batch], **kwargs)
+    values = iter(report.results)
+    return [[next(values) for _ in batch] for batch in batches], report

@@ -186,17 +186,9 @@ def _soak_cell(cell):
 # ----------------------------------------------------- conformance/fuzz cells
 @task("conformance_cell")
 def _conformance_cell(cell):
-    from repro.conformance.executor import canonical_trace, run_program
-    from repro.conformance.grammar import Program
+    from repro.conformance.executor import run_conformance_cell
 
-    program = Program.from_dict(cell["program"])
-    try:
-        trace = run_program(
-            program, cell["platform"], cell["device"], fault=cell.get("fault", False)
-        )
-        return {"canon": canonical_trace(trace)}
-    except Exception as exc:  # noqa: BLE001 - any failure is a finding
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    return run_conformance_cell(cell)
 
 
 @task("fuzz_entry")
@@ -227,7 +219,7 @@ def _fuzz_entry(cell):
         "has_fault": program.fault is not None,
     }
     if result.ok and program.fault is not None:
-        fault_result = check_faulty(program)
+        fault_result = check_faulty(program, clean=result.canons)
         out["fault_checked"] = True
         out["fault_summary"] = fault_result.summary()
         out["fault_ok"] = fault_result.ok

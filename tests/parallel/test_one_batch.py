@@ -1,0 +1,119 @@
+"""One engine batch per command: ``sweep`` and ``fuzz --seeds``.
+
+``repro sweep`` submits the cells of every requested figure, and
+``repro fuzz --seeds`` submits the cells of *every* seed — matrix runs,
+the style-stripped reference run of a styled program, the lossy runs of
+a fault-carrying one — in a single ``run_cells``.  The contract: stdout
+is byte-identical to the serial command, one worker pool per command,
+and — every run being a cacheable cell — a warm re-run simulates
+nothing: zero cells executed, zero ``World`` objects built in the parent.
+These counts, not a timing assertion, are the guard against a pool per
+figure or per seed growing back.
+"""
+
+import io
+
+import pytest
+
+from repro.cli import main
+from repro.mpi.world import World
+from repro.parallel import engine
+
+#: the two paths that cross the process boundary only since the one-batch
+#: rewrite: fault-composed (lossy) runs and the styled-reference run
+COMMANDS = [
+    ["fuzz", "--profile", "fault", "--seeds", "31,94", "--dump-trace"],
+    ["fuzz", "--profile", "algos", "--seeds", "51,96", "--dump-trace"],
+]
+#: matrix + lossy runs / matrix + styled-reference run, two seeds each
+CELLS = {"fault": 2 * (8 + 4), "algos": 2 * (8 + 1)}
+
+
+def _run(argv, capsys):
+    out = io.StringIO()
+    code = main(argv, out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+@pytest.fixture
+def counters(tmp_path, monkeypatch):
+    """Count engine batches, worker pools and parent-side World builds."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    seen = {"batches": [], "pools": 0, "worlds": 0}
+    real_run_cells, real_context = engine.run_cells, engine._pool_context
+    real_init = World.__init__
+
+    def counting_run_cells(cells, **kwargs):
+        seen["batches"].append(len(cells))
+        return real_run_cells(cells, **kwargs)
+
+    def counting_context():
+        seen["pools"] += 1
+        return real_context()
+
+    def counting_init(self, *args, **kwargs):
+        seen["worlds"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_cells", counting_run_cells)
+    monkeypatch.setattr(engine, "_pool_context", counting_context)
+    monkeypatch.setattr(World, "__init__", counting_init)
+    return seen
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[2])
+def test_workers_match_serial_in_one_batch_then_warm_simulates_nothing(
+        argv, counters, capsys):
+    ncells = CELLS[argv[2]]
+    code, serial_text, serial_err = _run(argv, capsys)
+    assert code == 0
+    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["worlds"] == ncells   # serial: every run in-process
+    assert serial_err == ""               # no engine, no engine statistics
+
+    counters.update(batches=[], worlds=0)
+    code, cold_text, cold_err = _run(argv + ["--workers", "2"], capsys)
+    assert code == 0
+    assert cold_text == serial_text       # byte-identical, traces included
+    assert counters["batches"] == [ncells] and counters["pools"] == 1
+    assert counters["worlds"] == 0        # every run in a worker
+    assert f"cells={ncells} cached=0 executed={ncells}" in cold_err
+
+    counters.update(batches=[], pools=0)
+    code, warm_text, warm_err = _run(argv + ["--workers", "2"], capsys)
+    assert code == 0
+    assert warm_text == serial_text
+    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["worlds"] == 0        # nothing simulated anywhere
+    assert f"cells={ncells} cached={ncells} executed=0" in warm_err
+
+
+def test_workers_one_uses_the_cache_too(counters, capsys):
+    """Any integer --workers, including 1, routes through the engine
+    with the cache (the rule run_corpus and chaos_sweep document)."""
+    argv = ["fuzz", "--profile", "fault", "--seeds", "31", "--workers", "1"]
+    _, cold_text, cold_err = _run(argv, capsys)
+    assert "cached=0 executed=12" in cold_err
+    _, warm_text, warm_err = _run(argv, capsys)
+    assert "cached=12 executed=0" in warm_err
+    assert warm_text == cold_text and counters["pools"] == 0
+    _, _, nocache_err = _run(argv + ["--no-cache"], capsys)
+    assert "cached=0 executed=12" in nocache_err
+
+
+def test_multi_figure_sweep_is_one_batch(counters, capsys, tmp_path):
+    """However many figures, one ``run_cells`` and one worker pool (a
+    figure is 20-70 ms of simulation: a pool per figure can never pay)."""
+    code, sweep_text, _ = _run(
+        ["sweep", "fig02", "fig10", "--workers", "2", "--no-cache"], capsys)
+    assert code == 0
+    assert counters["batches"] == [24 + 40]  # fig02's cells, both fig10 devices'
+    assert counters["pools"] == 1
+    assert not (tmp_path / "cache").exists()  # --no-cache wrote nothing
+
+    counters.update(batches=[], pools=0)
+    _, fig02_text, _ = _run(["figure", "fig02"], capsys)
+    _, fig10_text, _ = _run(["figure", "fig10"], capsys)
+    assert sweep_text == fig02_text + fig10_text
+    # a figure on its own is one in-process batch
+    assert counters["batches"] == [24, 40] and counters["pools"] == 0
