@@ -49,7 +49,7 @@ def main(argv=None) -> int:
             f"  {name:<12} {rec['events']:>8} events  {rec['wall_s']:>9.4f} s  "
             f"{rec['events_per_sec']:>9} ev/s  (floor {floor}{'' if ok else '  ** UNDER **'})"
         )
-    for shard in suite.get("shards", ()):
+    for shard in suite["shards"]:
         print(f"  shard {shard['shard']}: {shard['cells']} workloads "
               f"in {shard['wall_s']:.3f} s")
     with open(args.out, "w") as fh:

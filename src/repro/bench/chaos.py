@@ -14,6 +14,11 @@ outcome:
 
 On the seed revision a lossy run simply hung; every cell now
 terminates, which is the point of the harness.
+
+``chaos_sweep`` and ``soak_sweep`` each have one execution path: their
+cells as one ``repro.parallel.evaluate`` batch plus a pure finish.
+``workers=None`` runs the cells in-process, an integer over a pool; rows
+and exported traces are the same either way.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.harness import cold_pingpong
 from repro.errors import DeadlockError, NetworkError
 from repro.faults import FaultPlan, PacketLoss
 from repro.mpi import World
 from repro.mpi.exceptions import CommError
+from repro.parallel import Plan, evaluate
 
 __all__ = [
     "CLUSTER_PLATFORMS",
@@ -51,21 +58,6 @@ def _kernel_params(network: str, overrides: Optional[dict]):
     return replace(base, **overrides) if overrides else base
 
 
-def _pingpong(nbytes: int, repeats: int):
-    def main(comm):
-        payload = bytes(nbytes)
-        for _ in range(repeats):
-            if comm.rank == 0:
-                yield from comm.send(payload, dest=1, tag=1)
-                yield from comm.recv(source=1, tag=2)
-            else:
-                data, _ = yield from comm.recv(source=0, tag=1)
-                yield from comm.send(data, dest=0, tag=2)
-        return comm.wtime()
-
-    return main, 2
-
-
 def _nbody(nparticles: int, nprocs: int):
     from repro.apps import nbody_ring
 
@@ -79,7 +71,7 @@ def _nbody(nparticles: int, nprocs: int):
 
 def _workload(name: str, nprocs: int, nbytes: int, repeats: int):
     if name == "pingpong":
-        return _pingpong(nbytes, repeats)
+        return cold_pingpong(nbytes, repeats), 2
     if name == "nbody":
         return _nbody(nbytes, nprocs)  # nbytes doubles as the particle count
     raise ValueError(f"unknown chaos workload {name!r}")
@@ -158,8 +150,7 @@ def chaos_sweep(
     seed: int = 1,
     obs=None,
     workers: Optional[int] = None,
-    use_cache: bool = False,
-    cache_root=None,
+    cache=False,
 ) -> List[Dict]:
     """Full sweep: every (platform, workload, loss) cell + slowdowns.
 
@@ -167,62 +158,42 @@ def chaos_sweep(
     completed lossy cells get ``slowdown = time / baseline_time`` (the
     goodput degradation from retransmission and backoff).
 
-    ``workers`` (any integer, including 1) routes the cells through the
-    parallel experiment engine (``repro.parallel``): every cell is an
-    independent deterministic world, results merge in canonical sweep
-    order, and with *obs* attached the per-shard event streams are
-    threaded back through the merge — the merged bus (and any trace
-    exported from it) is byte-identical to the serial sweep's.  Traced
-    cells bypass the result cache; untraced cells use it when
-    ``use_cache`` is set.
+    The cells are one engine batch (``workers`` and ``cache`` are
+    :func:`repro.parallel.evaluate`'s; None runs them in-process): every
+    cell is an independent deterministic world, results merge in sweep
+    order, and with *obs* attached each cell's event stream is threaded
+    back through the merge — the merged bus (and any trace exported
+    from it) does not depend on ``workers``.  Traced cells bypass the
+    result cache.
     """
-    specs: List[Dict] = []
-    for platform in platforms:
-        for workload in workloads:
-            nbytes = nbody_particles if workload == "nbody" else 256
-            nprocs = 4 if workload == "nbody" else 2
-            for loss in losses:
-                specs.append({
-                    "platform": platform, "workload": workload, "loss": loss,
-                    "nprocs": nprocs, "nbytes": nbytes, "repeats": repeats,
-                    "seed": seed,
-                })
+    traced = obs is not None
+    cells = [
+        {"kind": "chaos_cell", "platform": platform, "workload": workload,
+         "loss": loss, "nprocs": 4 if workload == "nbody" else 2,
+         "nbytes": nbody_particles if workload == "nbody" else 256,
+         "repeats": repeats, "seed": seed, "_trace": traced, "_nocache": traced}
+        for platform in platforms
+        for workload in workloads
+        for loss in losses
+    ]
 
-    if workers is None:
-        rows = [
-            chaos_cell(
-                s["platform"], s["loss"], workload=s["workload"],
-                nprocs=s["nprocs"], nbytes=s["nbytes"], repeats=s["repeats"],
-                seed=s["seed"], obs=obs,
-            )
-            for s in specs
-        ]
-    else:
-        from repro.parallel import ResultCache, run_cells
-
-        traced = obs is not None
-        cells = [
-            dict(s, kind="chaos_cell", _trace=traced, _nocache=traced)
-            for s in specs
-        ]
-        cache = ResultCache(cache_root) if use_cache else False
-        report = run_cells(cells, workers=workers, cache=cache)
+    def finish(results):
         rows = []
-        for res in report.results:
-            rows.append(res["row"])
+        baselines: Dict = {}
+        for res in results:
+            row = res["row"]
             if traced:
                 obs.extend(res["events"])
+            group = (row["platform"], row["workload"])
+            if row["loss"] == 0 and row["outcome"] == "ok":
+                baselines[group] = row["time_us"]
+            baseline = baselines.get(group)
+            if baseline and row["outcome"] == "ok":
+                row["slowdown"] = row["time_us"] / baseline
+            rows.append(row)
+        return rows
 
-    # baselines + slowdowns: a pure function of the merged rows, so the
-    # serial and parallel paths agree byte for byte
-    baselines: Dict = {}
-    for row in rows:
-        group = (row["platform"], row["workload"])
-        if row["loss"] == 0 and row["outcome"] == "ok":
-            baselines[group] = row["time_us"]
-        baseline = baselines.get(group)
-        if baseline and row["outcome"] == "ok":
-            row["slowdown"] = row["time_us"] / baseline
+    (rows,), _ = evaluate([Plan(cells, finish)], workers=workers, cache=cache)
     return rows
 
 
@@ -372,61 +343,38 @@ def soak_sweep(
     Each (platform, device) cell runs ``repeat`` times; the first run is
     the reported row (and the traced one, when *obs* is attached), and
     every repetition's ``trace_sha`` must match it — the row's
-    ``deterministic`` field records the comparison.  ``workers`` routes
-    the runs through the parallel experiment engine (soak cells are
-    never cached: the digest of a fresh run is the whole point).
+    ``deterministic`` field records the comparison.  The runs are one
+    engine batch (``workers=None`` in-process, else over a pool) and are
+    never cached: the digest of a fresh run is the whole point.
     """
     from repro.platforms import DEVICE_MATRIX
 
     cells = list(cells) if cells is not None else list(DEVICE_MATRIX)
-    params = {
-        "nprocs": nprocs, "victim": victim, "crash_at": crash_at,
-        "n": n, "iters": iters, "checkpoint_every": checkpoint_every,
-        "seed": seed,
-    }
-    specs = [
-        dict(params, platform=platform, device=device, rep=rep)
+    engine_cells = [
+        {"kind": "soak_cell", "platform": platform, "device": device,
+         "rep": rep, "nprocs": nprocs, "victim": victim, "crash_at": crash_at,
+         "n": n, "iters": iters, "checkpoint_every": checkpoint_every,
+         "seed": seed, "_nocache": True,
+         "_trace": obs is not None and rep == 0}
         for platform, device in cells
         for rep in range(max(1, repeat))
     ]
 
-    if workers is None:
-        rows_by_spec = []
-        for s in specs:
-            cell_obs = obs if s["rep"] == 0 else None
-            rows_by_spec.append(soak_cell(
-                s["platform"], s["device"], nprocs=s["nprocs"],
-                victim=s["victim"], crash_at=s["crash_at"], n=s["n"],
-                iters=s["iters"], checkpoint_every=s["checkpoint_every"],
-                seed=s["seed"], obs=cell_obs,
-            ))
-    else:
-        from repro.parallel import run_cells
-
-        traced = obs is not None
-        engine_cells = [
-            dict(s, kind="soak_cell", _nocache=True,
-                 _trace=traced and s["rep"] == 0)
-            for s in specs
-        ]
-        report = run_cells(engine_cells, workers=workers, cache=False)
-        rows_by_spec = []
-        for res in report.results:
-            rows_by_spec.append(res["row"])
-            if "events" in res and obs is not None:
+    def finish(results):
+        # fold repetitions: first rep is the row, the rest are witnesses
+        rows: List[Dict] = []
+        for cell, res in zip(engine_cells, results):
+            row = res["row"]
+            if "events" in res:
                 obs.extend(res["events"])
+            if cell["rep"] == 0:
+                row["deterministic"] = True
+                rows.append(row)
+            elif row["trace_sha"] != rows[-1]["trace_sha"]:
+                rows[-1]["deterministic"] = False
+        return rows
 
-    # fold repetitions: first rep is the row, the rest are witnesses
-    rows: List[Dict] = []
-    by_cell: Dict = {}
-    for s, row in zip(specs, rows_by_spec):
-        key = (s["platform"], s["device"])
-        if s["rep"] == 0:
-            row["deterministic"] = True
-            by_cell[key] = row
-            rows.append(row)
-        elif row["trace_sha"] != by_cell[key]["trace_sha"]:
-            by_cell[key]["deterministic"] = False
+    (rows,), _ = evaluate([Plan(engine_cells, finish)], workers=workers)
     return rows
 
 

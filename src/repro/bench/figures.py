@@ -12,27 +12,27 @@ Values are simulated microseconds (latency) or MB/s (bandwidth);
 Figures 7-9 report application times.
 
 Every sweep point is an independent *cell* (a plain dict dispatched
-through :mod:`repro.parallel.tasks`), and every figure is a :class:`Plan`:
-its cell list plus a pure ``finish(values) -> dict`` that turns the
-cells' values, in order, into the result.  ``figNN_*()`` evaluates its
-own plan in-process; ``figNN_*.plan()`` returns the plan unevaluated, so
-a caller that wants several figures (``repro sweep``) concatenates their
-cells into **one** :func:`evaluate` — one ``run_cells``, one cache scan,
-one worker pool — however many figures it asked for.
+through :mod:`repro.parallel.tasks`), and every figure is a
+:class:`repro.parallel.Plan`: its cell list plus a pure
+``finish(values) -> dict`` that turns the cells' values, in order, into
+the result.  ``figNN_*()`` evaluates its own plan in-process;
+``figNN_*.plan()`` returns the plan unevaluated, so a caller that wants
+several figures (``repro sweep``) hands them to **one**
+:func:`repro.parallel.evaluate` — one ``run_cells``, one cache scan, one
+worker pool — however many figures it asked for.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench import harness
+from repro.parallel import Plan, evaluate
 
 __all__ = [
     "LATENCY_SIZES",
     "BANDWIDTH_SIZES",
-    "Plan",
-    "evaluate",
     "fig01_transfer_mechanisms",
     "fig02_meiko_latency",
     "fig03_meiko_bandwidth",
@@ -48,24 +48,6 @@ __all__ = [
 
 LATENCY_SIZES = (1, 16, 64, 128, 180, 256, 512, 1024)
 BANDWIDTH_SIZES = (1024, 4096, 16384, 65536, 262144, 1048576)
-
-
-class Plan(NamedTuple):
-    """One figure, unevaluated: which cells, and what their values mean."""
-
-    cells: List[dict]
-    finish: Callable[[List], dict]   #: pure: the cells' values -> result
-
-
-def evaluate(plans: Sequence[Plan], workers: Optional[int] = None, cache=False):
-    """Run the cells of every plan as one engine batch and finish each
-    plan on its slice.  Returns ``([result per plan], RunReport)``."""
-    from repro.parallel import run_batches
-
-    values, report = run_batches(
-        [plan.cells for plan in plans], workers=workers, cache=cache
-    )
-    return [plan.finish(vals) for plan, vals in zip(plans, values)], report
 
 
 def _figure(plan_fn):

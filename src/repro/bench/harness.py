@@ -15,6 +15,7 @@ from repro.mpi import World
 from repro.sim import Simulator
 
 __all__ = [
+    "cold_pingpong",
     "mpi_pingpong_rtt",
     "mpi_bandwidth",
     "tport_rtt",
@@ -50,6 +51,26 @@ def _pingpong_main(nbytes: int, repeats: int):
             for _ in range(repeats):
                 data, _ = yield from comm.recv(source=0, tag=1)
                 yield from comm.send(data, dest=0, tag=2)
+
+    return main
+
+
+def cold_pingpong(nbytes: int, repeats: int = 1):
+    """A 2-rank ``main``: *repeats* round trips with **no** warm-up, so
+    the first exchange's one-time costs are part of what is observed —
+    what the chaos sweep, the kernel-perf chaos workload and
+    ``repro phases`` run.  Returns each rank's finish time."""
+
+    def main(comm):
+        payload = bytes(nbytes)
+        for _ in range(repeats):
+            if comm.rank == 0:
+                yield from comm.send(payload, dest=1, tag=1)
+                yield from comm.recv(source=1, tag=2)
+            else:
+                data, _ = yield from comm.recv(source=0, tag=1)
+                yield from comm.send(data, dest=0, tag=2)
+        return comm.wtime()
 
     return main
 

@@ -129,6 +129,7 @@ def _nbody(quick: bool) -> int:
 
 
 def _chaos(quick: bool) -> int:
+    from repro.bench.harness import cold_pingpong
     from repro.faults import FaultPlan, PacketLoss
     from repro.mpi import World
     from repro.net.kernel import ETH_KERNEL
@@ -140,20 +141,7 @@ def _chaos(quick: bool) -> int:
         kernel_params=replace(ETH_KERNEL, rto=4000.0, rto_max=64000.0, max_retries=8),
         seed=1,
     )
-    rounds = 10 if quick else 40
-
-    def main(comm):
-        payload = bytes(256)
-        for _ in range(rounds):
-            if comm.rank == 0:
-                yield from comm.send(payload, dest=1, tag=1)
-                yield from comm.recv(source=1, tag=2)
-            else:
-                d, _ = yield from comm.recv(source=0, tag=1)
-                yield from comm.send(d, dest=0, tag=2)
-        return comm.wtime()
-
-    world.run(main)
+    world.run(cold_pingpong(256, 10 if quick else 40))
     return world.sim._seq
 
 
@@ -290,37 +278,32 @@ def run_suite(quick: bool = False, repeats: int = 3,
               workers: Optional[int] = None) -> Dict:
     """Run every workload; returns {workload: record} plus metadata.
 
-    ``workers`` > 1 distributes the workloads over the parallel engine
-    (``repro.parallel``) — each workload still runs single-process and
-    best-of-*repeats*, shards just overlap different workloads.  The
-    event counts are deterministic either way; only the wall-clock
-    numbers feel core contention, which is what the
+    The workloads are one engine batch: ``workers`` > 1 overlaps them
+    over a pool, otherwise they run in-process — each workload still
+    runs single-process and best-of-*repeats*, shards just overlap
+    different workloads.  The event counts are deterministic either way;
+    only the wall-clock numbers feel core contention, which is what the
     ``REPRO_BENCH_FLOOR_SLACK`` tolerance is for.  Per-shard timing is
     reported under ``"shards"`` so the speedup is tracked in the BENCH
     trajectory.
     """
-    suite: Dict = {
+    from repro.parallel import Plan, evaluate
+
+    names = list(WORKLOADS)
+    # wall-clock measurements must never be served from the cache
+    cells = [
+        {"kind": "kernel_workload", "name": name, "quick": quick,
+         "repeats": repeats, "_nocache": True}
+        for name in names
+    ]
+    (workloads,), report = evaluate(
+        [Plan(cells, lambda records: dict(zip(names, records)))], workers=workers
+    )
+    return {
         "mode": "quick" if quick else "full",
         "repeats": repeats,
-        "workers": max(1, int(workers or 1)),
+        "workers": report.workers,
+        "workloads": workloads,
+        "shards": [s.to_dict() for s in report.shards],
+        "parallel_wall_s": round(report.wall_s, 6),
     }
-    names = list(WORKLOADS)
-    if workers is not None and workers > 1:
-        from repro.parallel import run_cells
-
-        # wall-clock measurements must never be served from the cache
-        cells = [
-            {"kind": "kernel_workload", "name": name, "quick": quick,
-             "repeats": repeats, "_nocache": True}
-            for name in names
-        ]
-        report = run_cells(cells, workers=workers, cache=False)
-        suite["workloads"] = dict(zip(names, report.results))
-        suite["shards"] = [s.to_dict() for s in report.shards]
-        suite["parallel_wall_s"] = round(report.wall_s, 6)
-    else:
-        suite["workloads"] = {
-            name: run_workload(name, quick=quick, repeats=repeats)
-            for name in names
-        }
-    return suite

@@ -39,10 +39,13 @@ Commands
 run's structured event trace — ``chrome`` loads in ``chrome://tracing``
 or Perfetto.
 
-``fuzz``, ``chaos`` and ``sweep`` accept ``--workers N`` to shard
-their independent cells over N worker processes (merged output is
-byte-identical to the serial run; engine statistics go to stderr) and
-``--no-cache`` to bypass the result cache.  See ``docs/PERF.md``.
+``fuzz``, ``chaos`` and ``sweep`` each build their independent cells
+and run them as one engine batch (``repro.parallel.evaluate``):
+in-process by default, sharded over N worker processes with
+``--workers N`` — stdout does not depend on it; engine statistics go to
+stderr.  An integer ``--workers`` also turns the result cache on
+(``sweep`` caches either way); ``--no-cache`` bypasses it.  See
+``docs/PERF.md``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from typing import List, Optional
 from repro.bench import figures, harness
 from repro.bench.ascii_chart import ascii_chart
 from repro.bench.tables import format_series, format_table
+from repro.parallel import evaluate
 from repro.platforms import PLATFORM_DEVICES
 
 __all__ = ["main", "build_parser"]
@@ -84,6 +88,12 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
                    help="shard independent cells over N worker processes")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed result cache")
+
+
+def _use_cache(args) -> bool:
+    """``fuzz``/``chaos``: an integer ``--workers`` turns the result cache
+    on (unless ``--no-cache``); without ``--workers`` a run is cache-free."""
+    return args.workers is not None and not args.no_cache
 
 
 def _make_bus(args):
@@ -216,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--corpus", default=None, choices=["ci"],
                     help="run the pinned seed corpus instead of --seed(s)")
     fz.add_argument("--budget", default=None, metavar="DURATION",
-                    help="wall-clock budget, e.g. 60s or 5m (corpus mode)")
+                    help="wall-clock budget, e.g. 60s or 5m; programs it "
+                         "cuts short are reported as not run")
     fz.add_argument("--artifacts", default=None, metavar="DIR",
                     help="write shrunk repro scripts for failures to DIR")
     fz.add_argument("--dump-trace", action="store_true",
@@ -335,18 +346,13 @@ def cmd_sweep(args, out) -> int:
         return 2
     # the cells of every requested figure in one engine batch: one cache
     # scan, one pool, one merge (a pool per figure can never pay)
-    results, report = figures.evaluate(
+    results, report = evaluate(
         [FIGURES[name][0].plan() for name in names],
         workers=args.workers, cache=not args.no_cache,
     )
     for name, result in zip(names, results):
         _print_figure(name, result, args.chart, out)
-    print(
-        f"sweep: {len(names)} figure(s), workers={report.workers}, "
-        f"cells={len(report.results)} (cached={report.cached} "
-        f"executed={report.executed}), wall={report.wall_s:.2f}s",
-        file=sys.stderr,
-    )
+    print(report.stats_line(), file=sys.stderr)
     return 0
 
 
@@ -361,56 +367,35 @@ def cmd_app(args, out) -> int:
     bus = _make_bus(args)
     if bus is not None:
         bus.set_run(f"app/{args.name}/{args.platform}/{device}")
+    n = args.size or {"linsolve": 64, "nbody": args.nprocs * 8}.get(args.name, 32)
 
-    if args.name == "linsolve":
-        n = args.size or 64
-
-        def main(comm):
-            x, elapsed = yield from apps.linsolve(comm, n=n, seed=1, flop_time=flop_time)
-            return x, elapsed
-
-        results = World(args.nprocs, platform=args.platform, device=device, obs=bus).run(main)
+    def linsolve_ok(x):
         a, b = apps.generate_system(n, seed=1)
-        ok = np.allclose(a @ results[0][0], b, atol=1e-8)
-    elif args.name == "matmul":
-        n = args.size or 32
+        return np.allclose(a @ x, b, atol=1e-8)
 
-        def main(comm):
-            c, elapsed = yield from apps.matmul(comm, n=n, seed=1, flop_time=flop_time)
-            return c, elapsed
-
-        results = World(args.nprocs, platform=args.platform, device=device, obs=bus).run(main)
+    def matmul_ok(c):
         rng = np.random.default_rng(1)
-        ok = np.allclose(results[0][0], rng.standard_normal((n, n)) @ rng.standard_normal((n, n)))
-    elif args.name == "nbody":
-        n = args.size or (args.nprocs * 8)
+        return np.allclose(c, rng.standard_normal((n, n)) @ rng.standard_normal((n, n)))
 
-        def main(comm):
-            f, elapsed = yield from apps.nbody_ring(
-                comm, nparticles=n, seed=1, flop_time=flop_time
-            )
-            return f, elapsed
+    # the app, its own arguments, and the check of rank 0's answer
+    # against a serial reference
+    app, kwargs, verified = {
+        "linsolve": (apps.linsolve, {"n": n, "seed": 1}, linsolve_ok),
+        "matmul": (apps.matmul, {"n": n, "seed": 1}, matmul_ok),
+        "nbody": (apps.nbody_ring, {"nparticles": n, "seed": 1}, lambda f: np.allclose(
+            f, apps.reference_forces(apps.generate_particles(n, seed=1)), atol=1e-9)),
+        "jacobi": (apps.jacobi_heat, {"nx": n, "ny": n, "iters": 10}, lambda g: np.allclose(
+            g, apps.reference_jacobi(apps.initial_grid(n, n), 10))),
+    }[args.name]
 
-        results = World(args.nprocs, platform=args.platform, device=device, obs=bus).run(main)
-        ok = np.allclose(
-            results[0][0],
-            apps.reference_forces(apps.generate_particles(n, seed=1)),
-            atol=1e-9,
-        )
-    else:  # jacobi
-        n = args.size or 32
+    def main(comm):
+        answer, elapsed = yield from app(comm, flop_time=flop_time, **kwargs)
+        return answer, elapsed
 
-        def main(comm):
-            g, elapsed = yield from apps.jacobi_heat(
-                comm, nx=n, ny=n, iters=10, flop_time=flop_time
-            )
-            return g, elapsed
-
-        results = World(args.nprocs, platform=args.platform, device=device, obs=bus).run(main)
-        ok = np.allclose(
-            results[0][0], apps.reference_jacobi(apps.initial_grid(n, n), 10)
-        )
-
+    results = World(
+        args.nprocs, platform=args.platform, device=device, obs=bus
+    ).run(main)
+    ok = verified(results[0][0])
     elapsed = max(r[1] for r in results)
     print(
         f"{args.name} on {args.platform}/{device} x{args.nprocs}: "
@@ -435,7 +420,7 @@ def cmd_chaos(args, out) -> int:
         seed=args.seed,
         obs=bus,
         workers=args.workers,
-        use_cache=args.workers is not None and not args.no_cache,
+        cache=_use_cache(args),
     )
     print(format_chaos(rows), file=out)
     _write_trace(bus, args, out)
@@ -490,23 +475,11 @@ def cmd_phases(args, out) -> int:
     # ledger scans only that run's slice
     bus = _make_bus(args) or EventBus()
 
-    def exchange(nbytes):
-        def main(comm):
-            payload = bytes(nbytes)
-            if comm.rank == 0:
-                yield from comm.send(payload, dest=1, tag=1)
-                yield from comm.recv(source=1, tag=2)
-            else:
-                data, _ = yield from comm.recv(source=0, tag=1)
-                yield from comm.send(data, dest=0, tag=2)
-            return comm.wtime()
-
-        return main
-
     for nbytes in sizes:
         bus.set_run(f"phases/{args.platform}/{device}/{nbytes}B")
         start = len(bus.events)
-        World(2, platform=args.platform, device=device, obs=bus).run(exchange(nbytes))
+        World(2, platform=args.platform, device=device, obs=bus).run(
+            harness.cold_pingpong(nbytes))
         run_bus = EventBus()
         run_bus.events = bus.events[start:]
         ledger = PhaseLedger.from_bus(run_bus)
@@ -567,67 +540,37 @@ def cmd_perf(args, out) -> int:
 
 def cmd_fuzz(args, out) -> int:
     from repro.conformance.corpus import run_corpus
-    from repro.conformance.executor import check_programs, differential
-    from repro.conformance.grammar import generate
-    from repro.conformance.shrink import shrink, write_artifacts
 
-    if args.corpus is not None:
-        summary = run_corpus(
-            budget_s=_parse_budget(args.budget),
-            artifacts_dir=args.artifacts,
-            out=out,
-            workers=args.workers,
-            use_cache=not args.no_cache,
-        )
-        engine = summary.get("engine")
-        if engine is not None:
-            shards = " ".join(
-                f"shard{s['shard']}:{s['cells']}c/{s['wall_s']:.2f}s"
-                for s in engine["shards"]
-            )
-            print(
-                f"parallel: workers={engine['workers']} "
-                f"cached={engine['cached']} executed={engine['executed']}"
-                + (f" skipped={engine['skipped']}" if engine["skipped"] else "")
-                + (f" [{shards}]" if shards else ""),
-                file=sys.stderr,
-            )
-        return 1 if summary["failures"] else 0
-
-    if args.seed is None and args.seeds is None:
+    corpus = args.corpus is not None
+    if not corpus and args.seed is None and args.seeds is None:
         print("fuzz: one of --seed, --seeds or --corpus is required", file=out)
         return 2
     seeds = [args.seed] if args.seed is not None else []
     if args.seeds:
         seeds += [int(s) for s in args.seeds.split(",") if s.strip()]
 
-    # every program first, then all their cells in one engine batch
-    programs = [generate(seed, nprocs=args.nprocs, profile=args.profile)
-                for seed in seeds]
-    verdicts, report = check_programs(
-        programs, workers=args.workers,
-        use_cache=args.workers is not None and not args.no_cache,
+    # one runner for both modes; it prints the corpus format itself
+    summary = run_corpus(
+        None if corpus else [(seed, args.profile) for seed in seeds],
+        nprocs=args.nprocs,
+        budget_s=_parse_budget(args.budget),
+        artifacts_dir=args.artifacts,
+        out=out if corpus else None,
+        workers=args.workers,
+        cache=_use_cache(args),
     )
-    failed = 0
-    for seed, program, (result, fault_result) in zip(seeds, programs, verdicts):
-        print(result.summary(), file=out)
-        ok = result.ok
-        if ok and fault_result is not None:
-            print(fault_result.summary() + " [fault-composed]", file=out)
-            ok = fault_result.ok
-        if args.dump_trace and result.reference is not None:
-            print(result.canons[result.reference], file=out)
-        if ok:
-            continue
-        failed += 1
-        if args.artifacts is not None:
-            small = shrink(program, lambda p: not differential(p).ok)
-            for path in write_artifacts(small, args.artifacts,
-                                        label=f"repro_seed{seed}"):
-                print(f"shrunk repro: {path}", file=out)
+    if not corpus:
+        for result, fault_result in filter(None, summary["verdicts"]):
+            print(result.summary(), file=out)
+            if result.ok and fault_result is not None:
+                print(fault_result.summary() + " [fault-composed]", file=out)
+            if args.dump_trace and result.reference is not None:
+                print(result.canons[result.reference], file=out)
+        for path in summary["artifacts"]:
+            print(f"shrunk repro: {path}", file=out)
     if args.workers is not None:
-        print(report.stats_line(), file=sys.stderr)
-    return 1 if failed else 0
+        print(summary["report"].stats_line(), file=sys.stderr)
+    return 1 if summary["failures"] else 0
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

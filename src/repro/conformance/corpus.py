@@ -7,13 +7,13 @@ fails, the shrunk repro artifacts say exactly why.  Policy: seeds are
 append-only; a failing seed is a bug to fix, never a seed to delete
 (see ``docs/TESTING.md``).
 
-``run_corpus(workers=N)`` fans the entries out over the parallel
-experiment engine (``repro.parallel``): each entry is an independent
-deterministic cell, results are merged in corpus order, and the printed
-lines, summary, reference traces, and shrunk artifacts are
-byte-identical to the serial run.  With the content-addressed result
-cache enabled (the default on the engine path), a warm re-run of an
-unchanged tree skips every entry.
+``run_corpus`` is the one fuzz runner (``repro fuzz --corpus`` and
+``--seed(s)`` both call it): generate the programs, judge them all from
+one engine batch (``check_programs`` — the same per-run
+``conformance_cell``s whatever ``workers`` is; None runs them
+in-process), then print and shrink from the verdicts.  Lines, summary,
+reference traces and shrunk artifacts do not depend on ``workers``; with
+a cache, a warm re-run of an unchanged tree simulates nothing.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.conformance.executor import check_faulty, differential
+from repro.conformance.executor import check_faulty, check_programs, differential
 from repro.conformance.grammar import generate
 from repro.conformance.shrink import shrink, write_artifacts
 
 __all__ = ["CI_CORPUS", "run_corpus"]
 
-#: the pinned CI corpus: (seed, profile) — 45 programs mixing
+#: the pinned CI corpus: (seed, profile) — 47 programs mixing
 #: point-to-point, collectives, forced collective algorithms,
 #: fault-composed, and ULFM-recovery runs
 CI_CORPUS: List[Tuple[int, str]] = [
@@ -52,12 +52,17 @@ CI_CORPUS: List[Tuple[int, str]] = [
     # CXL zero-copy handoff paths
     (91, "pt2pt"), (92, "collective"), (93, "mixed"), (94, "fault"),
     (95, "ft"), (96, "algos"),
+    # appended with the MPICH tport-probe fix: an arrival lands while the
+    # Elan scans the unexpected queue for a probe — both seeds crashed
+    # the meiko-mpich cell ("deque mutated during iteration") before it
+    (4016, "pt2pt"), (3033, "fault"),
 ]
 
 
 def _shrink_failure(program, matrix, failed_fault: bool, shrink_budget: int):
-    """The parent-side shrink predicate — identical for the serial and
-    parallel paths, so both produce the same artifacts."""
+    """Minimise *program* under the verdict it failed: the fault-composed
+    one (``differential`` passes for every such candidate) or the
+    differential."""
 
     def still_fails(candidate):
         if failed_fault:
@@ -69,115 +74,62 @@ def _shrink_failure(program, matrix, failed_fault: bool, shrink_budget: int):
 
 def run_corpus(
     entries: Optional[Sequence[Tuple[int, str]]] = None,
+    nprocs: Optional[int] = None,
     budget_s: Optional[float] = None,
     artifacts_dir: Optional[str] = None,
     out=None,
     matrix=None,
     shrink_budget: int = 120,
     workers: Optional[int] = None,
-    use_cache: bool = True,
-    cache_root: Optional[str] = None,
+    cache=False,
 ) -> dict:
     """Run the corpus; return a summary dict.
 
     Stops early (and says so) when ``budget_s`` wall-clock seconds run
     out — a budgeted run that found no failure reports how much of the
-    corpus it actually covered rather than claiming full coverage.
+    corpus it actually covered rather than claiming full coverage; a
+    program any of whose runs the budget skipped counts as not run.
     Failures are shrunk and written to ``artifacts_dir`` when given.
 
-    ``workers=None`` (the default) is the plain serial loop.  Any
-    integer — including 1 — routes through the parallel engine instead,
-    with the content-addressed result cache enabled unless
-    ``use_cache=False``.  The engine path's printed lines, summary,
-    traces, and artifacts are byte-identical to the serial path; the
-    summary additionally carries engine statistics.
+    ``workers`` and ``cache`` are :func:`repro.parallel.evaluate`'s: the
+    same cells run in-process (None) or over a pool, cache-free unless
+    the caller says otherwise.  Beside the counts the summary carries the
+    ``verdicts`` (``judge`` pair per entry, None if not run) and the
+    engine's ``report``.
     """
     entries = CI_CORPUS if entries is None else list(entries)
     started = time.monotonic()
-    if workers is not None:
-        return _run_corpus_engine(
-            entries, started, budget_s, artifacts_dir, out, matrix,
-            shrink_budget, workers, use_cache, cache_root,
-        )
+    programs = [generate(seed, nprocs=nprocs, profile=profile)
+                for seed, profile in entries]
+    verdicts, report = check_programs(
+        programs, matrix=matrix, workers=workers, cache=cache, budget_s=budget_s
+    )
     ran, failures, artifacts = 0, [], []
     canons = {}
-    for seed, profile in entries:
-        if budget_s is not None and time.monotonic() - started > budget_s:
-            break
-        program = generate(seed, profile=profile)
-        result = differential(program, matrix=matrix)
-        fault_result = None
-        if result.ok and program.fault is not None:
-            fault_result = check_faulty(program, clean=result.canons)
+    for (seed, profile), program, verdict in zip(entries, programs, verdicts):
+        if verdict is None:
+            continue
+        result, fault_result = verdict
         ran += 1
         if result.reference is not None:
             canons[f"{profile}-{seed}"] = result.canons[result.reference]
-        failed = not result.ok or (fault_result is not None and not fault_result.ok)
-        line = result.summary() if not (fault_result and not fault_result.ok) \
-            else fault_result.summary() + " [fault-composed]"
+        # the lossy runs count only once the differential has passed
+        failed_fault = (
+            result.ok and fault_result is not None and not fault_result.ok
+        )
+        line = result.summary()
+        if failed_fault:
+            line = fault_result.summary() + " [fault-composed]"
         if out is not None:
             print(f"[{ran}/{len(entries)}] {profile}: {line}", file=out)
-        if not failed:
+        if result.ok and not failed_fault:
             continue
         failures.append((seed, profile, line))
         if artifacts_dir is not None:
-            failed_fault = fault_result is not None and not fault_result.ok
             small = _shrink_failure(program, matrix, failed_fault, shrink_budget)
             artifacts += write_artifacts(
                 small, artifacts_dir, label=f"repro_{profile}_seed{seed}"
             )
-    return _summarize(entries, started, ran, failures, artifacts, canons, out)
-
-
-def _run_corpus_engine(
-    entries, started, budget_s, artifacts_dir, out, matrix,
-    shrink_budget, workers, use_cache, cache_root,
-):
-    from repro.parallel import ResultCache, run_cells
-    from repro.parallel.engine import SKIPPED
-
-    cache = ResultCache(cache_root) if use_cache else False
-    cells = [
-        {"kind": "fuzz_entry", "seed": seed, "profile": profile,
-         "matrix": None if matrix is None else [list(p) for p in matrix]}
-        for seed, profile in entries
-    ]
-    report = run_cells(cells, workers=workers, cache=cache, budget_s=budget_s)
-    ran, failures, artifacts = 0, [], []
-    canons = {}
-    for (seed, profile), res in zip(entries, report.results):
-        if res is SKIPPED:
-            continue
-        ran += 1
-        if res["canon"] is not None:
-            canons[f"{profile}-{seed}"] = res["canon"]
-        failed_fault = res["fault_checked"] and not res["fault_ok"]
-        failed = not res["ok"] or failed_fault
-        line = res["summary"] if not failed_fault \
-            else res["fault_summary"] + " [fault-composed]"
-        if out is not None:
-            print(f"[{ran}/{len(entries)}] {profile}: {line}", file=out)
-        if not failed:
-            continue
-        failures.append((seed, profile, line))
-        if artifacts_dir is not None:
-            program = generate(seed, profile=profile)
-            small = _shrink_failure(program, matrix, failed_fault, shrink_budget)
-            artifacts += write_artifacts(
-                small, artifacts_dir, label=f"repro_{profile}_seed{seed}"
-            )
-    summary = _summarize(entries, started, ran, failures, artifacts, canons, out)
-    summary["engine"] = {
-        "workers": report.workers,
-        "cached": report.cached,
-        "executed": report.executed,
-        "skipped": report.skipped,
-        "shards": [s.to_dict() for s in report.shards],
-    }
-    return summary
-
-
-def _summarize(entries, started, ran, failures, artifacts, canons, out) -> dict:
     summary = {
         "total": len(entries),
         "ran": ran,
@@ -185,6 +137,8 @@ def _summarize(entries, started, ran, failures, artifacts, canons, out) -> dict:
         "failures": failures,
         "artifacts": artifacts,
         "canons": canons,
+        "verdicts": verdicts,
+        "report": report,
         "elapsed_s": round(time.monotonic() - started, 2),
         "truncated": ran < len(entries),
     }

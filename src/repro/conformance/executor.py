@@ -33,6 +33,7 @@ from repro.conformance.grammar import (
 from repro.errors import ConfigurationError
 from repro.mpi import World
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.parallel import SKIPPED, Plan, evaluate
 
 __all__ = [
     "run_program",
@@ -459,8 +460,8 @@ class DifferentialResult:
 # style-stripped twin, ``"fault:platform-device"`` for a lossy run and
 # ``"clean:platform-device"`` for the fault-free run it is compared with
 # when the matrix did not run that cell.  ``cells`` says which runs,
-# ``judge`` says what their results mean; serial callers, the engine and
-# the mutation tests differ only in how the cells get executed in between.
+# ``judge`` says what their results mean; every caller but the mutation
+# tests (in-process world hooks) has the engine execute them in between.
 STYLED = "styled-reference"
 
 
@@ -607,29 +608,34 @@ def judge(
     )
 
 
-def _execute(plans: Sequence[Dict[str, dict]], workers, use_cache):
-    """One engine batch for the cells of every plan.  Returns
-    ``([{run key: result} per plan], RunReport)``."""
-    from repro.parallel import run_batches
+def _plan(program: Program, runs: Dict[str, dict], have: Optional[dict] = None):
+    """The engine plan of some of *program*'s runs: their cells, and a
+    finish that judges the results (beside those already in *have*).
+    A run the wall-clock budget skipped leaves the program unjudged
+    (None) — never judged on a partial result."""
+    def finish(values):
+        if any(value is SKIPPED for value in values):
+            return None
+        return judge(program, {**(have or {}), **dict(zip(runs, values))})
 
-    values, report = run_batches(
-        [plan.values() for plan in plans], workers=workers, cache=use_cache
-    )
-    return [dict(zip(plan, vals)) for plan, vals in zip(plans, values)], report
+    return Plan(list(runs.values()), finish)
 
 
 def check_programs(
     programs: Sequence[Program],
     matrix: Optional[Sequence[Tuple[str, str]]] = None,
     workers: Optional[int] = None,
-    use_cache: bool = False,
+    cache=False,
+    budget_s: Optional[float] = None,
 ):
     """Judge every program from **one** engine batch (see :func:`cells`).
-    Returns ``([judge(...) pair per program], RunReport)``."""
-    results, report = _execute(
-        [cells(program, matrix) for program in programs], workers, use_cache
+    Returns ``([judge(...) pair per program], RunReport)``; the pair is
+    None for a program the ``budget_s`` wall-clock budget cut short.
+    ``workers``/``cache`` are :func:`repro.parallel.evaluate`'s."""
+    return evaluate(
+        [_plan(program, cells(program, matrix)) for program in programs],
+        workers=workers, cache=cache, budget_s=budget_s,
     )
-    return [judge(p, res) for p, res in zip(programs, results)], report
 
 
 def differential(
@@ -646,15 +652,14 @@ def differential(
     caught; they are in-process callables, so such a run executes the
     same cells without the engine.
     """
-    plan = _differential_cells(program.to_dict(), matrix)
+    runs = _differential_cells(program.to_dict(), matrix)
     if mutators:
-        results = {
+        return judge(program, {
             key: run_conformance_cell(cell, mutators.get(key))
-            for key, cell in plan.items()
-        }
-    else:
-        (results,), _ = _execute([plan], None, False)
-    return judge(program, results)[0]
+            for key, cell in runs.items()
+        })[0]
+    (verdict,), _ = evaluate([_plan(program, runs)])
+    return verdict[0]
 
 
 def check_faulty(
@@ -669,7 +674,7 @@ def check_faulty(
     (``differential(program).canons``); a cluster cell it lacks — a
     restricted matrix, or no differential at all — is simulated here.
     """
-    results = {key: {"canon": canon} for key, canon in (clean or {}).items()}
-    plan = _fault_cells(program.to_dict(), have=results)
-    (more,), _ = _execute([plan], None, False)
-    return judge(program, {**results, **more})[1]
+    have = {key: {"canon": canon} for key, canon in (clean or {}).items()}
+    runs = _fault_cells(program.to_dict(), have=have)
+    (verdict,), _ = evaluate([_plan(program, runs, have)])
+    return verdict[1]

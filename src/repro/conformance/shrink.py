@@ -153,17 +153,23 @@ def repro_script(program: Program) -> str:
 
 Run with:  PYTHONPATH=src python <this file>
 """
+import json
+
 from repro.conformance.executor import check_faulty, differential
 from repro.conformance.grammar import Program
 
-PROGRAM = Program.from_dict({blob})
+PROGRAM = Program.from_dict(json.loads(r"""
+{blob}
+"""))
 
 result = differential(PROGRAM)
 print(result.summary())
+ok = result.ok
 if PROGRAM.fault is not None:
     fault_result = check_faulty(PROGRAM)
     print("fault-composed:", fault_result.summary())
-raise SystemExit(0 if result.ok else 1)
+    ok = ok and fault_result.ok
+raise SystemExit(0 if ok else 1)
 '''
 
 

@@ -382,7 +382,12 @@ class MpichEndpoint(Endpoint):
             p = node.params
 
             def gen():
-                for arrival in port.unexpected:
+                # scan the entries queued now, holding no deque iterator
+                # across the match charge: the receive context appends
+                # arrivals meanwhile (the next poll's), and nothing can
+                # leave — receives are posted through the command queue,
+                # which this scan occupies
+                for arrival in tuple(port.unexpected):
                     yield from node.elan.execute(p.elan_match)
                     src_ok = sender == ANY_SENDER or sender == arrival.src
                     if src_ok and (arrival.tag & mask) == (word & mask):

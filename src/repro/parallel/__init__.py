@@ -17,8 +17,10 @@ from repro.parallel.cache import ResultCache, cell_key, code_digest
 from repro.parallel.engine import (
     SKIPPED,
     CellError,
+    Plan,
     RunReport,
     ShardReport,
+    evaluate,
     plan_shards,
     run_batches,
     run_cells,
@@ -36,6 +38,8 @@ __all__ = [
     "plan_shards",
     "run_cells",
     "run_batches",
+    "Plan",
+    "evaluate",
     "TASKS",
     "run_cell",
     "task",

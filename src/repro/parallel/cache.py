@@ -24,7 +24,6 @@ streams for trace export) are marked uncacheable by the engine.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from datetime import datetime, timezone
@@ -49,6 +48,8 @@ def code_digest() -> str:
     global _code_digest_cache
     if _code_digest_cache is not None:
         return _code_digest_cache
+    import hashlib  # here: a cache-free command never pays for OpenSSL
+
     import repro
 
     root = Path(repro.__file__).resolve().parent
@@ -64,6 +65,8 @@ def code_digest() -> str:
 
 def cell_key(kind: str, cell: Any, code: Optional[str] = None) -> str:
     """Content address of one cell: code digest + kind + canonical spec."""
+    import hashlib
+
     material = json.dumps(
         {"code": code if code is not None else code_digest(),
          "kind": kind, "cell": cell},

@@ -11,8 +11,8 @@ over a ``multiprocessing`` pool and reassembles results in canonical
   depend on the shard that ran them; static partitioning makes the
   per-shard accounting reproducible too.
 * **Canonical merge.**  ``RunReport.results[i]`` is cell ``i``'s result
-  whatever shard produced it, so a parallel run is byte-identical to
-  the serial run (the determinism goldens are the oracle — see
+  whatever shard produced it, so a pool run is byte-identical to the
+  in-process run (the determinism goldens are the oracle — see
   ``tests/parallel/``).
 * **Content-addressed caching.**  Unless a cell opts out
   (``"_nocache"``) or the caller disables it, results are stored in the
@@ -28,10 +28,9 @@ in the parent as :class:`CellError` naming the cell.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.tasks import cacheable_spec, run_cell
@@ -45,6 +44,8 @@ __all__ = [
     "retry_backoff_s",
     "run_cells",
     "run_batches",
+    "Plan",
+    "evaluate",
 ]
 
 
@@ -176,6 +177,8 @@ def _run_shard(spec):
 
 
 def _pool_context():
+    import multiprocessing  # here: an in-process batch never pays for it
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -261,12 +264,41 @@ def run_batches(
     """Several cell lists as **one** :func:`run_cells` — one cache scan,
     one pool, one merge — with the results sliced back per list.
 
-    What a command with many independent parts (the figures of a sweep,
-    the seeds of a fuzz run) calls instead of ``run_cells`` per part: a
-    part is tens of milliseconds of simulation, less than a forked
+    Why a command with many independent parts (the figures of a sweep,
+    the seeds of a fuzz run) is one batch, not a ``run_cells`` per part:
+    a part is tens of milliseconds of simulation, less than a forked
     worker's copy-on-write faults cost, so a pool per part can never pay
     (docs/PERF.md).  Keyword arguments are ``run_cells``'s.
     """
     report = run_cells([cell for batch in batches for cell in batch], **kwargs)
     values = iter(report.results)
     return [[next(values) for _ in batch] for batch in batches], report
+
+
+class Plan(NamedTuple):
+    """One unit of a command, unevaluated — a figure, a fuzz program, a
+    sweep: which cells, and what their values mean."""
+
+    cells: List[dict]
+    finish: Callable[[List], Any]   #: pure: the cells' values, in order -> result
+
+
+def evaluate(
+    plans: Sequence[Plan],
+    workers: Optional[int] = None,
+    cache: Union[ResultCache, bool, None] = False,
+    budget_s: Optional[float] = None,
+) -> Tuple[List[Any], RunReport]:
+    """Run the cells of every plan as one :func:`run_batches` and finish
+    each plan on its slice: ``([result per plan], RunReport)``.
+
+    The one execution path of every ``--workers``-capable command:
+    ``workers=None`` runs the same cells in-process with no pool, and
+    the caller decides the cache.  With ``budget_s`` a slice may hold
+    :data:`SKIPPED`; only a ``finish`` given a budget has to expect it.
+    """
+    values, report = run_batches(
+        [plan.cells for plan in plans],
+        workers=workers, cache=cache, budget_s=budget_s,
+    )
+    return [plan.finish(vals) for plan, vals in zip(plans, values)], report

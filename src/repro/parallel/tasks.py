@@ -139,23 +139,26 @@ def _app_time(cell):
 
 
 # ------------------------------------------------------------ chaos scenarios
+def _traced(cell, run):
+    """``run(obs)``'s row — with a fresh bus, and its live events riding
+    along, when the cell asks for a trace (``_trace``)."""
+    if not cell.get("_trace"):
+        return {"row": run(None)}
+    from repro.obs import EventBus
+
+    bus = EventBus()
+    return {"row": run(bus), "events": bus.events}
+
+
 @task("chaos_cell")
 def _chaos_cell(cell):
     from repro.bench.chaos import chaos_cell
 
-    bus = None
-    if cell.get("_trace"):
-        from repro.obs import EventBus
-
-        bus = EventBus()
-    row = chaos_cell(
+    return _traced(cell, lambda obs: chaos_cell(
         cell["platform"], cell["loss"], workload=cell["workload"],
         nprocs=cell["nprocs"], nbytes=cell["nbytes"],
-        repeats=cell["repeats"], seed=cell["seed"], obs=bus,
-    )
-    if bus is None:
-        return {"row": row}
-    return {"row": row, "events": bus.events}
+        repeats=cell["repeats"], seed=cell["seed"], obs=obs,
+    ))
 
 
 @task("soak_cell")
@@ -167,20 +170,12 @@ def _soak_cell(cell):
     """
     from repro.bench.chaos import soak_cell
 
-    bus = None
-    if cell.get("_trace"):
-        from repro.obs import EventBus
-
-        bus = EventBus()
-    row = soak_cell(
+    return _traced(cell, lambda obs: soak_cell(
         cell["platform"], cell["device"], nprocs=cell["nprocs"],
         victim=cell["victim"], crash_at=cell["crash_at"], n=cell["n"],
         iters=cell["iters"], checkpoint_every=cell["checkpoint_every"],
-        seed=cell["seed"], obs=bus,
-    )
-    if bus is None:
-        return {"row": row}
-    return {"row": row, "events": bus.events}
+        seed=cell["seed"], obs=obs,
+    ))
 
 
 # ----------------------------------------------------- conformance/fuzz cells
@@ -189,41 +184,6 @@ def _conformance_cell(cell):
     from repro.conformance.executor import run_conformance_cell
 
     return run_conformance_cell(cell)
-
-
-@task("fuzz_entry")
-def _fuzz_entry(cell):
-    """One corpus entry: differential (+ fault-composed) for one seed.
-
-    Returns exactly what the serial corpus loop needs to print the same
-    line and the parent needs to decide on shrinking — plus the
-    reference canonical trace, the merged "semantic trace" artifact.
-    """
-    from repro.conformance.executor import check_faulty, differential
-    from repro.conformance.grammar import generate
-
-    matrix = cell.get("matrix")
-    if matrix is not None:
-        matrix = [tuple(pair) for pair in matrix]
-    program = generate(cell["seed"], nprocs=cell.get("nprocs"),
-                       profile=cell["profile"])
-    result = differential(program, matrix=matrix)
-    out = {
-        "summary": result.summary(),
-        "ok": result.ok,
-        "canon": None if result.reference is None
-        else result.canons[result.reference],
-        "fault_checked": False,
-        "fault_summary": None,
-        "fault_ok": True,
-        "has_fault": program.fault is not None,
-    }
-    if result.ok and program.fault is not None:
-        fault_result = check_faulty(program, clean=result.canons)
-        out["fault_checked"] = True
-        out["fault_summary"] = fault_result.summary()
-        out["fault_ok"] = fault_result.ok
-    return out
 
 
 # ------------------------------------------------------- kernel perf workload

@@ -14,6 +14,7 @@ import pytest
 from repro.conformance.corpus import CI_CORPUS, run_corpus
 from repro.conformance.executor import (
     FAULT_PLATFORMS,
+    DifferentialResult,
     canonical_trace,
     check_faulty,
     differential,
@@ -210,6 +211,57 @@ def test_repro_script_replays(tmp_path):
     program = generate(2)
     script = repro_script(program)
     assert "differential" in script and f"seed {program.seed}" in script
+    with pytest.raises(SystemExit) as excinfo:  # a passing program: exit 0
+        exec(compile(script, "repro_seed2.py", "exec"), {})
+    assert excinfo.value.code == 0
+
+
+def _fail_fault_composed(monkeypatch):
+    """Inject a fault-composed failure: the differential passes, the
+    lossy runs 'diverge' on every program that still carries a fault
+    spec and more than one round."""
+
+    def fake_check_faulty(program, clean=None):
+        return DifferentialResult(
+            program=program, ok=len(program.rounds) <= 1,
+            mismatched=["atm-tcp"],
+        )
+
+    def fake_judge(program, results):
+        return (DifferentialResult(program=program, ok=True, canons={"c": ""}),
+                fake_check_faulty(program))
+
+    monkeypatch.setattr("repro.conformance.executor.judge", fake_judge)
+    monkeypatch.setattr("repro.conformance.executor.check_faulty", fake_check_faulty)
+    monkeypatch.setattr("repro.conformance.corpus.check_faulty", fake_check_faulty)
+
+
+def test_repro_script_of_a_fault_composed_failure_exits_nonzero(monkeypatch):
+    _fail_fault_composed(monkeypatch)
+    program = generate(31, profile="fault")
+    assert program.fault is not None and len(program.rounds) > 1
+    with pytest.raises(SystemExit) as excinfo:
+        exec(compile(repro_script(program), "repro_seed31.py", "exec"), {})
+    assert excinfo.value.code == 1
+
+
+def test_cli_seed_shrinks_a_fault_composed_failure(tmp_path, monkeypatch):
+    """``fuzz --seed`` shrinks under the verdict that failed: with the
+    differential predicate every candidate 'passes' and the repro is the
+    unshrunk program."""
+    from repro.cli import main as cli_main
+
+    _fail_fault_composed(monkeypatch)
+    buf = io.StringIO()
+    rc = cli_main(["fuzz", "--seed", "31", "--profile", "fault",
+                   "--artifacts", str(tmp_path)], out=buf)
+    assert rc == 1 and "[fault-composed]" in buf.getvalue()
+    (json_path,) = tmp_path.glob("*.json")
+    assert f"shrunk repro: {json_path}" in buf.getvalue()
+    small = Program.from_dict(json.loads(json_path.read_text()))
+    assert small.fault is not None        # the failure needs the fault spec
+    assert len(small.rounds) == 2         # minimal: one more fails nothing
+    assert small.op_count() < generate(31, profile="fault").op_count()
 
 
 # ------------------------------------------------------- ULFM recovery (ft)
@@ -262,9 +314,14 @@ def test_run_corpus_smoke(tmp_path):
 
 
 def test_run_corpus_budget_truncates():
+    """The budget cuts at cell granularity, and a program with any run
+    skipped is not run — never judged on a partial result."""
     summary = run_corpus(budget_s=0.0)
     assert summary["truncated"]
-    assert summary["ran"] < summary["total"]
+    assert summary["ran"] == 0 and summary["total"] == len(CI_CORPUS)
+    assert summary["verdicts"] == [None] * len(CI_CORPUS)
+    assert summary["failures"] == [] and summary["canons"] == {}
+    assert summary["report"].skipped == len(summary["report"].results) > 0
 
 
 # ---------------------------------------------------------------------- CLI

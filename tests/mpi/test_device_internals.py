@@ -120,3 +120,48 @@ def test_envelope_exact_match_property(src, tag, context):
     assert not env.matches(src + 1, tag, context, any_source=-1, any_tag=-1)
     assert not env.matches(src, tag + 1, context, any_source=-1, any_tag=-1)
     assert not env.matches(src, tag, context + 1, any_source=-1, any_tag=-1)
+
+
+# ---------------------------------------------------------------------------
+# mpich probe: the Elan's queue scan races arrivals
+# ---------------------------------------------------------------------------
+
+
+def _probe_while_a_message_lands(send_at):
+    """Rank 0 holds four unexpected messages from rank 1 and probes for
+    the last (a scan of 4 x elan_match = 26 us from ~t=2000); rank 2's
+    message is sent at *send_at*.  Returns rank 0's observations."""
+    from repro.mpi import World
+
+    def main(comm):
+        sim = comm.endpoint.sim
+        if comm.rank == 1:
+            for tag in range(4):
+                yield from comm.send(bytes(8), dest=0, tag=tag)
+        elif comm.rank == 2:
+            yield sim.timeout(send_at)
+            yield from comm.send(bytes(16), dest=0, tag=9)
+        else:
+            yield sim.timeout(2000.0)
+            flag, status = yield from comm.iprobe(source=1, tag=3)
+            seen = (flag, status.source, status.tag, status.count_bytes)
+            elapsed = comm.wtime() - 2000.0
+            late = yield from comm.probe(source=2, tag=9)
+            for tag in range(4):
+                yield from comm.recv(source=1, tag=tag)
+            data, _ = yield from comm.recv(source=2, tag=9)
+            return seen, elapsed, late.count_bytes, len(data)
+
+    return World(3, platform="meiko", device="mpich").run(main)[0]
+
+
+def test_mpich_probe_survives_an_arrival_landing_mid_scan():
+    """An arrival appended to the tport's unexpected queue while the
+    probe's scan is charging a match step used to raise ``RuntimeError:
+    deque mutated during iteration`` (fuzz seeds 4016/pt2pt, 3033/fault).
+    Sweeping the third rank's send across the scan window must change
+    nothing the prober observes: same hit, same probe cost."""
+    quiet = _probe_while_a_message_lands(send_at=5000.0)
+    assert quiet[0] == (True, 1, 3, 8) and quiet[2:] == (16, 16)
+    for send_at in range(1950, 2050, 2):
+        assert _probe_while_a_message_lands(float(send_at)) == quiet, send_at

@@ -73,10 +73,26 @@ def test_soak_sweep_gate():
 
 
 def test_soak_sweep_parallel_matches_serial():
+    """One path: a pool only moves where the cells execute."""
     cells = [("meiko", "lowlatency"), ("atm", "udp")]
     serial = soak_sweep(cells=cells, repeat=1)
     par = soak_sweep(cells=cells, repeat=1, workers=2)
     assert par == serial
+
+
+def test_traced_soak_trace_is_byte_identical_across_workers(tmp_path):
+    from repro.obs import EventBus
+    from repro.obs.export import write_trace
+
+    cells = [("meiko", "lowlatency"), ("atm", "udp")]
+    for workers in (None, 2):
+        bus = EventBus()
+        rows = soak_sweep(cells=cells, repeat=2, obs=bus, workers=workers)
+        assert all(r["deterministic"] for r in rows)
+        write_trace(bus, str(tmp_path / f"soak-{workers}.json"))
+    in_process = (tmp_path / "soak-None.json").read_bytes()
+    assert len(in_process) > 1000
+    assert (tmp_path / "soak-2.json").read_bytes() == in_process
 
 
 def test_format_soak_renders_every_cell():

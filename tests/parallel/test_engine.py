@@ -166,13 +166,14 @@ def _traced_chaos_sweep(workers, trace_path):
     bus = EventBus()
     rows = chaos_sweep(
         platforms=["ethernet"], losses=(0.0, 0.05), workloads=("pingpong",),
-        repeats=2, obs=bus, workers=workers, use_cache=False,
+        repeats=2, obs=bus, workers=workers,
     )
     write_trace(bus, str(trace_path))
     return rows, len(bus.events)
 
 
 def test_traced_chaos_parallel_trace_is_byte_identical(tmp_path):
+    # workers=None is the same engine path run in-process, not a twin
     serial_rows, serial_events = _traced_chaos_sweep(None, tmp_path / "s.json")
     par_rows, par_events = _traced_chaos_sweep(2, tmp_path / "p.json")
     assert par_rows == serial_rows

@@ -1,14 +1,16 @@
-"""One engine batch per command: ``sweep`` and ``fuzz --seeds``.
+"""One engine batch per command: ``sweep``, ``fuzz`` and ``chaos``.
 
-``repro sweep`` submits the cells of every requested figure, and
-``repro fuzz --seeds`` submits the cells of *every* seed — matrix runs,
-the style-stripped reference run of a styled program, the lossy runs of
-a fault-carrying one — in a single ``run_cells``.  The contract: stdout
-is byte-identical to the serial command, one worker pool per command,
-and — every run being a cacheable cell — a warm re-run simulates
-nothing: zero cells executed, zero ``World`` objects built in the parent.
-These counts, not a timing assertion, are the guard against a pool per
-figure or per seed growing back.
+``repro sweep`` submits the cells of every requested figure,
+``repro fuzz`` (``--seeds`` and ``--corpus`` alike) the cells of *every*
+program — matrix runs, the style-stripped reference run of a styled
+program, the lossy runs of a fault-carrying one — and ``repro chaos``
+(loss sweep or ``--soak``) every scenario, each in a single
+``run_cells``, with or without ``--workers``.  The contract: stdout does
+not depend on ``--workers``, one worker pool per command, and — every
+fuzz run being a cacheable cell — a warm re-run simulates nothing: zero
+cells executed, zero ``World`` objects built in the parent.  These
+counts, not a timing assertion, are the guard against a pool per figure
+or per seed, or a second hand-written loop, growing back.
 """
 
 import io
@@ -89,8 +91,8 @@ def test_workers_match_serial_in_one_batch_then_warm_simulates_nothing(
 
 
 def test_workers_one_uses_the_cache_too(counters, capsys):
-    """Any integer --workers, including 1, routes through the engine
-    with the cache (the rule run_corpus and chaos_sweep document)."""
+    """Any integer --workers, including 1, turns the cache on (the
+    caller-side rule, ``cli._use_cache``)."""
     argv = ["fuzz", "--profile", "fault", "--seeds", "31", "--workers", "1"]
     _, cold_text, cold_err = _run(argv, capsys)
     assert "cached=0 executed=12" in cold_err
@@ -99,6 +101,35 @@ def test_workers_one_uses_the_cache_too(counters, capsys):
     assert warm_text == cold_text and counters["pools"] == 0
     _, _, nocache_err = _run(argv + ["--no-cache"], capsys)
     assert "cached=0 executed=12" in nocache_err
+
+
+@pytest.mark.parametrize("argv, ncells", [
+    (["fuzz", "--corpus", "ci"], None),
+    (["chaos", "--repeats", "2"], 2 * 2 * 4),
+    (["chaos", "--soak", "--cells", "meiko-lowlatency,atm-udp"], 2 * 2),
+], ids=["corpus", "chaos", "soak"])
+def test_corpus_chaos_and_soak_are_one_batch_each(argv, ncells, counters, capsys):
+    """In-process or over a pool, the command is one ``run_cells``."""
+    if ncells is None:
+        from repro.conformance.corpus import CI_CORPUS
+        from repro.conformance.executor import cells
+        from repro.conformance.grammar import generate
+
+        ncells = sum(len(cells(generate(seed, profile=profile)))
+                     for seed, profile in CI_CORPUS)
+    code, text, err = _run(argv, capsys)
+    assert code == 0
+    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["worlds"] == ncells and err == ""
+
+    counters.update(batches=[], worlds=0)
+    code, pool_text, err = _run(argv + ["--workers", "2", "--no-cache"], capsys)
+    assert code == 0
+    assert counters["batches"] == [ncells] and counters["pools"] == 1
+    assert counters["worlds"] == 0
+    if argv[0] == "fuzz":  # the corpus summary line carries wall seconds
+        text, pool_text = (t.rsplit(" in ", 1)[0] for t in (text, pool_text))
+    assert pool_text == text
 
 
 def test_multi_figure_sweep_is_one_batch(counters, capsys, tmp_path):

@@ -1,19 +1,18 @@
-"""Serial/parallel equivalence of the fuzz-corpus runner.
+"""Pool/in-process equivalence of the fuzz-corpus runner.
 
-The acceptance contract from the ISSUE: a 4-worker corpus run must
-produce byte-identical merged semantic traces (the per-entry printed
-lines and the reference canonical traces) and identical shrunk repro
-artifacts versus the serial run — plus, with a warm cache, a re-run of
-an unchanged tree must skip every entry.
+``run_corpus`` has one path — the programs' ``conformance_cell``s as one
+engine batch — and ``workers`` only says where the cells execute.  A
+4-worker run must produce byte-identical merged semantic traces (the
+per-entry printed lines and the reference canonical traces) and
+identical shrunk repro artifacts versus the in-process (``workers=None``)
+run — plus, with a warm cache, a re-run of an unchanged tree must
+simulate nothing.
 """
 
 import io
-from pathlib import Path
-
-import pytest
 
 from repro.conformance.corpus import run_corpus
-from repro.conformance.executor import DifferentialResult
+from repro.conformance.executor import DifferentialResult, cells
 from repro.conformance.grammar import generate
 from repro.parallel import ResultCache
 
@@ -31,12 +30,16 @@ def _lines(buf):
     return lines[:-1]
 
 
+#: every run of every entry is its own cell: matrix + lossy runs
+NCELLS = sum(len(cells(generate(seed, profile=profile)))
+             for seed, profile in ENTRIES)
+
+
 # ------------------------------------------------- byte-identical merge
 def test_four_worker_run_matches_serial():
     serial_out, parallel_out = io.StringIO(), io.StringIO()
     serial = run_corpus(ENTRIES, out=serial_out)
-    parallel = run_corpus(ENTRIES, out=parallel_out, workers=4,
-                          use_cache=False)
+    parallel = run_corpus(ENTRIES, out=parallel_out, workers=4)
 
     assert _lines(parallel_out) == _lines(serial_out)
     for field in ("total", "ran", "passed", "failures", "truncated"):
@@ -44,30 +47,23 @@ def test_four_worker_run_matches_serial():
     # the merged semantic traces: reference canonical trace per entry
     assert parallel["canons"] == serial["canons"]
     assert len(serial["canons"]) == len(ENTRIES)
-    eng = parallel["engine"]
-    assert eng["workers"] == 4
-    assert eng["executed"] == len(ENTRIES)
-    assert len(eng["shards"]) <= 4
-
-
-def test_workers_one_also_matches_serial():
-    serial_out, one_out = io.StringIO(), io.StringIO()
-    entries = ENTRIES[:3]
-    serial = run_corpus(entries, out=serial_out)
-    one = run_corpus(entries, out=one_out, workers=1, use_cache=False)
-    assert _lines(one_out) == _lines(serial_out)
-    assert one["canons"] == serial["canons"]
+    for summary, workers in ((serial, 1), (parallel, 4)):
+        report = summary["report"]
+        assert report.workers == workers
+        assert report.executed == NCELLS > len(ENTRIES)
+        assert len(report.shards) == workers
 
 
 # ----------------------------------------------------------- warm cache
 def test_warm_cache_skips_every_entry(tmp_path):
     entries = ENTRIES[:4]
-    cache_root = str(tmp_path / "cache")
-    cold = run_corpus(entries, workers=2, cache_root=cache_root)
-    assert cold["engine"]["executed"] == len(entries)
-    warm = run_corpus(entries, workers=2, cache_root=cache_root)
-    assert warm["engine"]["executed"] == 0
-    assert warm["engine"]["cached"] == len(entries)
+    cache = ResultCache(str(tmp_path / "cache"))
+    cold = run_corpus(entries, workers=2, cache=cache)
+    assert cold["report"].executed == len(cold["report"].results) > 0
+    # warm: in-process this time — the cache is shared, not per-path
+    warm = run_corpus(entries, cache=cache)
+    assert warm["report"].executed == 0
+    assert warm["report"].cached == len(cold["report"].results)
     assert warm["canons"] == cold["canons"]
     assert warm["passed"] == cold["passed"]
 
@@ -78,17 +74,17 @@ def _has_collective(program):
 
 
 def _inject_collective_failure(monkeypatch):
-    """Replace the differential oracle with a deterministic structural
-    predicate: any program containing a collective round 'fails'.  The
-    patch is installed before the worker pool forks, so worker processes
-    inherit it; the shrinker then minimises under the same predicate in
-    both the serial and the engine path."""
+    """Replace the oracle with a deterministic structural predicate: any
+    program containing a collective round 'fails' — in ``judge`` (the
+    verdict on the batch's results, decided parent-side) and in the
+    ``differential`` the shrinker re-checks candidates with."""
 
     def fake_differential(program, matrix=None, **kwargs):
         return DifferentialResult(program=program, ok=not _has_collective(program))
 
     monkeypatch.setattr(
-        "repro.conformance.executor.differential", fake_differential
+        "repro.conformance.executor.judge",
+        lambda program, results: (fake_differential(program), None),
     )
     monkeypatch.setattr(
         "repro.conformance.corpus.differential", fake_differential
@@ -104,7 +100,7 @@ def test_shrunk_repros_identical_serial_vs_parallel(tmp_path, monkeypatch):
     serial = run_corpus(entries, artifacts_dir=str(serial_dir),
                         shrink_budget=40)
     parallel = run_corpus(entries, artifacts_dir=str(parallel_dir),
-                          shrink_budget=40, workers=4, use_cache=False)
+                          shrink_budget=40, workers=4)
 
     assert serial["failures"] and parallel["failures"]
     assert [f[:2] for f in parallel["failures"]] == \
