@@ -5,10 +5,11 @@
 ``repro.bench.kernel_perf``), prints a table, writes the JSON report,
 and exits non-zero if any workload falls below its events-per-second
 floor.  ``--quick`` runs reduced problem sizes (CI smoke) and halves
-the floors; ``--workers N`` overlaps the workloads on the parallel
-experiment engine (per-shard timing lands in the report).  Floors
-scale by the ``REPRO_BENCH_FLOOR_SLACK`` env var (relative tolerance
-for slow or contended runners).
+the floors; ``--workers N`` overlaps the runs (one engine cell per
+workload and repeat) on the parallel experiment engine (per-shard
+timing lands in the report).  Floors scale by the
+``REPRO_BENCH_FLOOR_SLACK`` env var (relative tolerance for slow or
+contended runners).
 
 The report is stamped with git SHA, host info, worker count, and an ISO
 timestamp (``repro.bench.meta``) so the trajectory stays comparable
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
             f"{rec['events_per_sec']:>9} ev/s  (floor {floor}{'' if ok else '  ** UNDER **'})"
         )
     for shard in suite["shards"]:
-        print(f"  shard {shard['shard']}: {shard['cells']} workloads "
+        print(f"  shard {shard['shard']}: {shard['cells']} runs "
               f"in {shard['wall_s']:.3f} s")
     with open(args.out, "w") as fh:
         json.dump(suite, fh, indent=2)

@@ -31,7 +31,7 @@ from repro.errors import DeadlockError, NetworkError
 from repro.faults import FaultPlan, PacketLoss
 from repro.mpi import World
 from repro.mpi.exceptions import CommError
-from repro.parallel import Plan, evaluate
+from repro.parallel import Plan, evaluate, merge_traced
 
 __all__ = [
     "CLUSTER_PLATFORMS",
@@ -171,7 +171,7 @@ def chaos_sweep(
         {"kind": "chaos_cell", "platform": platform, "workload": workload,
          "loss": loss, "nprocs": 4 if workload == "nbody" else 2,
          "nbytes": nbody_particles if workload == "nbody" else 256,
-         "repeats": repeats, "seed": seed, "_trace": traced, "_nocache": traced}
+         "repeats": repeats, "seed": seed, "_trace": traced}
         for platform in platforms
         for workload in workloads
         for loss in losses
@@ -180,10 +180,7 @@ def chaos_sweep(
     def finish(results):
         rows = []
         baselines: Dict = {}
-        for res in results:
-            row = res["row"]
-            if traced:
-                obs.extend(res["events"])
+        for row in merge_traced(cells, results, obs):
             group = (row["platform"], row["workload"])
             if row["loss"] == 0 and row["outcome"] == "ok":
                 baselines[group] = row["time_us"]
@@ -363,10 +360,8 @@ def soak_sweep(
     def finish(results):
         # fold repetitions: first rep is the row, the rest are witnesses
         rows: List[Dict] = []
-        for cell, res in zip(engine_cells, results):
-            row = res["row"]
-            if "events" in res:
-                obs.extend(res["events"])
+        for cell, row in zip(engine_cells,
+                             merge_traced(engine_cells, results, obs)):
             if cell["rep"] == 0:
                 row["deterministic"] = True
                 rows.append(row)

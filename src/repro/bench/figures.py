@@ -272,29 +272,42 @@ def fig10_modern_crossover(
 # ---------------------------------------------------------------------------
 
 
+@_figure
 def table1_overheads():
     """The rows of Table 1, measured where measurable and taken from the
     calibrated cost model where the paper instrumented kernel code."""
     from repro.mpi.device.cluster import ClusterConfig
     from repro.net.kernel import ATM_KERNEL, ETH_KERNEL
 
-    cfg = ClusterConfig()
-    rows = {}
-    for network, kp in (("ATM", ATM_KERNEL), ("Ethernet", ETH_KERNEL)):
-        net = "atm" if network == "ATM" else "ethernet"
-        # single deterministic shots: the first exchange has no delayed-ack
-        # or contention interference, so the 25-byte delta is exact
-        base = harness.raw_stream_rtt(net, "tcp", 1, repeats=1)
-        info = harness.raw_stream_rtt(net, "tcp", 26, repeats=1) - base
-        mpi = harness.mpi_pingpong_rtt(net, "tcp", 1, repeats=1)
-        rows[network] = {
-            "1 byte round-trip latency": base,
-            "25 byte info overhead": info,
-            "Read for msg type": kp.syscall_read,
-            "Read for envelope": kp.syscall_read,
-            "Overheads for matching": cfg.match_cost,
-            "measured MPI 1B RTT": mpi,
-        }
+    networks = (("ATM", "atm", ATM_KERNEL), ("Ethernet", "ethernet", ETH_KERNEL))
+    # single deterministic shots: the first exchange has no delayed-ack
+    # or contention interference, so the 25-byte delta is exact
+    cells = [
+        cell for _, net, _ in networks for cell in (
+            {"kind": "raw_rtt", "network": net, "transport": "tcp",
+             "nbytes": 1, "repeats": 1},
+            {"kind": "raw_rtt", "network": net, "transport": "tcp",
+             "nbytes": 26, "repeats": 1},
+            {"kind": "pingpong_rtt", "platform": net, "device": "tcp",
+             "nbytes": 1, "repeats": 1},
+        )
+    ]
+
+    def finish(values):
+        cfg = ClusterConfig()
+        rows = {}
+        for i, (network, _, kp) in enumerate(networks):
+            base, with_info, mpi = values[3 * i:3 * i + 3]
+            rows[network] = {
+                "1 byte round-trip latency": base,
+                "25 byte info overhead": with_info - base,
+                "Read for msg type": kp.syscall_read,
+                "Read for envelope": kp.syscall_read,
+                "Overheads for matching": cfg.match_cost,
+                "measured MPI 1B RTT": mpi,
+            }
+        return {"rows": rows, "paper": paper}
+
     paper = {
         "ATM": {
             "1 byte round-trip latency": 1065.0,
@@ -311,7 +324,7 @@ def table1_overheads():
             "Overheads for matching": 35.0,
         },
     }
-    return {"rows": rows, "paper": paper}
+    return Plan(cells, finish)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ __all__ = [
     "cold_pingpong",
     "mpi_pingpong_rtt",
     "mpi_bandwidth",
+    "app_verified",
     "tport_rtt",
     "tport_bandwidth",
     "raw_stream_rtt",
@@ -124,6 +125,45 @@ def mpi_bandwidth(
 
     world = World(2, platform=platform, device=device, device_config=device_config)
     return world.run(main)[0]
+
+
+def app_verified(
+    name: str, platform: str, device: str, nprocs: int, n: int, obs=None
+) -> dict:
+    """Run application *name* (linsolve, matmul, nbody, jacobi) at
+    problem size *n* and check rank 0's answer against a serial
+    reference: ``{"elapsed": simulated µs, "ok": bool}``."""
+    import numpy as np
+
+    from repro import apps
+
+    flop_time = 0.1 if platform == "meiko" else 0.03
+
+    def linsolve_ok(x):
+        a, b = apps.generate_system(n, seed=1)
+        return np.allclose(a @ x, b, atol=1e-8)
+
+    def matmul_ok(c):
+        rng = np.random.default_rng(1)
+        return np.allclose(c, rng.standard_normal((n, n)) @ rng.standard_normal((n, n)))
+
+    # the app, its own arguments, and the check of rank 0's answer
+    app, kwargs, verified = {
+        "linsolve": (apps.linsolve, {"n": n, "seed": 1}, linsolve_ok),
+        "matmul": (apps.matmul, {"n": n, "seed": 1}, matmul_ok),
+        "nbody": (apps.nbody_ring, {"nparticles": n, "seed": 1}, lambda f: np.allclose(
+            f, apps.reference_forces(apps.generate_particles(n, seed=1)), atol=1e-9)),
+        "jacobi": (apps.jacobi_heat, {"nx": n, "ny": n, "iters": 10}, lambda g: np.allclose(
+            g, apps.reference_jacobi(apps.initial_grid(n, n), 10))),
+    }[name]
+
+    def main(comm):
+        answer, elapsed = yield from app(comm, flop_time=flop_time, **kwargs)
+        return answer, elapsed
+
+    results = World(nprocs, platform=platform, device=device, obs=obs).run(main)
+    return {"elapsed": max(r[1] for r in results),
+            "ok": bool(verified(results[0][0]))}
 
 
 # ---------------------------------------------------------------------------

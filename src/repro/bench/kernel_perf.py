@@ -52,11 +52,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 __all__ = [
     "WORKLOADS", "FLOORS", "floor_slack", "effective_floor",
-    "run_workload", "run_suite",
+    "time_workload", "plan", "run_workload", "run_suite",
 ]
 
 #: conservative events-per-second floors (full workloads, slow-CI safe);
@@ -74,9 +74,15 @@ FLOORS = {
     "chaos": 100_000,
     "timer_churn": 400_000,
     "ring_1k": 100_000,
-    # collective-scale workloads (measured full-mode ~190k and ~75k
-    # events/s on the dev box; the 10k world's throughput is dominated
-    # by wide-tree wakeup chains, hence the lower floor)
+    # collective-scale workloads (full-mode ~190k and ~75k events/s on
+    # the dev box when the floors were set).  Why the 10k world is the
+    # slow one was measured, not assumed (docs/PERF.md, "Where a wide
+    # world's time goes"): a quarter of its pass was the cyclic
+    # collector re-traversing a live world (gone: a cell is a memory
+    # region); heap depth is 6-7 %; what remains is per-event cost
+    # rising with width (4.2 -> 5.3 us/event from 1024 to 4096 ranks
+    # with the collector off) -- locality, not scheduling.  Floors
+    # unchanged.
     "coll_4k": 90_000,
     "coll_10k": 35_000,
 }
@@ -256,48 +262,68 @@ WORKLOADS: Dict[str, Callable[[bool], int]] = {
 }
 
 
+def time_workload(name: str, quick: bool = False) -> Dict:
+    """One timed run of one workload: ``{"events", "wall_s"}``."""
+    fn = WORKLOADS[name]
+    t0 = time.perf_counter()
+    events = fn(quick)
+    return {"events": events, "wall_s": time.perf_counter() - t0}
+
+
+def plan(names: Sequence[str], quick: bool = False, repeats: int = 3):
+    """*names* as one engine plan: a cell per (workload, repeat) — a
+    cell is a memory region, so a cell that looped ``repeats`` times
+    over the full-mode 10 000-rank world would hold that many dead
+    worlds until it returned — finished into ``{name: record}``, each
+    record the best (fastest) of its repeats."""
+    from repro.parallel import Plan
+
+    repeats = max(1, repeats)
+    # wall-clock measurements must never be served from the cache
+    cells = [
+        {"kind": "kernel_workload", "name": name, "quick": quick, "_nocache": True}
+        for name in names for _ in range(repeats)
+    ]
+
+    def finish(runs):
+        records = {}
+        for i, name in enumerate(names):
+            best = min(runs[i * repeats:(i + 1) * repeats], key=lambda r: r["wall_s"])
+            records[name] = {
+                "events": best["events"],
+                "wall_s": round(best["wall_s"], 6),
+                "events_per_sec": int(best["events"] / best["wall_s"]),
+            }
+        return records
+
+    return Plan(cells, finish)
+
+
 def run_workload(name: str, quick: bool = False, repeats: int = 3) -> Dict:
     """Best-of-*repeats* timing for one workload."""
-    fn = WORKLOADS[name]
-    best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        events = fn(quick)
-        dt = time.perf_counter() - t0
-        if best is None or dt < best[0]:
-            best = (dt, events)
-    dt, events = best
-    return {
-        "events": events,
-        "wall_s": round(dt, 6),
-        "events_per_sec": int(events / dt),
-    }
+    from repro.parallel import evaluate
+
+    (records,), _ = evaluate([plan([name], quick, repeats)])
+    return records[name]
 
 
 def run_suite(quick: bool = False, repeats: int = 3,
               workers: Optional[int] = None) -> Dict:
     """Run every workload; returns {workload: record} plus metadata.
 
-    The workloads are one engine batch: ``workers`` > 1 overlaps them
-    over a pool, otherwise they run in-process — each workload still
-    runs single-process and best-of-*repeats*, shards just overlap
-    different workloads.  The event counts are deterministic either way;
-    only the wall-clock numbers feel core contention, which is what the
+    The runs are one engine batch (:func:`plan`): ``workers`` > 1
+    overlaps them over a pool, otherwise they run in-process — each run
+    is still single-process, shards just overlap different runs.  The
+    event counts are deterministic either way; only the wall-clock
+    numbers feel core contention, which is what the
     ``REPRO_BENCH_FLOOR_SLACK`` tolerance is for.  Per-shard timing is
     reported under ``"shards"`` so the speedup is tracked in the BENCH
     trajectory.
     """
-    from repro.parallel import Plan, evaluate
+    from repro.parallel import evaluate
 
-    names = list(WORKLOADS)
-    # wall-clock measurements must never be served from the cache
-    cells = [
-        {"kind": "kernel_workload", "name": name, "quick": quick,
-         "repeats": repeats, "_nocache": True}
-        for name in names
-    ]
     (workloads,), report = evaluate(
-        [Plan(cells, lambda records: dict(zip(names, records)))], workers=workers
+        [plan(list(WORKLOADS), quick, repeats)], workers=workers
     )
     return {
         "mode": "quick" if quick else "full",

@@ -39,13 +39,13 @@ Commands
 run's structured event trace — ``chrome`` loads in ``chrome://tracing``
 or Perfetto.
 
-``fuzz``, ``chaos`` and ``sweep`` each build their independent cells
-and run them as one engine batch (``repro.parallel.evaluate``):
-in-process by default, sharded over N worker processes with
-``--workers N`` — stdout does not depend on it; engine statistics go to
-stderr.  An integer ``--workers`` also turns the result cache on
-(``sweep`` caches either way); ``--no-cache`` bypasses it.  See
-``docs/PERF.md``.
+Every simulating command builds independent cells and runs them as one
+engine batch (``repro.parallel.evaluate``); this module builds no world
+itself.  ``fuzz``, ``chaos`` and ``sweep`` run theirs in-process by
+default, sharded over N worker processes with ``--workers N`` — stdout
+does not depend on it; engine statistics go to stderr.  An integer
+``--workers`` also turns the result cache on (``sweep`` caches either
+way); ``--no-cache`` bypasses it.  See ``docs/PERF.md``.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import figures, harness
+from repro.bench import figures
 from repro.bench.ascii_chart import ascii_chart
 from repro.bench.tables import format_series, format_table
-from repro.parallel import evaluate
-from repro.platforms import PLATFORM_DEVICES
+from repro.parallel import Plan, evaluate, merge_traced
+from repro.platforms import DEVICE_MATRIX, PLATFORM_DEVICES
 
 __all__ = ["main", "build_parser"]
 
@@ -112,6 +112,22 @@ def _write_trace(bus, args, out) -> None:
 
     write_trace(bus, args.trace, args.trace_format)
     print(f"trace: {len(bus)} events -> {args.trace} ({args.trace_format})", file=out)
+
+
+def _evaluate(cells, args):
+    """A command's cells as one in-process engine batch: ``(values, bus)``.
+
+    Commands build cells and format values; only cells build worlds
+    (``repro.parallel.tasks``), so no world outlives its piece of the
+    command.  With ``--trace`` every cell records into a bus of its own
+    and the streams are merged in cell order into *bus* (else None).
+    """
+    bus = _make_bus(args)
+    if bus is not None:
+        cells = [dict(cell, _trace=True) for cell in cells]
+    (values,), _ = evaluate(
+        [Plan(cells, lambda values: merge_traced(cells, values, bus))])
+    return values, bus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,47 +270,44 @@ def _parse_sizes(text: str) -> List[int]:
     return [int(s) for s in text.split(",") if s.strip()]
 
 
+def _device(args) -> str:
+    return args.device or PLATFORM_DEVICES[args.platform][0]
+
+
 def cmd_info(args, out) -> int:
-    rows = []
-    for platform, devices in PLATFORM_DEVICES.items():
-        for device in devices:
-            rtt = harness.mpi_pingpong_rtt(platform, device, 1)
-            rows.append([platform, device, rtt])
+    rtts, _ = _evaluate(
+        [{"kind": "pingpong_rtt", "platform": platform, "device": device,
+          "nbytes": 1} for platform, device in DEVICE_MATRIX], args)
     print(format_table(
-        ["platform", "device", "1B RTT (us)"], rows,
+        ["platform", "device", "1B RTT (us)"],
+        [[platform, device, rtt]
+         for (platform, device), rtt in zip(DEVICE_MATRIX, rtts)],
         title="Simulated platforms (paper: meiko 104/210; clusters 925/1065 + MPI overheads)",
     ), file=out)
     return 0
 
 
-def cmd_pingpong(args, out) -> int:
-    sizes = _parse_sizes(args.sizes)
-    device = args.device or PLATFORM_DEVICES[args.platform][0]
-    bus = _make_bus(args)
-    rows = []
-    for n in sizes:
-        if bus is not None:
-            bus.set_run(f"pingpong/{args.platform}/{device}/{n}B")
-        rows.append([n, harness.mpi_pingpong_rtt(args.platform, device, n, obs=bus)])
-    print(format_table(
-        ["bytes", "RTT (us)"], rows,
-        title=f"MPI ping-pong on {args.platform}/{device}",
-    ), file=out)
-    _write_trace(bus, args, out)
-    return 0
+def _size_sweep(kind: str, column: str, what: str):
+    """``pingpong`` / ``bandwidth``: one *kind* cell per message size."""
+
+    def cmd(args, out) -> int:
+        sizes = _parse_sizes(args.sizes)
+        device = _device(args)
+        values, bus = _evaluate(
+            [{"kind": kind, "platform": args.platform, "device": device,
+              "nbytes": n} for n in sizes], args)
+        print(format_table(
+            ["bytes", column], [[n, v] for n, v in zip(sizes, values)],
+            title=f"MPI {what} on {args.platform}/{device}",
+        ), file=out)
+        _write_trace(bus, args, out)
+        return 0
+
+    return cmd
 
 
-def cmd_bandwidth(args, out) -> int:
-    sizes = _parse_sizes(args.sizes)
-    device = args.device or PLATFORM_DEVICES[args.platform][0]
-    rows = [
-        [n, harness.mpi_bandwidth(args.platform, device, n)] for n in sizes
-    ]
-    print(format_table(
-        ["bytes", "MB/s"], rows,
-        title=f"MPI bandwidth on {args.platform}/{device}",
-    ), file=out)
-    return 0
+cmd_pingpong = _size_sweep("pingpong_rtt", "RTT (us)", "ping-pong")
+cmd_bandwidth = _size_sweep("bandwidth", "MB/s", "bandwidth")
 
 
 def _print_figure(name, result, chart, out) -> None:
@@ -357,49 +370,15 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_app(args, out) -> int:
-    import numpy as np
-
-    from repro import apps
-    from repro.mpi import World
-
-    device = args.device or PLATFORM_DEVICES[args.platform][0]
-    flop_time = 0.1 if args.platform == "meiko" else 0.03
-    bus = _make_bus(args)
-    if bus is not None:
-        bus.set_run(f"app/{args.name}/{args.platform}/{device}")
+    device = _device(args)
     n = args.size or {"linsolve": 64, "nbody": args.nprocs * 8}.get(args.name, 32)
-
-    def linsolve_ok(x):
-        a, b = apps.generate_system(n, seed=1)
-        return np.allclose(a @ x, b, atol=1e-8)
-
-    def matmul_ok(c):
-        rng = np.random.default_rng(1)
-        return np.allclose(c, rng.standard_normal((n, n)) @ rng.standard_normal((n, n)))
-
-    # the app, its own arguments, and the check of rank 0's answer
-    # against a serial reference
-    app, kwargs, verified = {
-        "linsolve": (apps.linsolve, {"n": n, "seed": 1}, linsolve_ok),
-        "matmul": (apps.matmul, {"n": n, "seed": 1}, matmul_ok),
-        "nbody": (apps.nbody_ring, {"nparticles": n, "seed": 1}, lambda f: np.allclose(
-            f, apps.reference_forces(apps.generate_particles(n, seed=1)), atol=1e-9)),
-        "jacobi": (apps.jacobi_heat, {"nx": n, "ny": n, "iters": 10}, lambda g: np.allclose(
-            g, apps.reference_jacobi(apps.initial_grid(n, n), 10))),
-    }[args.name]
-
-    def main(comm):
-        answer, elapsed = yield from app(comm, flop_time=flop_time, **kwargs)
-        return answer, elapsed
-
-    results = World(
-        args.nprocs, platform=args.platform, device=device, obs=bus
-    ).run(main)
-    ok = verified(results[0][0])
-    elapsed = max(r[1] for r in results)
+    (result,), bus = _evaluate(
+        [{"kind": "app_verified", "app": args.name, "platform": args.platform,
+          "device": device, "nprocs": args.nprocs, "n": n}], args)
+    ok = result["ok"]
     print(
         f"{args.name} on {args.platform}/{device} x{args.nprocs}: "
-        f"{elapsed:.1f} us simulated, verification {'OK' if ok else 'FAILED'}",
+        f"{result['elapsed']:.1f} us simulated, verification {'OK' if ok else 'FAILED'}",
         file=out,
     )
     _write_trace(bus, args, out)
@@ -466,43 +445,33 @@ def _cmd_chaos_soak(args, out) -> int:
 
 
 def cmd_phases(args, out) -> int:
-    from repro.mpi import World
-    from repro.obs import EventBus, PhaseLedger
-
-    device = args.device or PLATFORM_DEVICES[args.platform][0]
+    device = _device(args)
     sizes = _parse_sizes(args.sizes)
-    # one shared bus so --trace exports the whole sweep; the per-size
-    # ledger scans only that run's slice
-    bus = _make_bus(args) or EventBus()
-
-    for nbytes in sizes:
-        bus.set_run(f"phases/{args.platform}/{device}/{nbytes}B")
-        start = len(bus.events)
-        World(2, platform=args.platform, device=device, obs=bus).run(
-            harness.cold_pingpong(nbytes))
-        run_bus = EventBus()
-        run_bus.events = bus.events[start:]
-        ledger = PhaseLedger.from_bus(run_bus)
+    # one traced world per size; --trace exports the whole sweep
+    tables, bus = _evaluate(
+        [{"kind": "phases_table", "platform": args.platform, "device": device,
+          "nbytes": nbytes} for nbytes in sizes], args)
+    for nbytes, table in zip(sizes, tables):
         print(
             f"{nbytes}-byte ping-pong on {args.platform}/{device} "
             "(envelope/match/data us, paper Table 1):",
             file=out,
         )
-        print(ledger.table(), file=out)
+        print(table, file=out)
         print(file=out)
-    if getattr(args, "trace", None) is not None:
-        _write_trace(bus, args, out)
+    _write_trace(bus, args, out)
     return 0
 
 
 def cmd_perf(args, out) -> int:
     """Run kernel-perf workloads, optionally under cProfile.
 
-    ``--profile`` wraps the selected workload(s) in a profiler and
-    prints the top cumulative-time hot spots — the same view used to
-    drive the kernel's slot-dispatch and pooling optimisations.
+    ``--profile`` wraps the selected workload(s) in a profiler — the
+    same in-process cells a plain run evaluates — and prints the top
+    cumulative-time hot spots: the view used to drive the kernel's
+    slot-dispatch and pooling optimisations.
     """
-    from repro.bench.kernel_perf import WORKLOADS, run_workload
+    from repro.bench.kernel_perf import WORKLOADS, plan
 
     if args.workload == "all":
         names = list(WORKLOADS)
@@ -516,13 +485,10 @@ def cmd_perf(args, out) -> int:
         import cProfile
         import pstats
 
-        for name in names:  # warm imports so they don't dominate the profile
-            WORKLOADS[name](True)
+        # warm imports so they don't dominate the profile
+        evaluate([plan(names, quick=True, repeats=1)])
         profiler = cProfile.Profile()
-        profiler.enable()
-        for name in names:
-            WORKLOADS[name](args.quick)
-        profiler.disable()
+        profiler.runcall(evaluate, [plan(names, args.quick, repeats=1)])
         stats = pstats.Stats(profiler, stream=out).sort_stats("cumulative")
         print(f"profile: {', '.join(names)} "
               f"({'quick' if args.quick else 'full'} mode)", file=out)
@@ -531,8 +497,8 @@ def cmd_perf(args, out) -> int:
             stats.dump_stats(args.profile_out)
             print(f"raw profile stats -> {args.profile_out}", file=out)
         return 0
-    for name in names:
-        rec = run_workload(name, quick=args.quick, repeats=args.repeats)
+    (records,), _ = evaluate([plan(names, args.quick, args.repeats)])
+    for name, rec in records.items():
         print(f"{name:<12} {rec['events']:>8} events  {rec['wall_s']:>9.4f} s  "
               f"{rec['events_per_sec']:>9} ev/s", file=out)
     return 0

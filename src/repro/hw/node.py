@@ -72,7 +72,7 @@ class Processor:
             finally:
                 if res._queue:
                     nxt = res._queue.popleft()
-                    nxt.succeed(nxt)
+                    nxt.succeed(None)
                 else:
                     if res._in_use <= 0:
                         raise SimulationError(f"over-release of resource {res.name!r}")

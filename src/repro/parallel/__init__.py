@@ -25,7 +25,7 @@ from repro.parallel.engine import (
     run_batches,
     run_cells,
 )
-from repro.parallel.tasks import TASKS, run_cell, task
+from repro.parallel.tasks import TASKS, merge_traced, run_cell, task
 
 __all__ = [
     "ResultCache",
@@ -42,5 +42,6 @@ __all__ = [
     "evaluate",
     "TASKS",
     "run_cell",
+    "merge_traced",
     "task",
 ]

@@ -95,6 +95,8 @@ class RunReport:
     executed: int = 0        #: cells actually simulated
     skipped: int = 0         #: cells skipped (budget)
     wall_s: float = 0.0
+    gc_s: float = 0.0        #: spent in the cells' exit collections ...
+    collections: int = 0     #: ... and how many (``tasks.run_cell``)
 
     def stats_line(self) -> str:
         bits = [f"workers={self.workers}",
@@ -104,6 +106,7 @@ class RunReport:
         if self.skipped:
             bits.append(f"skipped={self.skipped}")
         bits.append(f"wall={self.wall_s:.2f}s")
+        bits.append(f"gc={self.gc_s:.2f}s/{self.collections}")
         shards = " ".join(
             f"shard{s.shard}:{s.cells}c/{s.wall_s:.2f}s" for s in self.shards
         )
@@ -127,7 +130,7 @@ def retry_backoff_s(attempt: int) -> float:
     return min(RETRY_BACKOFF_BASE_S * (2 ** (attempt - 1)), RETRY_BACKOFF_CAP_S)
 
 
-def _run_cell_with_retries(cell):
+def _run_cell_with_retries(cell, tally):
     """Run one cell, honouring its opt-in ``_retries`` budget.
 
     ``{"_retries": N}`` grants N extra attempts after a worker exception,
@@ -144,7 +147,7 @@ def _run_cell_with_retries(cell):
     attempt = 0
     while True:
         try:
-            return run_cell(cell)
+            return run_cell(cell, tally)
         except Exception as exc:  # noqa: BLE001 - re-raised in the parent
             attempt += 1
             if attempt > retries:
@@ -162,18 +165,19 @@ def _run_shard(spec):
     shard_id, items, budget_s = spec
     t0 = time.monotonic()
     out = []
+    gc_tally = [0.0, 0]  # seconds in, and count of, the cells' exit collections
     for index, cell in items:
         if budget_s is not None and time.monotonic() - t0 > budget_s:
             out.append((index, "skip", None))
             continue
         started = time.monotonic()
         try:
-            value = _run_cell_with_retries(cell)
+            value = _run_cell_with_retries(cell, gc_tally)
         except Exception as exc:  # noqa: BLE001 - re-raised in the parent
             out.append((index, "error", f"{type(exc).__name__}: {exc}"))
             continue
         out.append((index, "ok", (value, time.monotonic() - started)))
-    return shard_id, out, time.monotonic() - t0
+    return shard_id, out, time.monotonic() - t0, gc_tally
 
 
 def _pool_context():
@@ -235,7 +239,9 @@ def run_cells(
             shard_outs = pool.map(_run_shard, shard_specs)
 
     errors: List[CellError] = []
-    for shard_id, out, shard_wall in shard_outs:
+    for shard_id, out, shard_wall, (gc_s, collections) in shard_outs:
+        report.gc_s += gc_s
+        report.collections += collections
         ran = skipped = 0
         for index, status, payload in out:
             if status == "skip":

@@ -7,17 +7,26 @@ out, with the simulation seeded entirely by the cell spec so the result
 never depends on which shard (or process) ran it.
 
 Cells with a truthy ``"_nocache"`` field bypass the result cache — used
-for wall-clock measurements (kernel perf) and for cells that return live
-:class:`~repro.obs.bus.Event` objects (trace capture).  Underscore keys
-are stripped before cache-key computation so ``_nocache`` never changes
-a cell's content address.
+for wall-clock measurements (kernel perf) — and so do cells that capture
+a trace (``"_trace"``): they return live :class:`~repro.obs.bus.Event`
+objects.  Underscore keys are stripped before cache-key computation so
+neither ever changes a cell's content address.
+
+A cell is also a *memory region* (:func:`run_cell`): pure data in and a
+plain result out means that everything else the cell allocated — its
+world, cyclic from end to end — is dead the moment it returns, so the
+cyclic collector is paused while the cell runs and asked for exactly one
+collection as it leaves.  This is the only module in ``src/repro`` that
+touches :mod:`gc` (docs/PERF.md, "Where a wide world's time goes").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+import gc
+import time
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["TASKS", "task", "run_cell", "cacheable_spec"]
+__all__ = ["TASKS", "task", "run_cell", "cacheable_spec", "merge_traced"]
 
 TASKS: Dict[str, Callable[[dict], Any]] = {}
 
@@ -30,17 +39,78 @@ def task(name: str):
     return register
 
 
-def run_cell(cell: dict) -> Any:
-    """Execute one cell (in whatever process this is called from)."""
-    return TASKS[cell["kind"]](cell)
+def run_cell(cell: dict, tally: Optional[list] = None) -> Any:
+    """Execute one cell (in whatever process this is called from) as a
+    memory region.
+
+    Automatic collection is off while the cell runs: a live world is
+    thousands of long-lived, mutually referencing objects, and every
+    generational pass re-traverses them to free nothing (a fault-free
+    run creates no cyclic garbage — ``tests/sim/test_acyclic.py``).  On
+    the way out, returning or raising, the previous enabled/disabled
+    state is restored and the one collection the generational counters
+    call for is run: the oldest generation whose count has reached its
+    threshold, else the youngest — which at that instant holds what the
+    cell allocated and left behind, so a world is traversed once, when
+    it dies.  Asking the counters (not a fixed generation) keeps the
+    older generations on their usual cadence, cells standing in for
+    allocations: always collecting generation 0 would starve them.
+
+    *tally*, if given, is ``[seconds, collections]`` and is bumped by the
+    exit collection (the engine sums it into ``RunReport.gc_s``).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return TASKS[cell["kind"]](cell)
+    finally:
+        counts, thresholds = gc.get_count(), gc.get_threshold()
+        generation = max(
+            (gen for gen in (1, 2) if counts[gen] >= thresholds[gen]), default=0)
+        t0 = time.perf_counter()
+        gc.collect(generation)
+        if tally is not None:
+            tally[0] += time.perf_counter() - t0
+            tally[1] += 1
+        # only now: with the young generation this far over its threshold
+        # the next allocation would run a second, automatic collection
+        if was_enabled:
+            gc.enable()
 
 
 def cacheable_spec(cell: dict):
     """The cache-key material of a cell: underscore keys stripped.
     Returns None when the cell opts out of caching."""
-    if cell.get("_nocache"):
+    if cell.get("_nocache") or cell.get("_trace"):
         return None
     return {k: v for k, v in cell.items() if not k.startswith("_")}
+
+
+# -------------------------------------------------------------- trace capture
+def _traced(cell, run, label: Optional[str] = None):
+    """``run(obs)``'s value — or, when the cell asks for a trace
+    (``_trace``), ``{"row": value, "events": [...]}``: the run gets a
+    fresh bus (labelled *label*) and its live events ride along."""
+    if not cell.get("_trace"):
+        return run(None)
+    from repro.obs import EventBus
+
+    bus = EventBus()
+    bus.set_run(label)
+    return {"row": run(bus), "events": bus.events}
+
+
+def merge_traced(cells, values, bus) -> List:
+    """The plain values of *cells*; every traced cell's event stream is
+    appended to *bus* on the way, in cell order — so the merged bus (and
+    any trace exported from it) never depends on ``workers``."""
+    rows = []
+    for cell, value in zip(cells, values):
+        if cell.get("_trace"):
+            bus.extend(value["events"])
+            value = value["row"]
+        rows.append(value)
+    return rows
 
 
 # ------------------------------------------------------- figure sweep points
@@ -72,10 +142,11 @@ def _device_config(cell):
 def _pingpong_rtt(cell):
     from repro.bench import harness
 
-    return harness.mpi_pingpong_rtt(
+    return _traced(cell, lambda obs: harness.mpi_pingpong_rtt(
         cell["platform"], cell["device"], cell["nbytes"],
-        device_config=_device_config(cell),
-    )
+        repeats=cell.get("repeats", 3),
+        device_config=_device_config(cell), obs=obs,
+    ), "pingpong/{platform}/{device}/{nbytes}B".format(**cell))
 
 
 @task("bandwidth")
@@ -103,7 +174,10 @@ def _tport_bandwidth(cell):
 def _raw_rtt(cell):
     from repro.bench import harness
 
-    return harness.raw_stream_rtt(cell["network"], cell["transport"], cell["nbytes"])
+    return harness.raw_stream_rtt(
+        cell["network"], cell["transport"], cell["nbytes"],
+        repeats=cell.get("repeats", 3),
+    )
 
 
 @task("raw_bandwidth")
@@ -138,18 +212,37 @@ def _app_time(cell):
     return max(world.run(main))
 
 
+@task("app_verified")
+def _app_verified(cell):
+    """``repro app``: ``{"elapsed", "ok"}`` — rank 0's answer is checked
+    against the serial reference here, so it dies with the world."""
+    from repro.bench import harness
+
+    return _traced(cell, lambda obs: harness.app_verified(
+        cell["app"], cell["platform"], cell["device"], cell["nprocs"],
+        cell["n"], obs=obs,
+    ), "app/{app}/{platform}/{device}".format(**cell))
+
+
+@task("phases_table")
+def _phases_table(cell):
+    """``repro phases``: the Table-1 phase breakdown of one cold
+    ping-pong, rendered.  The ledger needs the events either way; they
+    ride along only when asked for."""
+    from repro.bench import harness
+    from repro.mpi import World
+    from repro.obs import EventBus, PhaseLedger
+
+    def run(obs):
+        bus = obs if obs is not None else EventBus()
+        World(2, platform=cell["platform"], device=cell["device"], obs=bus).run(
+            harness.cold_pingpong(cell["nbytes"]))
+        return PhaseLedger.from_bus(bus).table()
+
+    return _traced(cell, run, "phases/{platform}/{device}/{nbytes}B".format(**cell))
+
+
 # ------------------------------------------------------------ chaos scenarios
-def _traced(cell, run):
-    """``run(obs)``'s row — with a fresh bus, and its live events riding
-    along, when the cell asks for a trace (``_trace``)."""
-    if not cell.get("_trace"):
-        return {"row": run(None)}
-    from repro.obs import EventBus
-
-    bus = EventBus()
-    return {"row": run(bus), "events": bus.events}
-
-
 @task("chaos_cell")
 def _chaos_cell(cell):
     from repro.bench.chaos import chaos_cell
@@ -189,11 +282,11 @@ def _conformance_cell(cell):
 # ------------------------------------------------------- kernel perf workload
 @task("kernel_workload")
 def _kernel_workload(cell):
-    from repro.bench.kernel_perf import run_workload
+    """One timed run — a cell per repeat (``kernel_perf.plan``), so the
+    region never holds more than one dead world."""
+    from repro.bench.kernel_perf import time_workload
 
-    return run_workload(
-        cell["name"], quick=cell["quick"], repeats=cell["repeats"]
-    )
+    return time_workload(cell["name"], cell["quick"])
 
 
 # ------------------------------------------------------------------ self-test

@@ -420,6 +420,9 @@ class Process(Event):
                     target = self._throw(event._value)
             except StopIteration as exc:
                 sim._active_process = None
+                # a finished process must not be a reference cycle
+                # through its own cached bound methods
+                self._resume_cb = self._send = self._throw = None
                 self._ok = True
                 self._value = exc.value
                 self._scheduled = True
@@ -432,6 +435,7 @@ class Process(Event):
                 return
             except BaseException as exc:
                 sim._active_process = None
+                self._resume_cb = self._send = self._throw = None
                 self._ok = False
                 self._value = exc
                 self._scheduled = True

@@ -78,11 +78,15 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim one unit; the returned event fires when granted."""
+        """Claim one unit; the returned event fires when granted.
+
+        Grants carry ``None``, never the request: a request whose value
+        is itself is a reference cycle only the cyclic collector frees.
+        """
         req = Request(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            req.succeed(req)
+            req.succeed(None)
         else:
             self._queue.append(req)
         return req
@@ -101,7 +105,7 @@ class Resource:
             return
         if self._queue:
             nxt = self._queue.popleft()
-            nxt.succeed(nxt)
+            nxt.succeed(None)
         else:
             if self._in_use <= 0:
                 raise SimulationError(f"over-release of resource {self.name!r}")
@@ -132,7 +136,7 @@ class Resource:
             finally:
                 if self._queue:
                     nxt = self._queue.popleft()
-                    nxt.succeed(nxt)
+                    nxt.succeed(None)
                 else:
                     if self._in_use <= 0:
                         raise SimulationError(f"over-release of resource {self.name!r}")
