@@ -13,14 +13,17 @@ contended runners).
 
 The report is stamped with git SHA, host info, worker count, and an ISO
 timestamp (``repro.bench.meta``) so the trajectory stays comparable
-across commits and machines.
+across commits and machines, and with ``bytes_per_rank`` — what a built
+2048-rank meiko-lowlatency world costs per rank
+(``kernel_perf.bytes_per_rank``, measured after the timed suite), the
+number ``tests/mpi/test_world_footprint.py`` budgets.
 """
 
 import argparse
 import json
 import sys
 
-from repro.bench.kernel_perf import effective_floor, run_suite
+from repro.bench.kernel_perf import bytes_per_rank, effective_floor, run_suite
 from repro.bench.meta import bench_metadata
 
 
@@ -36,6 +39,9 @@ def main(argv=None) -> int:
 
     suite = run_suite(quick=args.quick, repeats=args.repeats, workers=args.workers)
     suite["meta"] = bench_metadata(workers=args.workers)
+    suite["meta"]["bytes_per_rank"] = {
+        "meiko-lowlatency@2048": round(bytes_per_rank(2048)["built"]),
+    }
     failed = []
     print(
         f"kernel perf suite ({suite['mode']} mode, best of {args.repeats}, "

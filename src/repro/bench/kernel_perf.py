@@ -57,6 +57,7 @@ from typing import Callable, Dict, Optional, Sequence
 __all__ = [
     "WORKLOADS", "FLOORS", "floor_slack", "effective_floor",
     "time_workload", "plan", "run_workload", "run_suite",
+    "coll_10k_main", "bytes_per_rank",
 ]
 
 #: conservative events-per-second floors (full workloads, slow-CI safe);
@@ -74,17 +75,17 @@ FLOORS = {
     "chaos": 100_000,
     "timer_churn": 400_000,
     "ring_1k": 100_000,
-    # collective-scale workloads (full-mode ~190k and ~75k events/s on
-    # the dev box when the floors were set).  Why the 10k world is the
-    # slow one was measured, not assumed (docs/PERF.md, "Where a wide
-    # world's time goes"): a quarter of its pass was the cyclic
-    # collector re-traversing a live world (gone: a cell is a memory
-    # region); heap depth is 6-7 %; what remains is per-event cost
-    # rising with width (4.2 -> 5.3 us/event from 1024 to 4096 ranks
-    # with the collector off) -- locality, not scheduling.  Floors
-    # unchanged.
-    "coll_4k": 90_000,
-    "coll_10k": 35_000,
+    # collective-scale workloads: like the others, half of full-mode
+    # (~252k and ~143k events/s in BENCH_kernel.json).  Why the 10k
+    # world is the slow one was measured, not assumed (docs/PERF.md,
+    # "Where a wide world's time goes" and "... bytes go"): the cyclic
+    # collector is off the event path, heap depth is 6-7 %, and a rank
+    # is down to 5.4 KB built / 9.6 KB after the run (process RSS
+    # 207 MB at 10 000 ranks) -- the bytes that went were cold, worth
+    # +2 ... +20 % events/s; what a running rank still holds is mostly
+    # suspended generator frames (6.6 KB at the traced peak).
+    "coll_4k": 125_000,
+    "coll_10k": 70_000,
 }
 
 
@@ -206,26 +207,28 @@ def _coll_4k(quick: bool) -> int:
     return big.sim._seq + ring.sim._seq
 
 
-def _coll_10k(quick: bool) -> int:
+def coll_10k_main(comm):
+    """The ``coll_10k`` rank program: hardware bcast, reduce_bcast
+    allreduce, tree barrier (the wide crossover), results checked."""
     import numpy as np
 
+    buf = np.zeros(64, dtype=np.int64)
+    if comm.rank == 0:
+        buf[:] = np.arange(64)
+    yield from comm.bcast(buf, root=0)
+    val = np.array([comm.rank], dtype=np.int64)
+    tot = yield from comm.allreduce(val)
+    yield from comm.barrier()
+    assert int(tot[0]) == comm.size * (comm.size - 1) // 2
+    assert int(buf[63]) == 63
+    return None
+
+
+def _coll_10k(quick: bool) -> int:
     from repro.mpi import World
 
     world = World(2048 if quick else 10_000, platform="meiko", device="lowlatency")
-
-    def main(comm):
-        buf = np.zeros(64, dtype=np.int64)
-        if comm.rank == 0:
-            buf[:] = np.arange(64)
-        yield from comm.bcast(buf, root=0)      # hardware broadcast
-        val = np.array([comm.rank], dtype=np.int64)
-        tot = yield from comm.allreduce(val)    # reduce_bcast
-        yield from comm.barrier()               # tree (wide crossover)
-        assert int(tot[0]) == comm.size * (comm.size - 1) // 2
-        assert int(buf[63]) == 63
-        return None
-
-    world.run(main)
+    world.run(coll_10k_main)
     return world.sim._seq
 
 
@@ -260,6 +263,51 @@ WORKLOADS: Dict[str, Callable[[bool], int]] = {
     "coll_4k": _coll_4k,
     "coll_10k": _coll_10k,
 }
+
+
+def bytes_per_rank(nprocs: int, platform: str = "meiko",
+                   device: Optional[str] = None,
+                   main: Optional[Callable] = None) -> Dict[str, float]:
+    """What one rank of a world costs in memory, by ``tracemalloc``.
+
+    ``{"built": bytes}`` — the world constructed and every rank's world
+    communicator materialised, which is what :meth:`World.run` needs
+    before its first event — plus, when a rank program *main* is given,
+    ``"after_run"`` (what the finished world still holds) and ``"peak"``
+    (the traced high-water mark during the run), all divided by
+    *nprocs*.  An untraced warm-up world (built, and run when there is a
+    program) comes first so imports and process-wide caches are not
+    charged to the ranks.  Tracing slows the run several-fold: keep this
+    outside any timed window.
+    """
+    import tracemalloc
+
+    from repro.mpi import World
+
+    def build(n):
+        world = World(n, platform=platform, device=device)
+        for rank in range(n):
+            world.comms[rank]
+        return world
+
+    warm = build(min(nprocs, 8))
+    if main is not None:
+        warm.run(main)
+    del warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        world = build(nprocs)
+        out = {"built": (tracemalloc.get_traced_memory()[0] - base) / nprocs}
+        if main is not None:
+            tracemalloc.reset_peak()
+            world.run(main)
+            now, peak = tracemalloc.get_traced_memory()
+            out["after_run"] = (now - base) / nprocs
+            out["peak"] = (peak - base) / nprocs
+    finally:
+        tracemalloc.stop()
+    return out
 
 
 def time_workload(name: str, quick: bool = False) -> Dict:

@@ -23,11 +23,12 @@ fabric delivers envelopes of a sender pair in issue order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Optional, Sequence
 
 from repro.errors import HardwareError
 from repro.hw.meiko.events import HwEvent
 from repro.hw.meiko.node import ElanCallCommand, MeikoNode, TxnCommand, DmaCommand
+from repro.sim import EMPTY
 
 __all__ = ["ANY_SENDER", "ALL_BITS", "TPort", "TPortHandle"]
 
@@ -84,10 +85,12 @@ class TPort:
         self.node = node
         self.machine = machine
         self.params = node.params
-        #: receive descriptors posted but unmatched (Elan state)
-        self.posted: Deque[TPortHandle] = deque()
+        #: receive descriptors posted but unmatched (Elan state); like
+        #: ``unexpected`` a deque from its first entry on
+        #: (repro.sim.EMPTY until then)
+        self.posted: Sequence[TPortHandle] = EMPTY
         #: arrivals not yet matched (Elan state)
-        self.unexpected: Deque[_Arrival] = deque()
+        self.unexpected: Sequence[_Arrival] = EMPTY
         #: rendezvous sends awaiting the receiver's data request,
         #: keyed by a per-send cookie
         self._pending_rdv = {}
@@ -166,11 +169,9 @@ class TPort:
         done = self.node.event("tcancel")
 
         def scan():
-            try:
+            holder["ok"] = handle in self.posted
+            if holder["ok"]:
                 self.posted.remove(handle)
-                holder["ok"] = True
-            except ValueError:
-                holder["ok"] = False
             done.set()
 
         self.node.issue(ElanCallCommand(scan, debug="tport-cancel"))
@@ -240,7 +241,10 @@ class TPort:
                 self.posted.remove(handle)
                 self._elan_complete_recv(handle, arrival)
                 return
-        self.unexpected.append(arrival)
+        unexpected = self.unexpected
+        if unexpected is EMPTY:
+            unexpected = self.unexpected = deque()
+        unexpected.append(arrival)
 
     def _elan_post(self, handle: TPortHandle):
         """Runs in this node's Elan command context (generator).
@@ -255,7 +259,10 @@ class TPort:
                 matched = arrival
                 break
         if matched is None:
-            self.posted.append(handle)
+            posted = self.posted
+            if posted is EMPTY:
+                posted = self.posted = deque()
+            posted.append(handle)
             return
         self.unexpected.remove(matched)
         if matched.data is not None:

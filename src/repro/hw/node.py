@@ -14,6 +14,7 @@ parameter dataclasses, not here.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Optional
 
 from repro.sim import Resource, SimulationError, Simulator
@@ -111,7 +112,7 @@ class Host:
         self.hostid = hostid
         self.name = name or f"host{hostid}"
         self.cpu = Processor(sim, name=f"{self.name}.cpu", speed=speed)
-        self.rng = random.Random((seed << 16) ^ (hostid * 2654435761 % 2**32))
+        self._seed = seed
         #: raw-bits consumers of self.rng (Ethernet backoff draws via
         #: randrange); when non-zero jitter_stream() must stay unbatched
         self._rng_bits_users = 0
@@ -120,11 +121,22 @@ class Host:
         self.nic = None
         self.stack = None
 
+    @cached_property
+    def rng(self) -> random.Random:
+        """This host's random stream, seeded at its first use.
+
+        Only the Ethernet backoff and the transports' RTO jitter draw
+        from it; seeding a Mersenne Twister (2.5 KB of state) for every
+        host of a world whose fabric never draws is most of what an idle
+        host would cost.
+        """
+        return random.Random((self._seed << 16) ^ (self.hostid * 2654435761 % 2**32))
+
     def wtime(self) -> float:
         """Wall-clock time on this host (the global simulated clock), µs."""
         return self.sim.now
 
-    def claim_raw_rng(self) -> random.Random:
+    def claim_raw_rng(self) -> None:
         """Register a raw-bits consumer of this host's RNG stream.
 
         Components drawing via ``randrange``/``getrandbits`` (the
@@ -132,11 +144,11 @@ class Host:
         build time, before any draws: it pins :meth:`jitter_stream` to
         the raw ``Random`` so float batching cannot reorder the
         Mersenne word stream (see
-        :class:`repro.faults.BatchedRandom`).
+        :class:`repro.faults.BatchedRandom`).  Claiming draws nothing
+        and does not seed the stream.
         """
         self._rng_bits_users += 1
         self._jitter_cache = None
-        return self.rng
 
     def jitter_stream(self):
         """The stream for float-only jitter draws (transport RTO jitter).

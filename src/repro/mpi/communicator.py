@@ -56,6 +56,9 @@ from repro.mpi.status import Status
 
 __all__ = ["Communicator"]
 
+#: every communicator's ``_acked`` until its rank acknowledges a failure
+_NONE_ACKED: frozenset = frozenset()
+
 
 def _byte_type():
     from repro.mpi.datatypes import BYTE
@@ -88,7 +91,7 @@ class Communicator:
         #: ERRORS_ARE_FATAL (default) or ERRORS_RETURN
         self.errhandler = ERRORS_ARE_FATAL
         #: failures this rank has acknowledged (world ranks; ULFM)
-        self._acked = frozenset()
+        self._acked = _NONE_ACKED
         #: internal: recovery collectives (agree/shrink) bypass the
         #: revoked-communicator check on their own traffic
         self._ft_bypass = False

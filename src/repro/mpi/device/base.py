@@ -43,6 +43,10 @@ __all__ = ["Endpoint", "BSEND_OVERHEAD"]
 #: (MPI_BSEND_OVERHEAD)
 BSEND_OVERHEAD = 32
 
+#: every endpoint's FT sets until the FT layer announces something: one
+#: shared immutable empty instead of two 216-byte ``set()``s per rank
+_NONE: frozenset = frozenset()
+
 
 class Endpoint:
     """Per-rank device endpoint (abstract)."""
@@ -53,9 +57,9 @@ class Endpoint:
         self.sim = host.sim
         self.queues = MatchQueues()
         #: world ranks announced dead by the FT layer (see repro.mpi.ft)
-        self._ft_dead: set = set()
+        self._ft_dead: frozenset = _NONE
         #: communicator contexts revoked by the FT layer
-        self._ft_revoked: set = set()
+        self._ft_revoked: frozenset = _NONE
         # bsend buffer accounting
         self._bsend_capacity = 0
         self._bsend_used = 0
@@ -328,7 +332,7 @@ class Endpoint:
     def ft_peer_failed(self, dead_world: int) -> None:
         """The FT layer announces that *dead_world* has died: poison every
         operation that depends on it with :class:`RankFailed`."""
-        self._ft_dead.add(dead_world)
+        self._ft_dead |= {dead_world}
         self.ft_fail_requests(
             lambda r: self._ft_involves(r, dead_world),
             self._ft_factory(dead_world),
@@ -380,7 +384,7 @@ class Endpoint:
         from repro.mpi.coll import is_agree_tag
         from repro.mpi.exceptions import CommRevoked
 
-        self._ft_revoked.add(context_id)
+        self._ft_revoked |= {context_id}
 
         def doomed(req):
             comm = req.comm

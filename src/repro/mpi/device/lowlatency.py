@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mpi.constants import INTERNAL_TAG_BASE, MODE_READY, MODE_SYNCHRONOUS
 from repro.mpi.device.base import Endpoint
@@ -40,6 +40,7 @@ from repro.mpi.exceptions import ReadyModeError, TruncationError
 from repro.mpi.matching import Arrival
 from repro.mpi.request import Request
 from repro.mpi.status import Status
+from repro.sim import EMPTY
 
 __all__ = ["LowLatencyConfig", "LowLatencyEndpoint"]
 
@@ -117,8 +118,9 @@ class LowLatencyEndpoint(Endpoint):
         self.peers: List["LowLatencyEndpoint"] = []
         #: anything-happened event: arrivals, acks, completions
         self.kick = node.event("mpi-kick")
-        #: envelope arrivals deposited by the Elan, drained by the SPARC
-        self.arrivals: Deque[Arrival] = deque()
+        #: envelope arrivals deposited by the Elan, drained by the SPARC:
+        #: a deque from the first arrival on (repro.sim.EMPTY until then)
+        self.arrivals: Sequence[Arrival] = EMPTY
         #: per-destination envelope-slot tokens (free slots remaining);
         #: sends waiting for one sit in ``sendq``
         slots = self.config.slots_per_sender
@@ -259,11 +261,16 @@ class LowLatencyEndpoint(Endpoint):
             env = arrival.envelope
             obs.emit(self.sim.now, "dev", "env.arrived", rank=self.world_rank,
                      msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-        self.arrivals.append(arrival)
+        arrivals = self.arrivals
+        if arrivals is EMPTY:
+            arrivals = self.arrivals = deque()
+        arrivals.append(arrival)
         self.kick.set()
 
     def _progress(self, block: bool):
         did = False
+        # the alias outlives the yields below: once a deque exists it is
+        # never replaced, and while there is none the loop does not run
         arrivals = self.arrivals
         while arrivals:
             yield from self._handle_arrival(arrivals.popleft())

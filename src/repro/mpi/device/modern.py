@@ -27,10 +27,11 @@ and how many flow units a message consumes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.mpi.device.flow import EAGER, FIN, RDV_DATA, CreditFlowEndpoint
 from repro.mpi.envelope import Envelope
+from repro.sim import EMPTY
 
 __all__ = ["ModernEndpoint", "CONTROL_BYTES"]
 
@@ -57,8 +58,9 @@ class ModernEndpoint(CreditFlowEndpoint):
     def __init__(self, world_rank: int, host, config):
         super().__init__(world_rank, host, config)
         self.fabric = None
-        #: the completion queue: fabric deliveries land here CPU-free
-        self.cq: Deque[_Pkt] = deque()
+        #: the completion queue: fabric deliveries land here CPU-free;
+        #: a deque from the first delivery on (repro.sim.EMPTY until then)
+        self.cq: Sequence[_Pkt] = EMPTY
         #: peer -> NetworkError from a dead link, surfaced in progress
         self._dead_links: Dict[int, Exception] = {}
 
@@ -91,7 +93,10 @@ class ModernEndpoint(CreditFlowEndpoint):
     # -------------------------------------------------------------- plumbing
     def _on_unit(self, pkt: _Pkt) -> None:
         """Fabric delivery: append a CQE and kick the polling rank."""
-        self.cq.append(pkt)
+        cq = self.cq
+        if cq is EMPTY:
+            cq = self.cq = deque()
+        cq.append(pkt)
         self.kick.set()
 
     def _on_link_dead(self, peer: int, err: Exception) -> None:

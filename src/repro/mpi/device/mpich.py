@@ -122,10 +122,8 @@ class MpichEndpoint(Endpoint):
         for h in state:
             if h is None:
                 continue
-            try:
+            if h in self.tport.posted:
                 self.tport.posted.remove(h)
-            except ValueError:
-                pass
             h.done.set()
 
     # ------------------------------------------------------------------ sends

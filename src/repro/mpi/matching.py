@@ -29,18 +29,23 @@ cost (``match_cost + match_per_comparison * ...``) and must not drift.
 A miss costs the live queue length (O(1) from a counter); a hit counts
 live entries up to the match (a short walk — FIFO matching finds its
 match near the head).
+
+Both FIFOs are data-dependent (a rank that never receives early never
+has an unexpected arrival), so they start as the shared
+:data:`repro.sim.EMPTY` and become deques at their first append.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, INTERNAL_TAG_BASE
 from repro.mpi.envelope import Envelope
 from repro.mpi.exceptions import ResourceExhausted
 from repro.mpi.request import Request
+from repro.sim import EMPTY
 
 __all__ = ["Arrival", "MatchQueues"]
 
@@ -85,13 +90,13 @@ class MatchQueues:
         # posted receives: global FIFO + (context, source, tag) buckets;
         # wildcards are part of the key (an ANY_* receive lands in an
         # ANY bucket, checked alongside the concrete one on arrival)
-        self._posted_fifo: Deque[_Entry] = deque()
+        self._posted_fifo: Sequence[_Entry] = EMPTY
         self._posted_buckets: Dict[Tuple[int, int, int], Deque[_Entry]] = {}
         self._posted_live = 0
         self._posted_by_req: Dict[int, _Entry] = {}
         # unexpected arrivals: global FIFO + concrete (context, src, tag)
         # buckets (envelope keys are always concrete)
-        self._unexp_fifo: Deque[_Entry] = deque()
+        self._unexp_fifo: Sequence[_Entry] = EMPTY
         self._unexp_buckets: Dict[Tuple[int, int, int], Deque[_Entry]] = {}
         self._unexp_live = 0
 
@@ -231,7 +236,10 @@ class MatchQueues:
         comparisons = self._unexp_live  # a scan would have inspected them all
         entry = _Entry(req, self._stamp)
         self._stamp += 1
-        self._posted_fifo.append(entry)
+        fifo = self._posted_fifo
+        if fifo is EMPTY:
+            fifo = self._posted_fifo = deque()
+        fifo.append(entry)
         key = (req.comm.context_id, req.peer, req.tag)
         bucket = self._posted_buckets.get(key)
         if bucket is None:
@@ -284,7 +292,10 @@ class MatchQueues:
             )
         entry = _Entry(arrival, self._stamp)
         self._stamp += 1
-        self._unexp_fifo.append(entry)
+        fifo = self._unexp_fifo
+        if fifo is EMPTY:
+            fifo = self._unexp_fifo = deque()
+        fifo.append(entry)
         key = (ctx, src, tag)
         bucket = self._unexp_buckets.get(key)
         if bucket is None:

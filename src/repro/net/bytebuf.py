@@ -21,7 +21,9 @@ rendezvous discipline: a B-byte transfer costs O(B), not O(B²).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Union
+from typing import Sequence, Union
+
+from repro.sim import EMPTY
 
 __all__ = ["ByteQueue"]
 
@@ -38,7 +40,9 @@ class ByteQueue:
     __slots__ = ("_chunks", "_len", "_offset")
 
     def __init__(self) -> None:
-        self._chunks: Deque[Chunk] = deque()
+        #: a deque from the first append on (one direction of many
+        #: connections never carries data)
+        self._chunks: Sequence[Chunk] = EMPTY
         self._len = 0
         #: consumed bytes of the head chunk (avoids re-slicing the head)
         self._offset = 0
@@ -53,7 +57,10 @@ class ByteQueue:
         """Queue *data* by reference (no copy).  Empty appends are dropped."""
         n = len(data)
         if n:
-            self._chunks.append(data)
+            chunks = self._chunks
+            if chunks is EMPTY:
+                chunks = self._chunks = deque()
+            chunks.append(data)
             self._len += n
 
     def take(self, n: int) -> bytes:
@@ -148,7 +155,8 @@ class ByteQueue:
         self._offset = off
 
     def clear(self) -> None:
-        self._chunks.clear()
+        if self._chunks:
+            self._chunks.clear()
         self._len = 0
         self._offset = 0
 

@@ -28,6 +28,7 @@ in the parent as :class:`CellError` naming the cell.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -97,6 +98,9 @@ class RunReport:
     wall_s: float = 0.0
     gc_s: float = 0.0        #: spent in the cells' exit collections ...
     collections: int = 0     #: ... and how many (``tasks.run_cell``)
+    #: high-water RSS of the process that simulated: the largest shard's,
+    #: which for an in-process run is this process's own
+    peak_rss_mb: float = 0.0
 
     def stats_line(self) -> str:
         bits = [f"workers={self.workers}",
@@ -107,6 +111,7 @@ class RunReport:
             bits.append(f"skipped={self.skipped}")
         bits.append(f"wall={self.wall_s:.2f}s")
         bits.append(f"gc={self.gc_s:.2f}s/{self.collections}")
+        bits.append(f"rss={self.peak_rss_mb:.0f}MB")
         shards = " ".join(
             f"shard{s.shard}:{s.cells}c/{s.wall_s:.2f}s" for s in self.shards
         )
@@ -160,6 +165,11 @@ def _run_cell_with_retries(cell, tally):
             time.sleep(retry_backoff_s(attempt))
 
 
+def _peak_rss_mb() -> float:
+    """This process's high-water RSS (``ru_maxrss`` is KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _run_shard(spec):
     """Worker entry: run one shard's cells in order, honouring the budget."""
     shard_id, items, budget_s = spec
@@ -177,7 +187,7 @@ def _run_shard(spec):
             out.append((index, "error", f"{type(exc).__name__}: {exc}"))
             continue
         out.append((index, "ok", (value, time.monotonic() - started)))
-    return shard_id, out, time.monotonic() - t0, gc_tally
+    return shard_id, out, time.monotonic() - t0, gc_tally, _peak_rss_mb()
 
 
 def _pool_context():
@@ -239,9 +249,10 @@ def run_cells(
             shard_outs = pool.map(_run_shard, shard_specs)
 
     errors: List[CellError] = []
-    for shard_id, out, shard_wall, (gc_s, collections) in shard_outs:
+    for shard_id, out, shard_wall, (gc_s, collections), rss_mb in shard_outs:
         report.gc_s += gc_s
         report.collections += collections
+        report.peak_rss_mb = max(report.peak_rss_mb, rss_mb)
         ran = skipped = 0
         for index, status, payload in out:
             if status == "skip":
@@ -258,6 +269,8 @@ def run_cells(
                     cache.put(keys[index], cells[index]["kind"],
                               cacheable_spec(cells[index]), value)
         report.shards.append(ShardReport(shard_id, ran, shard_wall, skipped))
+    if not shard_outs:  # fully cached: nothing simulated, the reader's own
+        report.peak_rss_mb = _peak_rss_mb()
     report.wall_s = time.monotonic() - t0
     if errors:
         raise errors[0]

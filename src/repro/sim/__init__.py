@@ -30,7 +30,7 @@ from repro.sim.core import (
     SimulationError,
     StopRun,
 )
-from repro.sim.resources import Resource, Store, PriorityStore
+from repro.sim.resources import EMPTY, Resource, Store, PriorityStore
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "StopRun",
+    "EMPTY",
     "Resource",
     "Store",
     "PriorityStore",

@@ -10,10 +10,8 @@ wakeups are both built on this.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
-
 from repro.sim.core import Event, Simulator
+from repro.sim.resources import EMPTY
 
 __all__ = ["Notify"]
 
@@ -25,7 +23,9 @@ class Notify:
         self.sim = sim
         self.name = name
         self._count = 0
-        self._waiters: Deque[Event] = deque()
+        #: blocked waits, oldest first: a list from the first one on
+        #: (see :data:`repro.sim.resources.EMPTY`)
+        self._waiters = EMPTY
         self.total_sets = 0
 
     @property
@@ -37,7 +37,7 @@ class Notify:
         """Fire once; wakes the oldest waiter if any."""
         self.total_sets += 1
         if self._waiters:
-            self._waiters.popleft().succeed(None)
+            self._waiters.pop(0).succeed(None)
         else:
             self._count += 1
 
@@ -47,6 +47,8 @@ class Notify:
         if self._count > 0:
             self._count -= 1
             ev.succeed(None)
+        elif self._waiters is EMPTY:
+            self._waiters = [ev]
         else:
             self._waiters.append(ev)
         return ev
@@ -65,17 +67,18 @@ class Notify:
         if self._count > 0:
             self._count -= 1
             ev.succeed(None)
+        elif self._waiters is EMPTY:
+            self._waiters = [ev]
         else:
             self._waiters.append(ev)
         return ev
 
     def cancel_wait(self, ev: Event) -> bool:
         """Withdraw a not-yet-fired wait.  True if it was still queued."""
-        try:
-            self._waiters.remove(ev)
-            return True
-        except ValueError:
+        if ev not in self._waiters:
             return False
+        self._waiters.remove(ev)
+        return True
 
     def poll(self) -> bool:
         """Consume one pending set if available (non-blocking)."""

@@ -17,17 +17,34 @@ All waits are events, so processes use them with plain ``yield``::
 or, more conveniently, with :meth:`Resource.use`::
 
     yield from cpu.use(cost)
+
+A primitive costs what it uses: a wide world builds a handful of these
+per rank and most of their queues stay empty for the whole run, while an
+empty ``deque`` mallocs its 64-slot block at birth (760 B).  So every
+queue here starts as :data:`EMPTY` — one shared immutable empty sequence
+that answers ``len``, truth, ``in`` and iteration like a drained queue —
+and becomes a real container at its first enqueue, which is the only
+place that has to know.  An existing container is never swapped back to
+:data:`EMPTY` (that would cost an allocation per message on the hottest
+stores), so an alias taken while it exists stays valid.  Item queues
+become deques; waiter queues (``Store._getters``,
+``Notify._waiters``), whose depth is bounded by the processes blocked
+on one object, become plain lists.
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heappop
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.sim.core import Event, _PENDING, SimulationError, Simulator
 
-__all__ = ["Request", "Resource", "Store", "PriorityStore"]
+__all__ = ["EMPTY", "Request", "Resource", "Store", "PriorityStore"]
+
+#: the queue nothing has been put on yet (see the module docstring);
+#: compare with ``is`` at the enqueue, use like an empty queue elsewhere
+EMPTY: tuple = ()
 
 
 class Request(Event):
@@ -65,7 +82,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: Deque[Request] = deque()
+        #: waiting requests: a deque from the first contended request on
+        self._queue = EMPTY
 
     @property
     def in_use(self) -> int:
@@ -88,7 +106,10 @@ class Resource:
             self._in_use += 1
             req.succeed(None)
         else:
-            self._queue.append(req)
+            queue = self._queue
+            if queue is EMPTY:
+                queue = self._queue = deque()
+            queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -97,10 +118,9 @@ class Resource:
             raise SimulationError("release() of a request from a different resource")
         if not request.triggered:
             # The request never got granted: just cancel it.
-            try:
-                self._queue.remove(request)
-            except ValueError:
-                raise SimulationError("release() of an unknown pending request") from None
+            if request not in self._queue:
+                raise SimulationError("release() of an unknown pending request")
+            self._queue.remove(request)
             request.succeed(None)  # fire so any waiter is not stranded
             return
         if self._queue:
@@ -165,6 +185,10 @@ class Store:
     calls :meth:`post` instead (every producer in the tree does — they
     are the NIC rx/tx and co-processor command queues, the hottest store
     traffic in the simulation).
+
+    A getter only ever waits on a store with no items and no queued
+    putters, so an item that finds one is handed straight to it: a
+    worker inbox materialises ``items`` only while its worker is busy.
     """
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
@@ -173,11 +197,14 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: a deque from the first item that has to be buffered on
+        self.items = EMPTY
+        #: blocked ``get`` events, oldest first: a list from the first on
+        self._getters = EMPTY
         #: queued put handles ride with their item: (event, item); a
-        #: posted item has no handle (None)
-        self._putters: Deque[Tuple[Optional[Event], Any]] = deque()
+        #: posted item has no handle (None).  A deque from the first put
+        #: refused by a full store on
+        self._putters = EMPTY
 
     def __len__(self) -> int:
         return len(self.items)
@@ -187,20 +214,26 @@ class Store:
         return len(self._getters)
 
     def _do_put(self, item: Any) -> None:
-        self.items.append(item)
+        items = self.items
+        if items is EMPTY:
+            items = self.items = deque()
+        items.append(item)
 
     def _do_get(self) -> Any:
         return self.items.popleft()
 
     def put(self, item: Any) -> Event:
         ev = self.sim.event1()
-        if len(self.items) < self.capacity:
+        getters = self._getters
+        if getters:
+            # hand-off: acceptance numbered first, then the oldest getter
+            ev.succeed(None)
+            getters.pop(0).succeed(item)
+        elif len(self.items) < self.capacity:
             self._do_put(item)
             ev.succeed(None)
-            if self._getters:
-                self._wake_getters()
         else:
-            self._putters.append((ev, item))
+            self._queue_putter(ev, item)
         return ev
 
     def post(self, item: Any) -> None:
@@ -211,13 +244,21 @@ class Store:
         (:meth:`repro.sim.Simulator.elide`) instead of fired.  On a full
         bounded store the item queues behind earlier putters.
         """
-        if len(self.items) < self.capacity:
+        getters = self._getters
+        if getters:
+            self._accept(None)
+            getters.pop(0).succeed(item)
+        elif len(self.items) < self.capacity:
             self._do_put(item)
             self._accept(None)
-            if self._getters:
-                self._wake_getters()
         else:
-            self._putters.append((None, item))
+            self._queue_putter(None, item)
+
+    def _queue_putter(self, handle: Optional[Event], item: Any) -> None:
+        putters = self._putters
+        if putters is EMPTY:
+            putters = self._putters = deque()
+        putters.append((handle, item))
 
     def _accept(self, handle: Optional[Event]) -> None:
         """Number the acceptance of an item: fire the put *handle*; a
@@ -234,7 +275,11 @@ class Store:
             if self._putters:
                 self._admit_putters()
         else:
-            self._getters.append(ev)
+            getters = self._getters
+            if getters is EMPTY:
+                self._getters = [ev]
+            else:
+                getters.append(ev)
         return ev
 
     def try_get(self) -> Optional[Any]:
@@ -245,29 +290,23 @@ class Store:
         self._admit_putters()
         return item
 
-    def _wake_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            getter.succeed(self._do_get())
-            self._admit_putters()
-
     def _admit_putters(self) -> None:
+        # no getter can be waiting here: putters queue only behind a
+        # full store, and getters wait only on an empty one
         while self._putters and len(self.items) < self.capacity:
             putter, item = self._putters.popleft()
             self._do_put(item)
             self._accept(putter)
-            self._wake_getters()
 
 
 class PriorityStore(Store):
     """A store whose ``get`` returns the smallest item (heap order)."""
 
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
-        super().__init__(sim, capacity, name)
-        self.items: List[Any] = []  # type: ignore[assignment]
-
     def _do_put(self, item: Any) -> None:
-        heappush(self.items, item)
+        items = self.items
+        if items is EMPTY:
+            items = self.items = []
+        heappush(items, item)
 
     def _do_get(self) -> Any:
         return heappop(self.items)

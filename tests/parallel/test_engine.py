@@ -71,6 +71,27 @@ def test_report_accounting():
     assert "workers=2" in report.stats_line()
 
 
+def test_report_carries_the_simulating_process_peak_rss(tmp_path):
+    import resource
+
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    in_process = run_cells(_cells(3), cache=False)
+    # in-process, the shard is this process: its own high-water mark
+    assert own <= in_process.peak_rss_mb <= own + 64
+    pooled = run_cells(_cells(4), workers=2, cache=False)
+    assert pooled.peak_rss_mb > 0  # the largest worker's
+    for report in (in_process, pooled):
+        assert (f"gc={report.gc_s:.2f}s/{report.collections} "
+                f"rss={report.peak_rss_mb:.0f}MB") in report.stats_line()
+    # a fully cached run simulated nothing: the reader's own figure
+    from repro.parallel.cache import ResultCache
+
+    cache = ResultCache(tmp_path / "cache")
+    run_cells(_cells(2), cache=cache)
+    warm = run_cells(_cells(2), cache=cache)
+    assert warm.executed == 0 and warm.peak_rss_mb >= own
+
+
 def test_empty_cell_list():
     report = run_cells([], workers=4, cache=False)
     assert report.results == []

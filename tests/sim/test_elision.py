@@ -49,14 +49,14 @@ class _NullBus:
         pass
 
 
-def _drive(programs, elide, loop):
+def _drive(programs, elide, loop, store_cls=Store):
     """Run *programs* (one op list per process); return (log, final _seq)."""
     sim = Simulator(elide=elide)
     if loop == "traced":
         sim.obs = _NullBus()
     res = [Resource(sim, capacity=1 + i) for i in range(N_RES)]
     cpus = [Processor(sim, name=f"cpu{i}") for i in range(N_CPU)]
-    stores = [Store(sim, capacity=cap) for cap in STORE_CAPS]
+    stores = [store_cls(sim, capacity=cap) for cap in STORE_CAPS]
     notifies = [Notify(sim) for _ in range(N_NOTIFY)]
     gate = sim.event()  # several processes wait on it: a multi-callback fire
     log = []
