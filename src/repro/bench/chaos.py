@@ -19,6 +19,10 @@ terminates, which is the point of the harness.
 cells as one ``repro.parallel.evaluate`` batch plus a pure finish.
 ``workers=None`` runs the cells in-process, an integer over a pool; rows
 and exported traces are the same either way.
+
+Building a sweep imports no simulator: ``chaos_cell`` and ``soak_cell``
+import the MPI library, the fault rules and numpy when they run, so a
+sweep answered from the cache loads none of them.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import cold_pingpong
 from repro.errors import DeadlockError, NetworkError
-from repro.faults import FaultPlan, PacketLoss
-from repro.mpi import World
-from repro.mpi.exceptions import CommError
 from repro.parallel import Plan, evaluate, merge_traced
 
 __all__ = [
@@ -77,7 +78,7 @@ def _workload(name: str, nprocs: int, nbytes: int, repeats: int):
     raise ValueError(f"unknown chaos workload {name!r}")
 
 
-def _fabric_counts(world: World) -> Dict[str, int]:
+def _fabric_counts(world) -> Dict[str, int]:
     fabric = world.platform.machine.fabric
     out = {}
     for prefix in ("frames", "pdus", "packets"):
@@ -105,6 +106,10 @@ def chaos_cell(
     its events are labelled ``platform/workload/loss=X`` so several
     cells can share one bus (one exported trace per sweep).
     """
+    from repro.faults import FaultPlan, PacketLoss
+    from repro.mpi import World
+    from repro.mpi.exceptions import CommError
+
     faults = FaultPlan.of(PacketLoss(probability=loss)) if loss > 0 else None
     main, nprocs = _workload(workload, nprocs, nbytes, repeats)
     if obs is not None:
@@ -261,8 +266,9 @@ def soak_cell(
     import numpy as np
 
     from repro.apps.survivable import reference_relax, survivable_relax
-    from repro.errors import DeadlockError
-    from repro.faults import NodeCrash
+    from repro.faults import FaultPlan, NodeCrash
+    from repro.mpi import World
+    from repro.mpi.exceptions import CommError
     from repro.obs import EventBus
     from repro.platforms import device_key
 

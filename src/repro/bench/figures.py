@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Sequence
 
-from repro.bench import harness
 from repro.parallel import Plan, evaluate
 
 __all__ = [
@@ -96,10 +95,12 @@ def fig01_transfer_mechanisms(
     sizes, plus the measured crossover (paper: 180 bytes)."""
 
     def finish(values):
+        from repro.bench.harness import crossover
+
         series = _series(values, {"Buffering": sizes, "No buffering": sizes})
         return {
             "series": series,
-            "crossover": harness.crossover(
+            "crossover": crossover(
                 series["Buffering"], series["No buffering"]
             ),
             "paper": {"crossover": 180},
@@ -240,6 +241,8 @@ def fig10_modern_crossover(
     devices = ("rdma", "cxl")
 
     def finish(values):
+        from repro.bench.harness import crossover
+
         series = _series(values, {
             f"{device} {protocol}": sizes
             for device in devices for protocol in ("eager", "rendezvous")
@@ -247,7 +250,7 @@ def fig10_modern_crossover(
         return {
             "series": series,
             "crossover": {
-                device: harness.crossover(
+                device: crossover(
                     series[f"{device} eager"], series[f"{device} rendezvous"]
                 )
                 for device in devices

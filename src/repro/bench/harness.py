@@ -5,14 +5,16 @@ report **simulated** microseconds (or MB/s = bytes/µs).  One warm-up
 exchange precedes each timed measurement so one-time effects
 (rendezvous state, ARP-less static connections) don't skew the number,
 matching how the paper's curves were taken.
+
+Importing this module loads nothing: each driver imports the kernel,
+machine, stack or MPI library it measures when it is called, so
+``crossover`` — all a fully cached figure needs from here — costs no
+simulator and no numpy.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
-
-from repro.mpi import World
-from repro.sim import Simulator
 
 __all__ = [
     "cold_pingpong",
@@ -89,6 +91,8 @@ def mpi_pingpong_rtt(
 
     Pass an :class:`~repro.obs.bus.EventBus` as *obs* to trace the run.
     """
+    from repro.mpi import World
+
     world = World(
         2,
         platform=platform,
@@ -107,6 +111,7 @@ def mpi_bandwidth(
     device_config=None,
 ) -> float:
     """One-way streaming bandwidth (MB/s) for one *nbytes* message."""
+    from repro.mpi import World
 
     def main(comm):
         payload = bytes(nbytes)
@@ -136,6 +141,7 @@ def app_verified(
     import numpy as np
 
     from repro import apps
+    from repro.mpi import World
 
     flop_time = 0.1 if platform == "meiko" else 0.03
 
@@ -173,6 +179,7 @@ def app_verified(
 
 def _tport_world(machine_params=None):
     from repro.hw.meiko import MeikoMachine
+    from repro.sim import Simulator
 
     sim = Simulator()
     machine = MeikoMachine(sim, 2, params=machine_params)
@@ -232,6 +239,7 @@ def tport_bandwidth(nbytes: int, machine_params=None) -> float:
 
 def _cluster(network: str, kernel_params=None):
     from repro.hw.cluster import ClusterMachine
+    from repro.sim import Simulator
 
     sim = Simulator()
     machine = ClusterMachine(sim, 2, network=network, kernel_params=kernel_params)

@@ -55,7 +55,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence
 
 __all__ = [
-    "WORKLOADS", "FLOORS", "floor_slack", "effective_floor",
+    "WORKLOADS", "WORLD_CELLS", "FLOORS", "floor_slack", "effective_floor",
     "time_workload", "plan", "run_workload", "run_suite",
     "coll_10k_main", "bytes_per_rank",
 ]
@@ -105,11 +105,24 @@ def effective_floor(name: str, quick: bool = False) -> int:
     return int(FLOORS[name] * (0.5 if quick else 1.0) * floor_slack())
 
 
+#: the (platform, device) each workload builds its worlds on — read by
+#: the workloads below and, before a forked suite run, by the engine's
+#: loader (``repro.parallel.tasks``); ``timer_churn`` builds no world
+WORLD_CELLS = {
+    "solver": ("meiko", "lowlatency"),
+    "nbody": ("ethernet", "tcp"),
+    "chaos": ("ethernet", "tcp"),
+    "ring_1k": ("meiko", "lowlatency"),
+    "coll_4k": ("meiko", "lowlatency"),
+    "coll_10k": ("meiko", "lowlatency"),
+}
+
+
 def _solver(quick: bool) -> int:
     from repro.apps import linsolve
     from repro.mpi import World
 
-    world = World(8, platform="meiko", device="lowlatency")
+    world = World(8, *WORLD_CELLS["solver"])
 
     def main(comm):
         _, elapsed = yield from linsolve(comm, n=48 if quick else 96, seed=0)
@@ -123,7 +136,7 @@ def _nbody(quick: bool) -> int:
     from repro.apps import nbody_ring
     from repro.mpi import World
 
-    world = World(4, platform="ethernet")
+    world = World(4, *WORLD_CELLS["nbody"])
 
     def main(comm):
         _, e = yield from nbody_ring(
@@ -143,7 +156,7 @@ def _chaos(quick: bool) -> int:
 
     world = World(
         2,
-        platform="ethernet",
+        *WORLD_CELLS["chaos"],
         faults=FaultPlan.of(PacketLoss(probability=0.05)),
         kernel_params=replace(ETH_KERNEL, rto=4000.0, rto_max=64000.0, max_retries=8),
         seed=1,
@@ -155,7 +168,7 @@ def _chaos(quick: bool) -> int:
 def _ring_1k(quick: bool) -> int:
     from repro.mpi import World
 
-    world = World(1024, platform="meiko", device="lowlatency")
+    world = World(1024, *WORLD_CELLS["ring_1k"])
     laps = 1 if quick else 2
 
     def main(comm):
@@ -200,9 +213,9 @@ def _coll_4k(quick: bool) -> int:
         assert np.array_equal(tot, tot2)
         return None
 
-    big = World(nbig, platform="meiko", device="lowlatency")
+    big = World(nbig, *WORLD_CELLS["coll_4k"])
     big.run(body_big)
-    ring = World(nring, platform="meiko", device="lowlatency")
+    ring = World(nring, *WORLD_CELLS["coll_4k"])
     ring.run(body_ring)
     return big.sim._seq + ring.sim._seq
 
@@ -227,7 +240,7 @@ def coll_10k_main(comm):
 def _coll_10k(quick: bool) -> int:
     from repro.mpi import World
 
-    world = World(2048 if quick else 10_000, platform="meiko", device="lowlatency")
+    world = World(2048 if quick else 10_000, *WORLD_CELLS["coll_10k"])
     world.run(coll_10k_main)
     return world.sim._seq
 

@@ -41,7 +41,9 @@ or Perfetto.
 
 Every simulating command builds independent cells and runs them as one
 engine batch (``repro.parallel.evaluate``); this module builds no world
-itself.  ``fuzz``, ``chaos`` and ``sweep`` run theirs in-process by
+itself and imports no simulator — numpy, the MPI library and the machine
+models load when the first cell runs, so ``--help`` and a command
+answered from the cache never load them.  ``fuzz``, ``chaos`` and ``sweep`` run theirs in-process by
 default, sharded over N worker processes with ``--workers N`` — stdout
 does not depend on it; engine statistics go to stderr.  An integer
 ``--workers`` also turns the result cache on (``sweep`` caches either
@@ -358,7 +360,7 @@ def cmd_sweep(args, out) -> int:
               f"(choose from {', '.join(sorted(FIGURES))})", file=out)
         return 2
     # the cells of every requested figure in one engine batch: one cache
-    # scan, one pool, one merge (a pool per figure can never pay)
+    # scan, one fork per worker, one merge (a fork per figure can never pay)
     results, report = evaluate(
         [FIGURES[name][0].plan() for name in names],
         workers=args.workers, cache=not args.no_cache,

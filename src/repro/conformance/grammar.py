@@ -39,9 +39,10 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Transfer",
@@ -75,7 +76,10 @@ COLLECTIVE_OPS = [
 ]
 REDUCE_OPS = ["sum", "max", "min", "prod"]
 
-_DTYPES = {"int": np.int32, "double": np.float64, "long": np.int64}
+#: numpy dtype names — numpy itself is imported by the two functions that
+#: build or size a numeric payload, which only a running program calls:
+#: generating a program (all a cached fuzz command does) needs none
+_DTYPES = {"int": "int32", "double": "float64", "long": "int64"}
 
 
 # ------------------------------------------------------------------ payloads
@@ -111,6 +115,8 @@ def payload_array(
     so identical reduction order gives bit-identical results on every
     device.
     """
+    import numpy as np
+
     raw = np.frombuffer(
         _stream(f"{program_seed}:{pid}:{rep}", nelems), dtype=np.uint8
     ).astype(np.int64)
@@ -142,6 +148,8 @@ class Transfer:
     def nbytes(self) -> int:
         if self.dtype == "byte":
             return self.nelems
+        import numpy as np
+
         return self.nelems * np.dtype(_DTYPES[self.dtype]).itemsize
 
     def to_dict(self) -> Dict[str, Any]:

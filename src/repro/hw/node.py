@@ -17,6 +17,7 @@ import random
 from functools import cached_property
 from typing import Optional
 
+from repro.faults import BatchedRandom
 from repro.sim import Resource, SimulationError, Simulator
 
 __all__ = ["Processor", "Host"]
@@ -164,8 +165,6 @@ class Host:
         if self._rng_bits_users:
             stream = self.rng
         else:
-            from repro.faults import BatchedRandom
-
             stream = BatchedRandom(self.rng)
         self._jitter_cache = (self.rng, stream)
         return stream

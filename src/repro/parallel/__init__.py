@@ -4,8 +4,8 @@ content-addressed result cache.
 Every headline artifact of this reproduction — figure latency curves,
 chaos sweeps, the fuzz corpus, the conformance device matrix, the
 kernel perf suite — is a set of independent single-process simulations.
-:func:`~repro.parallel.engine.run_cells` fans those *cells* out over a
-worker pool with seed-stable partitioning and a canonical-order merge
+:func:`~repro.parallel.engine.run_cells` fans those *cells* out over
+forked workers with seed-stable partitioning and a canonical-order merge
 that is byte-identical to the serial run; the
 :class:`~repro.parallel.cache.ResultCache` skips unchanged cells
 entirely on re-runs (keyed by the ``src/repro`` code digest + cell
@@ -25,7 +25,7 @@ from repro.parallel.engine import (
     run_batches,
     run_cells,
 )
-from repro.parallel.tasks import TASKS, merge_traced, run_cell, task
+from repro.parallel.tasks import TASKS, load_for, merge_traced, run_cell, task
 
 __all__ = [
     "ResultCache",
@@ -42,6 +42,7 @@ __all__ = [
     "evaluate",
     "TASKS",
     "run_cell",
+    "load_for",
     "merge_traced",
     "task",
 ]

@@ -18,25 +18,76 @@ world, cyclic from end to end — is dead the moment it returns, so the
 cyclic collector is paused while the cell runs and asked for exactly one
 collection as it leaves.  This is the only module in ``src/repro`` that
 touches :mod:`gc` (docs/PERF.md, "Where a wide world's time goes").
+
+Importing this module loads no simulator: a task imports what it runs
+when it runs, so a process pays for the machines, stacks and devices of
+the cells it executes and for nothing else.  The one exception is made on
+purpose and once per command: before the engine forks, :func:`load_for`
+imports in the parent what the batch's pending cells will import, so no
+worker imports anything (docs/PERF.md, "The parallel experiment engine").
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Any, Callable, Dict, List, Optional
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["TASKS", "task", "run_cell", "cacheable_spec", "merge_traced"]
+__all__ = [
+    "TASKS", "task", "run_cell", "load_for", "freeze_heap",
+    "cacheable_spec", "merge_traced",
+]
 
 TASKS: Dict[str, Callable[[dict], Any]] = {}
 
 
-def task(name: str):
-    """Register a top-level cell function under *name*."""
+def task(name: str, *needs):
+    """Register a top-level cell function under *name*.
+
+    *needs* is what a cell of this kind imports while it runs, stated
+    beside the function that does the importing: a module name, or a
+    callable ``cell -> module names`` where it depends on the cell (its
+    platform and device, its fault spec).  Running a cell never reads
+    them — the imports stay lazy, in the function — only :func:`load_for`
+    does; ``tests/parallel/test_load_once.py`` fails for a kind whose
+    forked worker still had something left to import.
+    """
     def register(fn):
+        fn.needs = needs
         TASKS[name] = fn
         return fn
     return register
+
+
+def load_for(cells: Sequence[dict]) -> None:
+    """Import, here and now, everything *cells* would import on the way
+    to their results.
+
+    The engine calls this once per command, in the parent, when it is
+    about to fork: the workers then inherit every module their shard
+    touches instead of each importing them again (43-150 ms per worker,
+    against 2-4 ms for a cell).  It is driven by the batch — the needs
+    of the task kinds present, the ``repro.platforms.DEVICE_CLASSES``
+    rows of the cells present — so a Meiko-only sweep never loads the
+    TCP stack.  An unknown kind, platform or workload loads nothing:
+    running the cell is what reports it.
+    """
+    seen = set()
+    for cell in cells:
+        for need in getattr(TASKS.get(cell.get("kind")), "needs", ()):
+            for name in (need,) if isinstance(need, str) else need(cell):
+                if name not in seen:
+                    seen.add(name)
+                    import_module(name)
+
+
+def freeze_heap() -> None:
+    """At a forked worker's entry: move everything inherited from the
+    parent into the permanent generation.  The worker's full collections
+    (one cell exit in ~100) then neither traverse the inherited heap nor
+    write into its pages, which under fork would copy them."""
+    gc.freeze()
 
 
 def run_cell(cell: dict, tally: Optional[list] = None) -> Any:
@@ -114,6 +165,22 @@ def merge_traced(cells, values, bus) -> List:
 
 
 # ------------------------------------------------------- figure sweep points
+_HARNESS = "repro.bench.harness"
+
+
+def _world_modules(platform, device=None):
+    """What building a ``World`` on (*platform*, *device*) imports: the
+    MPI library, and the machine and endpoint modules its row of
+    ``repro.platforms.DEVICE_CLASSES`` names."""
+    from repro.platforms import device_modules
+
+    return ("repro.mpi",) + device_modules(platform, device)
+
+
+def _world(cell):
+    return _world_modules(cell.get("platform"), cell.get("device"))
+
+
 def _device_config(cell):
     """Rebuild the cell's device-config dataclass from its plain dict.
 
@@ -138,7 +205,7 @@ def _device_config(cell):
     return LowLatencyConfig(**cfg)
 
 
-@task("pingpong_rtt")
+@task("pingpong_rtt", _HARNESS, _world)
 def _pingpong_rtt(cell):
     from repro.bench import harness
 
@@ -149,28 +216,28 @@ def _pingpong_rtt(cell):
     ), "pingpong/{platform}/{device}/{nbytes}B".format(**cell))
 
 
-@task("bandwidth")
+@task("bandwidth", _HARNESS, _world)
 def _bandwidth(cell):
     from repro.bench import harness
 
     return harness.mpi_bandwidth(cell["platform"], cell["device"], cell["nbytes"])
 
 
-@task("tport_rtt")
+@task("tport_rtt", _HARNESS, "repro.hw.meiko")
 def _tport_rtt(cell):
     from repro.bench import harness
 
     return harness.tport_rtt(cell["nbytes"])
 
 
-@task("tport_bandwidth")
+@task("tport_bandwidth", _HARNESS, "repro.hw.meiko")
 def _tport_bandwidth(cell):
     from repro.bench import harness
 
     return harness.tport_bandwidth(cell["nbytes"])
 
 
-@task("raw_rtt")
+@task("raw_rtt", _HARNESS, "repro.hw.cluster")
 def _raw_rtt(cell):
     from repro.bench import harness
 
@@ -180,7 +247,7 @@ def _raw_rtt(cell):
     )
 
 
-@task("raw_bandwidth")
+@task("raw_bandwidth", _HARNESS, "repro.hw.cluster")
 def _raw_bandwidth(cell):
     from repro.bench import harness
 
@@ -189,14 +256,14 @@ def _raw_bandwidth(cell):
     )
 
 
-@task("fore_rtt")
+@task("fore_rtt", _HARNESS, "repro.hw.cluster")
 def _fore_rtt(cell):
     from repro.bench import harness
 
     return harness.fore_rtt(cell["nbytes"])
 
 
-@task("app_time")
+@task("app_time", "repro.apps", "numpy.random", _world)
 def _app_time(cell):
     from repro import apps
     from repro.mpi import World
@@ -212,7 +279,7 @@ def _app_time(cell):
     return max(world.run(main))
 
 
-@task("app_verified")
+@task("app_verified", _HARNESS, "repro.apps", "numpy.random", _world)
 def _app_verified(cell):
     """``repro app``: ``{"elapsed", "ok"}`` — rank 0's answer is checked
     against the serial reference here, so it dies with the world."""
@@ -224,7 +291,7 @@ def _app_verified(cell):
     ), "app/{app}/{platform}/{device}".format(**cell))
 
 
-@task("phases_table")
+@task("phases_table", _HARNESS, "repro.obs", _world)
 def _phases_table(cell):
     """``repro phases``: the Table-1 phase breakdown of one cold
     ping-pong, rendered.  The ledger needs the events either way; they
@@ -243,7 +310,12 @@ def _phases_table(cell):
 
 
 # ------------------------------------------------------------ chaos scenarios
-@task("chaos_cell")
+def _chaos_workload(cell):
+    """The n-body workload runs an application; the ping-pong does not."""
+    return ("repro.apps", "numpy.random") if cell.get("workload") == "nbody" else ()
+
+
+@task("chaos_cell", "repro.bench.chaos", _world, _chaos_workload)
 def _chaos_cell(cell):
     from repro.bench.chaos import chaos_cell
 
@@ -254,7 +326,8 @@ def _chaos_cell(cell):
     ))
 
 
-@task("soak_cell")
+@task("soak_cell", "repro.bench.chaos", "repro.apps.survivable", "repro.mpi.ft",
+      "repro.obs", _world)
 def _soak_cell(cell):
     """One chaos-soak cell: pinned crash through ULFM recovery.
 
@@ -272,7 +345,12 @@ def _soak_cell(cell):
 
 
 # ----------------------------------------------------- conformance/fuzz cells
-@task("conformance_cell")
+def _program_ft(cell):
+    """A crash-recovery program runs under ``World(ft=True)``."""
+    return ("repro.mpi.ft",) if cell.get("program", {}).get("ft") else ()
+
+
+@task("conformance_cell", "repro.conformance.interpreter", _world, _program_ft)
 def _conformance_cell(cell):
     from repro.conformance.executor import run_conformance_cell
 
@@ -280,7 +358,15 @@ def _conformance_cell(cell):
 
 
 # ------------------------------------------------------- kernel perf workload
-@task("kernel_workload")
+def _workload_world(cell):
+    from repro.bench.kernel_perf import WORLD_CELLS
+
+    where = WORLD_CELLS.get(cell.get("name"))
+    return _world_modules(*where) if where else ()
+
+
+@task("kernel_workload", "repro.bench.kernel_perf", _HARNESS, "repro.apps",
+      "numpy.random", _workload_world)
 def _kernel_workload(cell):
     """One timed run — a cell per repeat (``kernel_perf.plan``), so the
     region never holds more than one dead world."""

@@ -18,18 +18,23 @@ CXL shared-memory switch (cMPI-style).  See docs/FABRICS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim import Simulator
+
+if TYPE_CHECKING:
+    from repro.sim import Simulator
 
 __all__ = [
     "Platform",
     "build_platform",
     "device_key",
+    "device_modules",
     "DEFAULT_DEVICES",
     "PLATFORM_DEVICES",
     "DEVICE_MATRIX",
+    "DEVICE_CLASSES",
     "COLL_TUNING",
 ]
 
@@ -67,6 +72,54 @@ DEVICE_MATRIX = tuple(
     for platform in ("meiko", "atm", "ethernet", "modern")
     for device in PLATFORM_DEVICES[platform]
 )
+
+#: where each cell's (machine, endpoint) classes live, as ``"module:Class"``.
+#: Nothing named here is imported until a world of that cell is built —
+#: importing this module costs no simulator — and the table is read twice:
+#: by the builders below, and by ``repro.parallel.tasks.load_for``, which
+#: imports a batch's modules once before the engine forks.
+DEVICE_CLASSES = {
+    ("meiko", "lowlatency"): ("repro.hw.meiko:MeikoMachine",
+                              "repro.mpi.device.lowlatency:LowLatencyEndpoint"),
+    ("meiko", "mpich"): ("repro.hw.meiko:MeikoMachine",
+                         "repro.mpi.device.mpich:MpichEndpoint"),
+    ("atm", "tcp"): ("repro.hw.cluster:ClusterMachine",
+                     "repro.mpi.device.tcpdev:TcpEndpoint"),
+    ("atm", "udp"): ("repro.hw.cluster:ClusterMachine",
+                     "repro.mpi.device.udpdev:UdpEndpoint"),
+    ("ethernet", "tcp"): ("repro.hw.cluster:ClusterMachine",
+                          "repro.mpi.device.tcpdev:TcpEndpoint"),
+    ("ethernet", "udp"): ("repro.hw.cluster:ClusterMachine",
+                          "repro.mpi.device.udpdev:UdpEndpoint"),
+    ("modern", "rdma"): ("repro.hw.modern:ModernMachine",
+                         "repro.mpi.device.rdma:RdmaEndpoint"),
+    ("modern", "cxl"): ("repro.hw.modern:ModernMachine",
+                        "repro.mpi.device.cxl:CxlEndpoint"),
+}
+
+
+def device_modules(platform: str, device: Optional[str] = None) -> Tuple[str, ...]:
+    """The modules a world on (*platform*, *device*) imports to build its
+    machine and endpoints — empty for a cell the table does not have
+    (``build_platform`` is what rejects it, with the message)."""
+    refs = DEVICE_CLASSES.get((platform, device or DEFAULT_DEVICES.get(platform)), ())
+    return tuple(ref.partition(":")[0] for ref in refs)
+
+
+def _device_classes(platform: str, device: str):
+    """``(Machine, Endpoint)`` of a cell, imported now."""
+    try:
+        refs = DEVICE_CLASSES[platform, device]
+    except KeyError:
+        choices = " or ".join(repr(d) for d in PLATFORM_DEVICES[platform])
+        raise ConfigurationError(
+            f"device {device!r} not available on the {platform} platform "
+            f"(choose {choices})"
+        ) from None
+    return tuple(
+        getattr(import_module(module), name)
+        for module, _, name in (ref.partition(":") for ref in refs)
+    )
 
 
 # Per-cell collective tuning tables consumed by the auto-selector in
@@ -213,102 +266,55 @@ def build_platform(
 def _build_meiko(
     device, nprocs, sim, seed, machine_params, device_config, faults=None
 ) -> Platform:
-    from repro.hw.meiko import MeikoMachine, MeikoParams
-
-    params = machine_params or MeikoParams()
-    machine = MeikoMachine(sim, nprocs, params=params, seed=seed, faults=faults)
-    if device == "lowlatency":
-        from repro.mpi.device.lowlatency import LowLatencyEndpoint
-
-        endpoints = [
-            LowLatencyEndpoint(i, machine.nodes[i], config=device_config)
-            for i in range(nprocs)
-        ]
-        for ep in endpoints:
-            ep.peers = endpoints
-            ep.coll_tuning = COLL_TUNING["meiko-lowlatency"]
-    elif device == "mpich":
-        from repro.mpi.device.mpich import MpichEndpoint
-
+    Machine, Endpoint = _device_classes("meiko", device)
+    machine = Machine(sim, nprocs, params=machine_params, seed=seed, faults=faults)
+    if device == "mpich":  # layered over the tport widget
         tports = machine.tports()
         endpoints = [
-            MpichEndpoint(i, machine.nodes[i], tports[i], config=device_config)
+            Endpoint(i, machine.nodes[i], tports[i], config=device_config)
             for i in range(nprocs)
         ]
-        for ep in endpoints:
-            ep.peers = endpoints
-            ep.coll_tuning = COLL_TUNING["meiko-mpich"]
     else:
-        raise ConfigurationError(
-            f"device {device!r} not available on the meiko platform "
-            "(choose 'lowlatency' or 'mpich')"
-        )
+        endpoints = [
+            Endpoint(i, machine.nodes[i], config=device_config)
+            for i in range(nprocs)
+        ]
+    tuning = COLL_TUNING[device_key("meiko", device)]
+    for ep in endpoints:
+        ep.peers = endpoints
+        ep.coll_tuning = tuning
     return Platform("meiko", device, sim, list(machine.nodes), endpoints, machine)
 
 
 def _build_modern(
     device, nprocs, sim, seed, machine_params, device_config, faults=None
 ) -> Platform:
-    from repro.hw.modern import ModernMachine
-
-    if device not in ("rdma", "cxl"):
-        raise ConfigurationError(
-            f"device {device!r} not available on the modern platform "
-            "(choose 'rdma' or 'cxl')"
-        )
-    machine = ModernMachine(
+    Machine, Endpoint = _device_classes("modern", device)
+    machine = Machine(
         sim, nprocs, network=device, params=machine_params, seed=seed,
         faults=faults,
     )
-    if device == "rdma":
-        from repro.mpi.device.rdma import RdmaEndpoint
-
-        endpoints = [
-            RdmaEndpoint(i, machine.hosts[i], config=device_config)
-            for i in range(nprocs)
-        ]
-    else:
-        from repro.mpi.device.cxl import CxlEndpoint
-
-        endpoints = [
-            CxlEndpoint(i, machine.hosts[i], config=device_config)
-            for i in range(nprocs)
-        ]
-    tuning = COLL_TUNING[device_key("modern", device)]
-    for ep in endpoints:
-        ep.peers = endpoints
-        ep.coll_tuning = tuning
-    machine.connect_endpoints(endpoints)
-    return Platform("modern", device, sim, list(machine.hosts), endpoints, machine)
+    return _connected("modern", device, sim, machine, Endpoint, device_config)
 
 
 def _build_cluster(
     platform, device, nprocs, sim, seed, machine_params, device_config,
     host_speeds=None, kernel_params=None, faults=None,
 ) -> Platform:
-    from repro.hw.cluster import ClusterMachine
-
-    machine = ClusterMachine(
+    Machine, Endpoint = _device_classes(platform, device)
+    machine = Machine(
         sim, nprocs, network=platform, params=machine_params, seed=seed,
         host_speeds=host_speeds, kernel_params=kernel_params, faults=faults,
     )
-    if device == "tcp":
-        from repro.mpi.device.tcpdev import TcpEndpoint
+    return _connected(platform, device, sim, machine, Endpoint, device_config)
 
-        endpoints = [
-            TcpEndpoint(i, machine.hosts[i], config=device_config) for i in range(nprocs)
-        ]
-    elif device == "udp":
-        from repro.mpi.device.udpdev import UdpEndpoint
 
-        endpoints = [
-            UdpEndpoint(i, machine.hosts[i], config=device_config) for i in range(nprocs)
-        ]
-    else:
-        raise ConfigurationError(
-            f"device {device!r} not available on the {platform} platform "
-            "(choose 'tcp' or 'udp')"
-        )
+def _connected(platform, device, sim, machine, Endpoint, device_config) -> Platform:
+    """One endpoint per host of a host-based *machine*, wired to it."""
+    endpoints = [
+        Endpoint(i, host, config=device_config)
+        for i, host in enumerate(machine.hosts)
+    ]
     tuning = COLL_TUNING[device_key(platform, device)]
     for ep in endpoints:
         ep.peers = endpoints

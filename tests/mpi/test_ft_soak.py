@@ -73,10 +73,12 @@ def test_soak_sweep_gate():
 
 
 def test_soak_sweep_parallel_matches_serial():
-    """One path: a pool only moves where the cells execute."""
-    cells = [("meiko", "lowlatency"), ("atm", "udp")]
-    serial = soak_sweep(cells=cells, repeat=1)
-    par = soak_sweep(cells=cells, repeat=1, workers=2)
+    """One path: forked workers only move where the cells execute (eight
+    runs, so that two workers are forked at all)."""
+    cells = [("meiko", "lowlatency"), ("atm", "udp"), ("ethernet", "tcp"),
+             ("modern", "cxl")]
+    serial = soak_sweep(cells=cells, repeat=2)
+    par = soak_sweep(cells=cells, repeat=2, workers=2)
     assert par == serial
 
 
@@ -84,7 +86,8 @@ def test_traced_soak_trace_is_byte_identical_across_workers(tmp_path):
     from repro.obs import EventBus
     from repro.obs.export import write_trace
 
-    cells = [("meiko", "lowlatency"), ("atm", "udp")]
+    cells = [("meiko", "lowlatency"), ("atm", "udp"), ("ethernet", "tcp"),
+             ("modern", "cxl")]
     for workers in (None, 2):
         bus = EventBus()
         rows = soak_sweep(cells=cells, repeat=2, obs=bus, workers=workers)

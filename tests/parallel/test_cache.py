@@ -9,6 +9,7 @@ The three properties the ISSUE pins down:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,10 @@ def _cells(n):
     return [{"kind": "_selftest", "i": i} for i in range(n)]
 
 
+def _entry(cache, key) -> Path:
+    return Path(cache._path(key))
+
+
 # --------------------------------------------------------------- unit level
 def test_put_get_roundtrip(cache):
     key = cell_key("_selftest", {"i": 0})
@@ -37,7 +42,7 @@ def test_put_get_roundtrip(cache):
 def test_entries_are_self_describing(cache):
     key = cell_key("_selftest", {"i": 3})
     cache.put(key, "_selftest", {"i": 3}, [1, 2, 3])
-    entry = json.loads(cache._path(key).read_text())
+    entry = json.loads(_entry(cache, key).read_text())
     assert entry["key"] == key
     assert entry["kind"] == "_selftest"
     assert entry["cell"] == {"i": 3}
@@ -48,14 +53,14 @@ def test_entries_are_self_describing(cache):
 def test_corrupt_entry_is_a_miss(cache):
     key = cell_key("_selftest", {"i": 0})
     cache.put(key, "_selftest", {"i": 0}, "ok")
-    cache._path(key).write_text("{not json")
+    _entry(cache, key).write_text("{not json")
     assert cache.get(key) == (False, None)
 
 
 def test_corrupt_entry_is_quarantined_not_left_in_place(cache):
     key = cell_key("_selftest", {"i": 0})
     cache.put(key, "_selftest", {"i": 0}, "ok")
-    path = cache._path(key)
+    path = _entry(cache, key)
     path.write_text("{not json")
     assert cache.get(key) == (False, None)
     assert cache.quarantined == 1
@@ -73,9 +78,9 @@ def test_wrong_key_entry_is_quarantined(cache):
     key_b = cell_key("_selftest", {"i": 2})
     cache.put(key_a, "_selftest", {"i": 1}, "a")
     # misfile A's (valid) bytes into B's slot
-    path_b = cache._path(key_b)
+    path_b = _entry(cache, key_b)
     path_b.parent.mkdir(parents=True, exist_ok=True)
-    path_b.write_text(cache._path(key_a).read_text())
+    path_b.write_text(_entry(cache, key_a).read_text())
     assert cache.get(key_b) == (False, None)
     assert cache.quarantined == 1
     assert not path_b.exists()
@@ -86,7 +91,7 @@ def test_wrong_key_entry_is_quarantined(cache):
 
 def test_entry_without_value_is_quarantined(cache):
     key = cell_key("_selftest", {"i": 0})
-    path = cache._path(key)
+    path = _entry(cache, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"key": key, "kind": "_selftest"}))
     assert cache.get(key) == (False, None)
@@ -130,11 +135,11 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------- engine level
 def test_warm_rerun_hits_for_identical_inputs(cache):
-    cells = _cells(4)
+    cells = _cells(8)
     cold = run_cells(cells, workers=2, cache=cache)
-    assert (cold.executed, cold.cached) == (4, 0)
+    assert (cold.executed, cold.cached, cold.forks) == (8, 0, 2)
     warm = run_cells(cells, workers=2, cache=cache)
-    assert (warm.executed, warm.cached) == (0, 4)
+    assert (warm.executed, warm.cached, warm.forks) == (0, 8, 0)
     assert warm.results == cold.results
 
 

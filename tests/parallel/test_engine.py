@@ -3,7 +3,8 @@
 The contract under test (see ``src/repro/parallel/engine.py``):
 seed-stable round-robin sharding, canonical-order merge identical to
 the serial run, budget skips as :data:`SKIPPED`, worker exceptions
-re-raised as :class:`CellError`, and — for traced sweeps — per-shard
+re-raised as :class:`CellError`, a batch too small to repay a fork run
+in-process, and — for traced sweeps — per-shard
 event streams threaded back through the merge so an exported trace is
 byte-identical to the serial sweep's.
 
@@ -12,6 +13,9 @@ simulation) so engine behaviour is isolated from simulator behaviour.
 """
 
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -45,9 +49,10 @@ def test_plan_shards_clamps_workers_to_one():
 # ------------------------------------------------------------------- merge
 def test_parallel_results_equal_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cells = _cells(9)
+    cells = _cells(17)
     serial = run_cells(cells, workers=1, cache=False)
     parallel = run_cells(cells, workers=4, cache=False)
+    assert (serial.forks, parallel.forks) == (0, 4)
     assert parallel.results == serial.results
     assert [r["digest"] for r in parallel.results] == [
         r["digest"] for r in serial.results
@@ -55,20 +60,33 @@ def test_parallel_results_equal_serial(tmp_path, monkeypatch):
 
 
 def test_merge_is_in_submission_order():
-    cells = _cells(6)
+    cells = _cells(12)
     report = run_cells(cells, workers=3, cache=False)
     expected = [run_cells([c], cache=False).results[0] for c in cells]
-    assert report.results == expected
+    assert report.results == expected and report.forks == 3
+
+
+def test_small_batches_run_in_process_and_large_ones_use_fewer_workers():
+    """Decided from the batch: a worker is forked only for four or more
+    pending cells, so asking for more workers than the batch can feed
+    never costs more than running it here."""
+    small = run_cells(_cells(7), workers=2, cache=False)
+    assert (small.workers, small.forks, len(small.shards)) == (1, 0, 1)
+    assert "workers=1" in small.stats_line() and "forks" not in small.stats_line()
+    trimmed = run_cells(_cells(9), workers=4, cache=False)
+    assert (trimmed.workers, trimmed.forks) == (2, 2)
+    assert small.results == run_cells(_cells(7), cache=False).results
 
 
 def test_report_accounting():
-    report = run_cells(_cells(5), workers=2, cache=False)
+    report = run_cells(_cells(9), workers=2, cache=False)
     assert isinstance(report, RunReport)
-    assert report.executed == 5
+    assert report.executed == 9
     assert report.cached == 0
     assert report.skipped == 0
-    assert sum(s.cells for s in report.shards) == 5
-    assert "workers=2" in report.stats_line()
+    assert [s.cells for s in report.shards] == [5, 4]
+    assert report.forks == 2
+    assert "workers=2" in report.stats_line() and "forks=2" in report.stats_line()
 
 
 def test_report_carries_the_simulating_process_peak_rss(tmp_path):
@@ -78,8 +96,8 @@ def test_report_carries_the_simulating_process_peak_rss(tmp_path):
     in_process = run_cells(_cells(3), cache=False)
     # in-process, the shard is this process: its own high-water mark
     assert own <= in_process.peak_rss_mb <= own + 64
-    pooled = run_cells(_cells(4), workers=2, cache=False)
-    assert pooled.peak_rss_mb > 0  # the largest worker's
+    pooled = run_cells(_cells(8), workers=2, cache=False)
+    assert pooled.forks == 2 and pooled.peak_rss_mb > 0  # the largest worker's
     for report in (in_process, pooled):
         assert (f"gc={report.gc_s:.2f}s/{report.collections} "
                 f"rss={report.peak_rss_mb:.0f}MB") in report.stats_line()
@@ -118,10 +136,10 @@ def test_skipped_cells_use_the_sentinel_not_none():
 
 # ------------------------------------------------------------------ errors
 def test_worker_exception_becomes_cell_error():
-    cells = _cells(2) + [{"kind": "no_such_task"}]
+    cells = _cells(8) + [{"kind": "no_such_task"}]
     with pytest.raises(CellError) as excinfo:
-        run_cells(cells, workers=2, cache=False)
-    assert excinfo.value.index == 2
+        run_cells(cells, workers=2, cache=False)  # 9 pending: forked
+    assert excinfo.value.index == 8
     assert "no_such_task" in str(excinfo.value)
 
 
@@ -138,13 +156,15 @@ def _flaky(tmp_path, i, fail_times, retries):
 
 
 def test_retries_recover_transient_failures(tmp_path):
-    flaky = [_flaky(tmp_path, i, fail_times=2, retries=3) for i in range(3)]
-    clean = [{"kind": "_flaky_selftest", "i": i} for i in range(3)]
+    # three flaky cells among eight, so the retries happen in forked workers
+    flaky = [_flaky(tmp_path, i, fail_times=2 if i < 3 else 0, retries=3)
+             for i in range(8)]
+    clean = [{"kind": "_flaky_selftest", "i": i} for i in range(8)]
     report = run_cells(flaky, workers=2, cache=False)
     serial = run_cells(clean, workers=1, cache=False)
     # byte-identical to the never-flaked serial run on success
     assert report.results == serial.results
-    assert report.executed == 3
+    assert report.executed == 8 and report.forks == 2
 
 
 def test_retries_exhausted_surface_cell_error(tmp_path):
@@ -186,8 +206,8 @@ def _traced_chaos_sweep(workers, trace_path):
 
     bus = EventBus()
     rows = chaos_sweep(
-        platforms=["ethernet"], losses=(0.0, 0.05), workloads=("pingpong",),
-        repeats=2, obs=bus, workers=workers,
+        platforms=["ethernet", "atm"], losses=(0.0, 0.01, 0.05, 0.1),
+        workloads=("pingpong",), repeats=2, obs=bus, workers=workers,
     )
     write_trace(bus, str(trace_path))
     return rows, len(bus.events)
@@ -201,3 +221,34 @@ def test_traced_chaos_parallel_trace_is_byte_identical(tmp_path):
     assert par_events == serial_events > 0
     assert (tmp_path / "p.json").read_bytes() == (tmp_path / "s.json").read_bytes()
     json.loads((tmp_path / "s.json").read_text())  # stays valid JSON
+
+
+# ----------------------------------------------------------- a dead worker
+@pytest.mark.parametrize("how, said", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9 (SIGKILL)"),
+    (lambda: os._exit(3), "exit status 3"),
+], ids=["sigkill", "exit"])
+def test_a_dead_worker_is_a_typed_error_not_a_hang(how, said, tmp_path, monkeypatch):
+    """The OOM killer's signature: a worker vanishes mid-shard.  The run
+    must end — promptly — in a CellError naming the shard, the first cell
+    it still owed and how it died, with everything that did come back
+    (the sibling shard's cells, the victim's first two) already cached."""
+    from repro.parallel import TASKS, ResultCache, cell_key
+
+    def dies_on_cell_4(cell):
+        if cell["i"] == 4:
+            how()
+        return TASKS["_selftest"](cell)
+
+    monkeypatch.setitem(TASKS, "_mortal", dies_on_cell_4)  # forks inherit it
+    cells = [{"kind": "_mortal", "i": i} for i in range(10)]
+    assert plan_shards(10, 2)[0][:3] == [0, 2, 4]  # shard 0's third cell
+    cache = ResultCache(str(tmp_path / "cache"))
+    started = time.monotonic()
+    with pytest.raises(CellError) as excinfo:
+        run_cells(cells, workers=2, cache=cache)
+    assert time.monotonic() - started < 2.0
+    assert excinfo.value.index == 4 and excinfo.value.cell == cells[4]
+    assert "shard 0" in str(excinfo.value) and said in str(excinfo.value)
+    hits = [cache.get(cell_key("_mortal", cell))[0] for cell in cells]
+    assert hits == [i not in (4, 6, 8) for i in range(10)]

@@ -6,11 +6,11 @@ program — matrix runs, the style-stripped reference run of a styled
 program, the lossy runs of a fault-carrying one — and ``repro chaos``
 (loss sweep or ``--soak``) every scenario, each in a single
 ``run_cells``, with or without ``--workers``.  The contract: stdout does
-not depend on ``--workers``, one worker pool per command, and — every
-fuzz run being a cacheable cell — a warm re-run simulates nothing: zero
-cells executed, zero ``World`` objects built in the parent.  These
-counts, not a timing assertion, are the guard against a pool per figure
-or per seed, or a second hand-written loop, growing back.
+not depend on ``--workers``, one set of forked workers per command, and —
+every fuzz run being a cacheable cell — a warm re-run simulates nothing:
+zero cells executed, zero ``World`` objects built in the parent, nothing
+forked.  These counts, not a timing assertion, are the guard against a
+fork per figure or per seed, or a second hand-written loop, growing back.
 """
 
 import io
@@ -39,26 +39,22 @@ def _run(argv, capsys):
 
 @pytest.fixture
 def counters(tmp_path, monkeypatch):
-    """Count engine batches, worker pools and parent-side World builds."""
+    """Count engine batches, forked workers and parent-side World builds."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    seen = {"batches": [], "pools": 0, "worlds": 0}
-    real_run_cells, real_context = engine.run_cells, engine._pool_context
-    real_init = World.__init__
+    seen = {"batches": [], "forks": 0, "worlds": 0}
+    real_run_cells, real_init = engine.run_cells, World.__init__
 
     def counting_run_cells(cells, **kwargs):
         seen["batches"].append(len(cells))
-        return real_run_cells(cells, **kwargs)
-
-    def counting_context():
-        seen["pools"] += 1
-        return real_context()
+        report = real_run_cells(cells, **kwargs)
+        seen["forks"] += report.forks
+        return report
 
     def counting_init(self, *args, **kwargs):
         seen["worlds"] += 1
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(engine, "run_cells", counting_run_cells)
-    monkeypatch.setattr(engine, "_pool_context", counting_context)
     monkeypatch.setattr(World, "__init__", counting_init)
     return seen
 
@@ -69,7 +65,7 @@ def test_workers_match_serial_in_one_batch_then_warm_simulates_nothing(
     ncells = CELLS[argv[2]]
     code, serial_text, serial_err = _run(argv, capsys)
     assert code == 0
-    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["batches"] == [ncells] and counters["forks"] == 0
     assert counters["worlds"] == ncells   # serial: every run in-process
     assert serial_err == ""               # no engine, no engine statistics
 
@@ -77,17 +73,18 @@ def test_workers_match_serial_in_one_batch_then_warm_simulates_nothing(
     code, cold_text, cold_err = _run(argv + ["--workers", "2"], capsys)
     assert code == 0
     assert cold_text == serial_text       # byte-identical, traces included
-    assert counters["batches"] == [ncells] and counters["pools"] == 1
+    assert counters["batches"] == [ncells] and counters["forks"] == 2
     assert counters["worlds"] == 0        # every run in a worker
-    assert f"cells={ncells} cached=0 executed={ncells}" in cold_err
+    assert f"workers=2 cells={ncells} cached=0 executed={ncells}" in cold_err
+    assert "forks=2" in cold_err and "imports=0" in cold_err
 
-    counters.update(batches=[], pools=0)
+    counters.update(batches=[], forks=0)
     code, warm_text, warm_err = _run(argv + ["--workers", "2"], capsys)
     assert code == 0
     assert warm_text == serial_text
-    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["batches"] == [ncells] and counters["forks"] == 0
     assert counters["worlds"] == 0        # nothing simulated anywhere
-    assert f"cells={ncells} cached={ncells} executed=0" in warm_err
+    assert f"workers=1 cells={ncells} cached={ncells} executed=0" in warm_err
 
 
 def test_workers_one_uses_the_cache_too(counters, capsys):
@@ -98,7 +95,7 @@ def test_workers_one_uses_the_cache_too(counters, capsys):
     assert "cached=0 executed=12" in cold_err
     _, warm_text, warm_err = _run(argv, capsys)
     assert "cached=12 executed=0" in warm_err
-    assert warm_text == cold_text and counters["pools"] == 0
+    assert warm_text == cold_text and counters["forks"] == 0
     _, _, nocache_err = _run(argv + ["--no-cache"], capsys)
     assert "cached=0 executed=12" in nocache_err
 
@@ -106,10 +103,11 @@ def test_workers_one_uses_the_cache_too(counters, capsys):
 @pytest.mark.parametrize("argv, ncells", [
     (["fuzz", "--corpus", "ci"], None),
     (["chaos", "--repeats", "2"], 2 * 2 * 4),
-    (["chaos", "--soak", "--cells", "meiko-lowlatency,atm-udp"], 2 * 2),
+    (["chaos", "--soak", "--cells",
+      "meiko-lowlatency,atm-udp,ethernet-tcp,modern-cxl"], 4 * 2),
 ], ids=["corpus", "chaos", "soak"])
 def test_corpus_chaos_and_soak_are_one_batch_each(argv, ncells, counters, capsys):
-    """In-process or over a pool, the command is one ``run_cells``."""
+    """In-process or over forked workers, the command is one ``run_cells``."""
     if ncells is None:
         from repro.conformance.corpus import CI_CORPUS
         from repro.conformance.executor import cells
@@ -119,13 +117,13 @@ def test_corpus_chaos_and_soak_are_one_batch_each(argv, ncells, counters, capsys
                      for seed, profile in CI_CORPUS)
     code, text, err = _run(argv, capsys)
     assert code == 0
-    assert counters["batches"] == [ncells] and counters["pools"] == 0
+    assert counters["batches"] == [ncells] and counters["forks"] == 0
     assert counters["worlds"] == ncells and err == ""
 
     counters.update(batches=[], worlds=0)
     code, pool_text, err = _run(argv + ["--workers", "2", "--no-cache"], capsys)
     assert code == 0
-    assert counters["batches"] == [ncells] and counters["pools"] == 1
+    assert counters["batches"] == [ncells] and counters["forks"] == 2
     assert counters["worlds"] == 0
     if argv[0] == "fuzz":  # the corpus summary line carries wall seconds
         text, pool_text = (t.rsplit(" in ", 1)[0] for t in (text, pool_text))
@@ -133,18 +131,32 @@ def test_corpus_chaos_and_soak_are_one_batch_each(argv, ncells, counters, capsys
 
 
 def test_multi_figure_sweep_is_one_batch(counters, capsys, tmp_path):
-    """However many figures, one ``run_cells`` and one worker pool (a
-    figure is 20-70 ms of simulation: a pool per figure can never pay)."""
+    """However many figures, one ``run_cells`` and one fork per worker (a
+    figure is 20-70 ms of simulation: a fork per figure can never pay)."""
     code, sweep_text, _ = _run(
         ["sweep", "fig02", "fig10", "--workers", "2", "--no-cache"], capsys)
     assert code == 0
     assert counters["batches"] == [24 + 40]  # fig02's cells, both fig10 devices'
-    assert counters["pools"] == 1
+    assert counters["forks"] == 2
     assert not (tmp_path / "cache").exists()  # --no-cache wrote nothing
 
-    counters.update(batches=[], pools=0)
+    counters.update(batches=[], forks=0)
     _, fig02_text, _ = _run(["figure", "fig02"], capsys)
     _, fig10_text, _ = _run(["figure", "fig10"], capsys)
     assert sweep_text == fig02_text + fig10_text
     # a figure on its own is one in-process batch
-    assert counters["batches"] == [24, 40] and counters["pools"] == 0
+    assert counters["batches"] == [24, 40] and counters["forks"] == 0
+
+
+def test_a_small_batch_runs_in_process_whatever_workers_says(counters, capsys):
+    """``--workers N`` is never slower than serial: below four pending
+    cells per worker nothing is forked (and nothing loaded ahead), the
+    cells run in this process, and stdout is the same."""
+    argv = ["chaos", "--platforms", "ethernet", "--workloads", "pingpong",
+            "--losses", "0,0.05", "--repeats", "2"]
+    _, serial_text, _ = _run(argv, capsys)
+    counters.update(batches=[], worlds=0)
+    code, text, err = _run(argv + ["--workers", "2", "--no-cache"], capsys)
+    assert code == 0 and text == serial_text
+    assert counters["batches"] == [2] and counters["forks"] == 0
+    assert counters["worlds"] == 2        # built here, not in a worker

@@ -131,6 +131,9 @@ def test_pool_results_and_traces_equal_in_process_ones():
         {"kind": "phases_table", "platform": "meiko", "device": "lowlatency",
          "nbytes": 1, "_trace": True},
     ]
+    # enough untraced runs beside them that two workers are worth forking
+    cells += [{"kind": "bandwidth", "platform": "modern", "device": "cxl",
+               "nbytes": nbytes} for nbytes in (4096, 65536, 262144)]
 
     def run(workers):
         bus = EventBus()
@@ -138,6 +141,7 @@ def test_pool_results_and_traces_equal_in_process_ones():
             [Plan(cells, lambda values: merge_traced(cells, values, bus))],
             workers=workers)
         assert report.collections == len(cells)
+        assert report.forks == (workers or 0) and report.worker_imports == []
         return rows, _fields(bus.events)
 
     rows, events = run(None)
