@@ -218,8 +218,8 @@ SOAK_CRASH_AT = {
 # byte-identical across repeated seeded runs — the determinism property
 # the FT layer promises.
 
-def _ft_trace_sha(events) -> str:
-    """Content hash of the ft-layer slice of an event stream.
+def _ft_trace_sha(log) -> str:
+    """Content hash of a world's ``"ft"`` events (:attr:`FTState.log`).
 
     Canonical JSON over ``(t, kind, rank, detail)`` of every ``"ft"``
     event, in emission order.  Two runs of the same seeded cell must
@@ -229,12 +229,7 @@ def _ft_trace_sha(events) -> str:
     import hashlib
     import json
 
-    canon = [
-        [ev.t, ev.kind, ev.rank, ev.detail]
-        for ev in events
-        if ev.layer == "ft"
-    ]
-    material = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    material = json.dumps(log, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(material.encode()).hexdigest()
 
 
@@ -269,19 +264,16 @@ def soak_cell(
     from repro.faults import FaultPlan, NodeCrash
     from repro.mpi import World
     from repro.mpi.exceptions import CommError
-    from repro.obs import EventBus
     from repro.platforms import device_key
 
     if crash_at is None:
         crash_at = SOAK_CRASH_AT.get(platform, 900.0)
-    bus = obs if obs is not None else EventBus()
     if obs is not None:
         obs.set_run(f"soak/{device_key(platform, device)}/crash@{crash_at:g}")
-    start = len(bus.events)
     plan = FaultPlan.of(NodeCrash(node=victim, at=crash_at))
     world = World(
         nprocs, platform=platform, device=device, seed=seed,
-        faults=plan, ft=True, obs=bus,
+        faults=plan, ft=True, obs=obs,
     )
     row: Dict = {
         "platform": platform,
@@ -319,7 +311,7 @@ def soak_cell(
         rank = getattr(e, "mpi_rank", getattr(e, "rank", "?"))
         row["diagnostic"] = f"rank {rank}: {type(e).__name__}: {e}"
     row["timeline"] = dict(world.ft.timeline)
-    row["trace_sha"] = _ft_trace_sha(bus.events[start:])
+    row["trace_sha"] = _ft_trace_sha(world.ft.log)
     tl = row["timeline"]
     if "crash" in tl and "detect" in tl:
         row["detect_us"] = tl["detect"] - tl["crash"]

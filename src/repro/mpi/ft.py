@@ -40,7 +40,10 @@ connection to the crashed host) short-circuits the announcement through
 Observability: every transition emits a typed event on the ``"ft"``
 layer (``failure.crash``, ``failure.detect``, ``comm.revoke``,
 ``comm.shrink``, ``agree``, ``checkpoint.save``/``commit``/``restore``)
-so recovery latency is measurable per phase, Table-1 style.
+so recovery latency is measurable per phase, Table-1 style.  Every one
+of them goes through :meth:`FTState._emit`, which also appends it to
+:attr:`FTState.log` — with or without a bus, so a run that only needs
+the recovery digest attaches none.
 """
 
 from __future__ import annotations
@@ -151,6 +154,9 @@ class FTState:
         #: recovery-phase timeline (first occurrence of each phase),
         #: simulated microseconds — the soak harness reads this
         self.timeline: Dict[str, float] = {}
+        #: ``(t, kind, rank, detail)`` of every ``"ft"`` event, in order,
+        #: kept whether or not a bus is attached — the soak digest's input
+        self.log: List[Tuple[float, str, Optional[int], Any]] = []
         self._detecting: set = set()
         #: set by ``World.run`` for the length of a run: called (no
         #: arguments) whenever a crash executes, which is the one moment
@@ -159,9 +165,11 @@ class FTState:
 
     # -- plumbing -----------------------------------------------------------
     def _emit(self, kind: str, rank=None, detail=None) -> None:
-        obs = self.world.sim.obs
-        if obs is not None:
-            obs.emit(self.world.sim.now, "ft", kind, rank=rank, detail=detail)
+        """Record one ``"ft"`` event in :attr:`log` and on the bus, if any."""
+        sim = self.world.sim
+        self.log.append((sim.now, kind, rank, detail))
+        if sim.obs is not None:
+            sim.obs.emit(sim.now, "ft", kind, rank=rank, detail=detail)
 
     def _note(self, phase: str) -> None:
         self.timeline.setdefault(phase, self.world.sim.now)

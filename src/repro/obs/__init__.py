@@ -6,7 +6,7 @@ emits typed :class:`Event` records into, plus the views over it:
 
 * :class:`PhaseLedger` — per-message envelope/match/data phase
   accounting, reproducing the paper's Table 1 from a traced run;
-* :class:`CounterRegistry` — event census and custom metrics;
+* :class:`CounterRegistry` — the event census ``bus.counters`` returns;
 * :mod:`repro.obs.export` — Chrome-trace / JSONL exporters;
 * :mod:`repro.obs.schema` — CI trace validator.
 

@@ -19,14 +19,16 @@ emission site is guarded by one attribute load plus a ``None`` check::
 so the disabled path costs nothing measurable (the kernel perf floors
 in ``BENCH_kernel.json`` are enforced with the bus disabled *and* a <5%
 budget is tested explicitly).  When enabled, ``emit`` appends one
-record and bumps one counter; emission never interacts with simulated
-time, so tracing cannot perturb deterministic outputs.
+record and nothing else (the ``counters`` census is counted from the
+stream when read); emission never interacts with simulated time, so
+tracing cannot perturb deterministic outputs.
 
 Event taxonomy (layer / kind) is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.counters import CounterRegistry
@@ -79,7 +81,7 @@ class Event:
 
 
 class EventBus:
-    """Append-only stream of :class:`Event` records plus live counters.
+    """Append-only stream of :class:`Event` records.
 
     Attach one to a world (``World(..., obs=bus)``) before it is built;
     every layer then emits into it.  ``layers`` optionally restricts
@@ -89,7 +91,6 @@ class EventBus:
 
     def __init__(self, layers=None):
         self.events: List[Event] = []
-        self.counters = CounterRegistry()
         self.layers = frozenset(layers) if layers is not None else None
         self.run: Optional[str] = None
         self._subscribers: List[Callable[[Event], None]] = []
@@ -100,9 +101,14 @@ class EventBus:
             return
         ev = Event(t, layer, kind, rank, msg, detail, self.run)
         self.events.append(ev)
-        self.counters.inc(layer + "." + kind)
         for fn in self._subscribers:
             fn(ev)
+
+    @property
+    def counters(self) -> CounterRegistry:
+        """The census ``{"layer.kind": n}`` of ``events``, counted on read."""
+        pairs = Counter((ev.layer, ev.kind) for ev in self.events)
+        return CounterRegistry({f"{layer}.{kind}": n for (layer, kind), n in pairs.items()})
 
     # -- run labelling -------------------------------------------------------
     def set_run(self, label: Optional[str]) -> None:
@@ -117,14 +123,17 @@ class EventBus:
         event streams back through its merge: each worker records into
         its own bus, the parent ``extend``s the shard streams in
         canonical cell order, and the merged bus is indistinguishable
-        from one serial run sharing a single bus — counters are bumped
-        and subscribers notified exactly as live emission would.
+        from one serial run sharing a single bus — the layer filter
+        applies and subscribers are notified exactly as live emission
+        would.  With neither, this is one ``list.extend``.
         """
+        if self.layers is None and not self._subscribers:
+            self.events.extend(events)
+            return
         for ev in events:
             if self.layers is not None and ev.layer not in self.layers:
                 continue
             self.events.append(ev)
-            self.counters.inc(ev.layer + "." + ev.kind)
             for fn in self._subscribers:
                 fn(ev)
 
@@ -155,4 +164,3 @@ class EventBus:
 
     def clear(self) -> None:
         self.events.clear()
-        self.counters.clear()

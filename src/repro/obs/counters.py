@@ -1,28 +1,23 @@
-"""Metrics counter registry.
+"""The event census: how many events of each ``"{layer}.{kind}"``.
 
-Every :meth:`EventBus.emit` bumps the counter named ``"{layer}.{kind}"``
-automatically, so a traced run always comes with an event census for
-free.  Code can also register and bump its own named counters (the
-fault injector and the chaos harness do).
+:attr:`EventBus.counters` counts the bus's ``events`` when it is read
+and returns one of these, so a traced run always comes with a census
+without paying a counter bump per emitted event.  Read-only: a census
+changes only because the stream it was counted from does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = ["CounterRegistry"]
 
 
 class CounterRegistry:
-    """Named monotonically-increasing counters."""
+    """Named counts, read-only; a missing name counts zero."""
 
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def inc(self, name: str, n: int = 1) -> int:
-        value = self._counts.get(name, 0) + n
-        self._counts[name] = value
-        return value
+    def __init__(self, counts: Optional[Mapping[str, int]] = None):
+        self._counts: Dict[str, int] = dict(counts or {})
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
@@ -42,9 +37,6 @@ class CounterRegistry:
     def snapshot(self) -> Dict[str, int]:
         """A sorted, independent copy — safe to serialise."""
         return dict(sorted(self._counts.items()))
-
-    def clear(self) -> None:
-        self._counts.clear()
 
     def render(self) -> str:
         if not self._counts:

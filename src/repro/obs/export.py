@@ -29,9 +29,11 @@ _LAYER_CAT = {
     "trace": "trace",
 }
 
-#: one record -> JSON text through the C encoder.  ``json.dump`` to a
-#: file always takes the pure-Python ``_iterencode`` path (one call per
-#: container, one ``write`` per token), which was half of a traced run.
+#: a record (or a chunk of them) -> JSON text through the C encoder.
+#: ``json.dump`` to a file always takes the pure-Python ``_iterencode``
+#: path (one call per container, one ``write`` per token), which was half
+#: of a traced run; each ``encode`` call pays the encoder's setup again,
+#: so the chrome writer makes one per chunk, not one per record.
 _encode = json.JSONEncoder(default=str).encode
 
 #: records joined per ``write`` when streaming a chrome trace
@@ -66,7 +68,7 @@ def _chrome_records(bus) -> Iterator[Dict]:
     for ev in bus.events:
         pid = pids[ev.run]
         tid = ev.rank if ev.rank is not None else -1
-        if (pid, tid) not in ranks_seen and tid >= 0:
+        if tid >= 0 and (pid, tid) not in ranks_seen:
             ranks_seen.add((pid, tid))
             yield {
                 "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
@@ -123,7 +125,9 @@ def write_trace(bus, path: str, fmt: str = "chrome") -> str:
             fh.write('{"traceEvents": [')
             sep = ""
             while True:
-                chunk = ", ".join(map(_encode, islice(records, _CHUNK)))
+                # one encoder call per chunk, brackets cut off: the same
+                # text as joining the records' encodings with ", "
+                chunk = _encode(list(islice(records, _CHUNK)))[1:-1]
                 if not chunk:
                     break
                 fh.write(sep)

@@ -105,6 +105,9 @@ class RunReport:
     workers: int             #: processes that simulated (1: this one)
     shards: List[ShardReport] = field(default_factory=list)
     cached: int = 0          #: cells answered from the cache
+    #: corrupt cache entries moved aside during this run (their cells
+    #: were recomputed): :attr:`ResultCache.quarantined`'s increase
+    quarantined: int = 0
     executed: int = 0        #: cells actually simulated
     skipped: int = 0         #: cells skipped (budget)
     wall_s: float = 0.0
@@ -125,6 +128,8 @@ class RunReport:
                 f"cells={len(self.results)}",
                 f"cached={self.cached}",
                 f"executed={self.executed}"]
+        if self.quarantined:
+            bits.append(f"quarantined={self.quarantined}")
         if self.skipped:
             bits.append(f"skipped={self.skipped}")
         bits.append(f"wall={self.wall_s:.2f}s")
@@ -385,6 +390,7 @@ def run_cells(
     pending: List[int] = []
     keys: List[Optional[str]] = [None] * n
     cached = 0
+    quarantined = cache.quarantined if cache is not None else 0
     for i, cell in enumerate(cells):
         spec = cacheable_spec(cell) if cache is not None else None
         if spec is not None:
@@ -402,6 +408,8 @@ def run_cells(
     if workers < 2 or not hasattr(os, "fork"):
         workers = 1
     report = RunReport(results=results, workers=workers, cached=cached)
+    if cache is not None:
+        report.quarantined = cache.quarantined - quarantined
 
     shard_specs = [
         (shard_id, [(pending[j], cells[pending[j]]) for j in idxs], budget_s)

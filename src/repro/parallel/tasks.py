@@ -327,7 +327,7 @@ def _chaos_cell(cell):
 
 
 @task("soak_cell", "repro.bench.chaos", "repro.apps.survivable", "repro.mpi.ft",
-      "repro.obs", _world)
+      _world)
 def _soak_cell(cell):
     """One chaos-soak cell: pinned crash through ULFM recovery.
 

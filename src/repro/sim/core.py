@@ -26,11 +26,11 @@ The run loop is compiled down to plain-list and tuple operations:
   tag (`K_EVENT`/`K_TIMEOUT`/`K_PROCESS`); the loop branches on the tag
   instead of ``type()``/``isinstance`` checks, so the only polymorphic
   call left per event is the waiter callback itself.
-* **Dual loops, obs hoisted.** :meth:`Simulator.run` dispatches once on
-  ``self.obs`` to either :meth:`_run_fast` (tracing disabled: zero obs
-  attribute loads per event) or :meth:`_run_traced` (identical event
-  order, with bus emissions).  Tracing provably cannot perturb the
-  simulation because both loops drive the same inlined fire sequence.
+* **One loop, obs hoisted.** :meth:`Simulator.run` drives one loop,
+  :meth:`_run`, that reads ``self.obs`` into a local once per call; an
+  untraced event pays one ``is not None`` on that local, a traced timeout
+  also emits ``timer.fire``.  Tracing provably cannot perturb the
+  simulation because there is only one fire sequence to drive.
 * **Record pooling.** Internal single-waiter records (the timeouts
   behind :meth:`repro.sim.resources.Resource.use`, the wakeup events
   behind :class:`repro.sim.notify.Notify`) come from per-simulator free
@@ -58,8 +58,9 @@ scheduling time.  Given identical inputs and seeds, every run of a
 simulation produces the identical event order.  None of the machinery
 above may change how sequence numbers are allocated: pooling recycles
 *records*, never sequence numbers, elision skips the *heap*, never a
-sequence number, a :meth:`Simulator.stop` sentinel takes none, and both
-run loops drain batches in exactly the order the heap yields them.
+sequence number, a :meth:`Simulator.stop` sentinel takes none, and the
+run loop drains batches in exactly the order the heap yields them,
+traced or not.
 """
 
 from __future__ import annotations
@@ -818,19 +819,20 @@ class Simulator:
         """
         if advance_clock and until is not None and until < self._now:
             raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
-        loop = self._run_fast if self.obs is None else self._run_traced
-        ran_out = loop(_INF if until is None else until)
+        ran_out = self._run(_INF if until is None else until)
         if ran_out and advance_clock and until is not None:
             self._now = until
 
-    def _run_fast(self, horizon: float) -> bool:
-        # The hot loop: no obs loads, no method calls besides heappop and
-        # the waiter callbacks, kind/pool dispatch on class-level ints.
+    def _run(self, horizon: float) -> bool:
+        # The hot loop: no method calls besides heappop and the waiter
+        # callbacks, kind/pool dispatch on class-level ints, the bus read
+        # once into a local (an untraced event pays one `is not None`).
         # True = drained or horizon reached, False = stopped by StopRun.
         heap = self._heap
         pop = heappop
         tpool = self._tpool
         epool = self._epool
+        obs = self.obs
         ev = None
         rest = ()  # callbacks behind the running one; spent once its event is done
         try:
@@ -858,6 +860,8 @@ class Simulator:
                     if ev._cancelled:
                         self._dead -= 1
                     else:
+                        if obs is not None and ev._kind == K_TIMEOUT:
+                            obs.emit(t, "sim", "timer.fire", detail={"delay": ev.delay})
                         cbs = ev.callbacks
                         ev.callbacks = None
                         if cbs:
@@ -878,49 +882,6 @@ class Simulator:
                         pool = tpool if k == 1 else epool
                         if len(pool) < _POOL_CAP:
                             pool.append(ev)
-        except StopRun:
-            self._finish_stopped(ev, rest)
-            return False
-        return True
-
-    def _run_traced(self, horizon: float) -> bool:
-        # Identical drain order to _run_fast, plus bus emissions.
-        heap = self._heap
-        pop = heappop
-        obs = self.obs
-        ev = None
-        rest = ()
-        try:
-            while heap:
-                entry = heap[0]
-                ev = entry[3]
-                if ev._cancelled:
-                    pop(heap)
-                    self._dead -= 1
-                    self._recycle(ev)
-                    continue
-                t = entry[0]
-                if t > horizon:
-                    return True
-                self._now = t
-                while heap and heap[0][0] == t:
-                    ev = pop(heap)[3]
-                    if ev._cancelled:
-                        self._dead -= 1
-                    else:
-                        if ev._kind == K_TIMEOUT:
-                            obs.emit(t, "sim", "timer.fire", detail={"delay": ev.delay})
-                        cbs = ev.callbacks
-                        ev.callbacks = None
-                        if cbs:
-                            self._fanout = len(cbs) > 1
-                            rest = iter(cbs)
-                            for fn in rest:
-                                fn(ev)
-                            self._fanout = False
-                        elif ev._ok is False and not ev._defused:
-                            raise ev._value
-                    self._recycle(ev)
         except StopRun:
             self._finish_stopped(ev, rest)
             return False

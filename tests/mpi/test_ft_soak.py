@@ -142,3 +142,49 @@ def test_cli_soak_fails_loudly_on_bad_cell():
     rc = main(["chaos", "--soak", "--cells", "nonexistent-cell"],
               out=io.StringIO())
     assert rc != 0
+
+
+@pytest.fixture()
+def built_worlds(monkeypatch):
+    """Every ``World`` built while the test runs, in order."""
+    from repro.mpi import World
+
+    built = []
+    init = World.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(World, "__init__", recording_init)
+    return built
+
+
+def test_witness_reps_and_untraced_soaks_build_no_bus(built_worlds):
+    """The digest comes from ``world.ft.log``, so only the traced first
+    rep of a traced sweep attaches a bus; witnesses and every run of an
+    untraced sweep run on the bus-free path."""
+    from repro.obs import EventBus
+
+    cells = [("meiko", "lowlatency"), ("modern", "cxl")]
+    untraced = soak_sweep(cells=cells, repeat=2)
+    assert [w.sim.obs for w in built_worlds] == [None] * 4
+    built_worlds.clear()
+    traced = soak_sweep(cells=cells, repeat=2, obs=EventBus())
+    assert [w.sim.obs is not None for w in built_worlds] == [True, False, True, False]
+    assert traced == untraced
+    assert [r["trace_sha"] for r in traced] == [SOAK_TRACE_SHA[device_key(*c)] for c in cells]
+
+
+def test_ft_log_is_the_buses_ft_slice(built_worlds):
+    from repro.obs import EventBus
+
+    bus = EventBus()
+    row = soak_cell("atm", "udp", obs=bus)
+    (world,) = built_worlds
+    assert world.ft.log == [(e.t, e.kind, e.rank, e.detail)
+                            for e in bus.events if e.layer == "ft"]
+    kinds = {kind for _, kind, _, _ in world.ft.log}
+    assert {"failure.crash", "failure.detect", "comm.revoke", "comm.shrink",
+            "agree", "checkpoint.save", "checkpoint.commit"} <= kinds
+    assert row["trace_sha"] == SOAK_TRACE_SHA["atm-udp"]

@@ -1,6 +1,8 @@
 """EventBus unit tests: emission, counters, filtering, subscribers,
 run labelling, and message correlation."""
 
+from collections import Counter
+
 from repro.obs import Event, EventBus, msgid
 
 
@@ -76,3 +78,50 @@ def test_queries_and_clear():
     bus.clear()
     assert len(bus) == 0
     assert bus.counters.get("dev.msg.send") == 0
+
+
+def _census(bus):
+    return dict(Counter(f"{e.layer}.{e.kind}" for e in bus.events))
+
+
+def test_counters_are_a_census_of_the_stream():
+    """``counters`` is counted from ``events`` when read: it agrees with
+    the stream after live emission, a merge, a layer filter and a clear."""
+    bus = EventBus()
+    bus.emit(0.0, "dev", "msg.send")
+    bus.emit(1.0, "sim", "timer.fire")
+    assert bus.counters.snapshot() == _census(bus)
+    other = EventBus()
+    other.emit(2.0, "dev", "msg.send")
+    other.emit(3.0, "net", "seg.retx")
+    bus.extend(other.events)
+    assert bus.counters.snapshot() == _census(bus) == {
+        "dev.msg.send": 2, "net.seg.retx": 1, "sim.timer.fire": 1}
+    assert "net.seg.retx" in bus.counters and len(bus.counters) == 3
+    assert bus.counters["sim.timer.arm"] == 0
+    assert list(bus.counters) == sorted(_census(bus).items())
+
+    filtered = EventBus(layers={"dev"})
+    filtered.emit(0.0, "sim", "timer.arm")
+    filtered.extend(other.events)
+    assert filtered.counters.snapshot() == _census(filtered) == {"dev.msg.send": 1}
+
+    bus.clear()
+    assert bus.counters.snapshot() == _census(bus) == {}
+    assert bus.counters.render() == "(no counters)"
+
+
+def test_extend_keeps_order_and_notifies_subscribers():
+    src = EventBus()
+    for i, kind in enumerate(("a", "b", "c")):
+        src.emit(float(i), "dev", kind)
+    plain = EventBus()
+    plain.extend(src.events)
+    assert plain.events == src.events
+    seen = []
+    watched = EventBus()
+    watched.subscribe(seen.append)
+    watched.emit(-1.0, "dev", "first")
+    watched.extend(src.events)
+    assert [e.kind for e in watched] == ["first", "a", "b", "c"]
+    assert seen == watched.events

@@ -9,6 +9,7 @@ The three properties the ISSUE pins down:
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,80 @@ def test_nocache_cells_are_executed_every_time(cache):
     assert first.executed == second.executed == 3
     assert second.cached == 0
     assert cache.stores == 0
+
+
+# ------------------------------------------------------- harness robustness
+def test_two_processes_putting_one_key_leave_one_valid_entry(cache):
+    """Two forked writers race on one key while this process reads it:
+    every read is a miss or a whole entry, and the race ends in one valid
+    entry with no temporary file left behind."""
+    key = cell_key("_selftest", {"i": 0})
+    go_r, go_w = os.pipe()
+    pids = []
+    for writer in range(2):
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the forked writer
+            status = 1
+            try:
+                os.close(go_w)
+                os.read(go_r, 1)  # both writers start together
+                for _ in range(50):
+                    cache.put(key, "_selftest", {"i": 0},
+                              {"writer": writer, "pad": "x" * 8192})
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+    os.close(go_r)
+    os.write(go_w, b"go")
+    os.close(go_w)
+    for _ in range(200):
+        hit, value = cache.get(key)
+        assert not hit or value["writer"] in (0, 1)
+    assert [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids] == [0, 0]
+    hit, value = cache.get(key)
+    assert hit and value["writer"] in (0, 1) and len(value["pad"]) == 8192
+    assert cache.quarantined == 0
+    assert not list(Path(cache.root).rglob("*.tmp.*"))
+    assert [p.name for p in Path(cache.root).rglob("*.json")] == [f"{key}.json"]
+
+
+def test_report_counts_the_entries_its_run_quarantined(cache):
+    cells = _cells(3)
+    cold = run_cells(cells, cache=cache)
+    assert cold.quarantined == 0 and "quarantined" not in cold.stats_line()
+    path = _entry(cache, cell_key("_selftest", cacheable_spec(cells[1])))
+    path.write_bytes(path.read_bytes()[:20])
+    rerun = run_cells(cells, cache=cache)
+    assert (rerun.quarantined, rerun.cached, rerun.executed) == (1, 2, 1)
+    assert "quarantined=1" in rerun.stats_line()
+    assert rerun.results == cold.results
+    # the recomputed entry was stored again: the next run is all hits
+    warm = run_cells(cells, cache=cache)
+    assert (warm.quarantined, warm.cached, warm.executed) == (0, 3, 0)
+
+
+def test_a_truncated_object_in_a_batch_is_recomputed_and_stdout_is_unchanged(
+        tmp_path, monkeypatch, capsys):
+    import io
+
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["fuzz", "--profile", "fault", "--seeds", "31", "--workers", "1"]
+
+    def run():
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        return out.getvalue(), capsys.readouterr().err
+
+    cold_text, cold_err = run()
+    assert "cached=0 executed=12" in cold_err and "quarantined" not in cold_err
+    victim = sorted((tmp_path / "cache").rglob("*.json"))[5]
+    victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+    text, err = run()
+    assert text == cold_text
+    assert "cached=11 executed=1 quarantined=1" in err
+    assert "quarantined" not in text
+    assert victim.with_suffix(".json.corrupt").exists()
+    assert json.loads(victim.read_text())["key"] == victim.stem

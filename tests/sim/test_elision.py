@@ -3,8 +3,8 @@
 Elision must be invisible: a simulator that elides and the
 ``Simulator(elide=False)`` oracle (every elidable event takes its heap
 trip) produce the identical sequence of (time, sequence number, resumed
-process) and end on the identical ``_seq``, under both run loops and
-under ``step()``.
+process) and end on the identical ``_seq``, in ``run()`` with and
+without a bus attached and under ``step()``.
 """
 
 from hypothesis import given, settings
@@ -43,7 +43,7 @@ _programs = st.lists(st.lists(_op, min_size=1, max_size=8), min_size=1, max_size
 
 
 class _NullBus:
-    """Just enough of an EventBus to select the traced run loop."""
+    """Just enough of an EventBus to take the run loop's emitting branch."""
 
     def emit(self, *args, **kwargs):
         pass
