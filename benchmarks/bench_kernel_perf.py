@@ -53,7 +53,8 @@ def main(argv=None) -> int:
         if not ok:
             failed.append(name)
         print(
-            f"  {name:<12} {rec['events']:>8} events  {rec['wall_s']:>9.4f} s  "
+            f"  {name:<12} {rec['events']:>8} events  {rec['elided']:>8} elided  "
+            f"{rec['wall_s']:>9.4f} s  "
             f"{rec['events_per_sec']:>9} ev/s  (floor {floor}{'' if ok else '  ** UNDER **'})"
         )
     for shard in suite["shards"]:

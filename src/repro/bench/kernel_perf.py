@@ -42,8 +42,10 @@ workloads exercise the kernel's hot paths from different directions:
     communicator construction, sparse matching state, and the
     wide-communicator algorithm crossovers end to end.
 
-``run_suite`` returns one record per workload (events scheduled,
-wall-clock seconds, events per second) ready to be serialized as
+``run_suite`` returns one record per workload (events scheduled, how
+many of them were elided -- numbered without a heap trip, see
+:meth:`repro.sim.Simulator.hold` -- wall-clock seconds, events per
+second) ready to be serialized as
 ``BENCH_kernel.json`` — the tracked perf trajectory of the kernel.
 """
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "WORKLOADS", "WORLD_CELLS", "FLOORS", "floor_slack", "effective_floor",
@@ -118,7 +120,13 @@ WORLD_CELLS = {
 }
 
 
-def _solver(quick: bool) -> int:
+def _counts(*sims) -> Tuple[int, int]:
+    """(events, elided) of the workload's simulators: sequence numbers
+    allocated, and how many of them never touched the heap."""
+    return sum(s._seq for s in sims), sum(s.elided for s in sims)
+
+
+def _solver(quick: bool) -> Tuple[int, int]:
     from repro.apps import linsolve
     from repro.mpi import World
 
@@ -129,10 +137,10 @@ def _solver(quick: bool) -> int:
         return elapsed
 
     world.run(main)
-    return world.sim._seq
+    return _counts(world.sim)
 
 
-def _nbody(quick: bool) -> int:
+def _nbody(quick: bool) -> Tuple[int, int]:
     from repro.apps import nbody_ring
     from repro.mpi import World
 
@@ -145,10 +153,10 @@ def _nbody(quick: bool) -> int:
         return e
 
     world.run(main)
-    return world.sim._seq
+    return _counts(world.sim)
 
 
-def _chaos(quick: bool) -> int:
+def _chaos(quick: bool) -> Tuple[int, int]:
     from repro.bench.harness import cold_pingpong
     from repro.faults import FaultPlan, PacketLoss
     from repro.mpi import World
@@ -162,10 +170,10 @@ def _chaos(quick: bool) -> int:
         seed=1,
     )
     world.run(cold_pingpong(256, 10 if quick else 40))
-    return world.sim._seq
+    return _counts(world.sim)
 
 
-def _ring_1k(quick: bool) -> int:
+def _ring_1k(quick: bool) -> Tuple[int, int]:
     from repro.mpi import World
 
     world = World(1024, *WORLD_CELLS["ring_1k"])
@@ -185,10 +193,10 @@ def _ring_1k(quick: bool) -> int:
         return comm.wtime()
 
     world.run(main)
-    return world.sim._seq
+    return _counts(world.sim)
 
 
-def _coll_4k(quick: bool) -> int:
+def _coll_4k(quick: bool) -> Tuple[int, int]:
     import numpy as np
 
     from repro.mpi import World
@@ -217,7 +225,7 @@ def _coll_4k(quick: bool) -> int:
     big.run(body_big)
     ring = World(nring, *WORLD_CELLS["coll_4k"])
     ring.run(body_ring)
-    return big.sim._seq + ring.sim._seq
+    return _counts(big.sim, ring.sim)
 
 
 def coll_10k_main(comm):
@@ -237,15 +245,15 @@ def coll_10k_main(comm):
     return None
 
 
-def _coll_10k(quick: bool) -> int:
+def _coll_10k(quick: bool) -> Tuple[int, int]:
     from repro.mpi import World
 
     world = World(2048 if quick else 10_000, *WORLD_CELLS["coll_10k"])
     world.run(coll_10k_main)
-    return world.sim._seq
+    return _counts(world.sim)
 
 
-def _timer_churn(quick: bool) -> int:
+def _timer_churn(quick: bool) -> Tuple[int, int]:
     from repro.sim import Simulator
 
     sim = Simulator()
@@ -264,10 +272,10 @@ def _timer_churn(quick: bool) -> int:
 
     sim.process(op(sim))
     sim.run()
-    return sim._seq
+    return _counts(sim)
 
 
-WORKLOADS: Dict[str, Callable[[bool], int]] = {
+WORKLOADS: Dict[str, Callable[[bool], Tuple[int, int]]] = {
     "solver": _solver,
     "nbody": _nbody,
     "chaos": _chaos,
@@ -324,11 +332,11 @@ def bytes_per_rank(nprocs: int, platform: str = "meiko",
 
 
 def time_workload(name: str, quick: bool = False) -> Dict:
-    """One timed run of one workload: ``{"events", "wall_s"}``."""
+    """One timed run of one workload: ``{"events", "elided", "wall_s"}``."""
     fn = WORKLOADS[name]
     t0 = time.perf_counter()
-    events = fn(quick)
-    return {"events": events, "wall_s": time.perf_counter() - t0}
+    events, elided = fn(quick)
+    return {"events": events, "elided": elided, "wall_s": time.perf_counter() - t0}
 
 
 def plan(names: Sequence[str], quick: bool = False, repeats: int = 3):
@@ -352,6 +360,7 @@ def plan(names: Sequence[str], quick: bool = False, repeats: int = 3):
             best = min(runs[i * repeats:(i + 1) * repeats], key=lambda r: r["wall_s"])
             records[name] = {
                 "events": best["events"],
+                "elided": best["elided"],
                 "wall_s": round(best["wall_s"], 6),
                 "events_per_sec": int(best["events"] / best["wall_s"]),
             }

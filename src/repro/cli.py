@@ -22,7 +22,9 @@ Commands
     envelope/match/data phase breakdown from the event bus.
 ``perf``
     Time the simulator-kernel performance workloads (best of
-    ``--repeats``), optionally under cProfile (``--profile``).
+    ``--repeats``), optionally under cProfile (``--profile``); each
+    line gives the events and how many of them were elided (numbered
+    without a heap trip).
 ``fuzz``
     Differential MPI conformance fuzzer: generate a random program
     from a seed, run it on every device in the matrix, and assert all
@@ -501,7 +503,8 @@ def cmd_perf(args, out) -> int:
         return 0
     (records,), _ = evaluate([plan(names, args.quick, args.repeats)])
     for name, rec in records.items():
-        print(f"{name:<12} {rec['events']:>8} events  {rec['wall_s']:>9.4f} s  "
+        print(f"{name:<12} {rec['events']:>8} events  {rec['elided']:>8} elided  "
+              f"{rec['wall_s']:>9.4f} s  "
               f"{rec['events_per_sec']:>9} ev/s", file=out)
     return 0
 

@@ -64,12 +64,15 @@ class AtmNic:
 
     def _tx_worker(self):
         p = self.params
+        sim = self.sim
         while True:
             pdu = yield self._txq.get()
             # i960 segmentation
             yield from self.i960.execute(p.sar_per_pdu + pdu.ncells * p.sar_per_cell)
             # serialize the cell train onto the link
-            yield self.sim.timeout(pdu.ncells * p.cell_time())
+            train = pdu.ncells * p.cell_time()
+            if not sim.hold(train):
+                yield sim.timeout1(train)
             self.switch.forward(pdu)
 
     def on_pdu(self, pdu: Pdu) -> None:

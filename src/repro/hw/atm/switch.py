@@ -69,7 +69,9 @@ class AtmSwitch:
 
     def _forward(self, pdu):
         p = self.params
-        yield self.sim.timeout(p.switch_latency)
+        sim = self.sim
+        if not sim.hold(p.switch_latency):
+            yield sim.timeout1(p.switch_latency)
         # serialize the train on the destination's output port
         train_time = pdu.ncells * p.cell_time()
         yield from self._ports[pdu.dst].use(train_time)

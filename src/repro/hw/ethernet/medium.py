@@ -74,19 +74,24 @@ class Medium:
         collisions), like a real transceiver.
         """
         p = self.params
+        sim = self.sim
         attempts = 0
         while True:
             # carrier sense; stations that deferred restart with a small
             # random jitter (see EthernetParams.defer_jitter)
             deferred = False
-            while self.sim.now < self._busy_until:
+            while sim.now < self._busy_until:
                 deferred = True
-                yield self.sim.timeout(self._busy_until - self.sim.now)
+                wait = self._busy_until - sim.now
+                if not sim.hold(wait):
+                    yield sim.timeout1(wait)
             if deferred and p.defer_jitter > 0:
-                yield self.sim.timeout(rng.uniform(0.0, p.defer_jitter))
-                if self.sim.now < self._busy_until:
+                jitter = rng.uniform(0.0, p.defer_jitter)
+                if not sim.hold(jitter):
+                    yield sim.timeout1(jitter)
+                if sim.now < self._busy_until:
                     continue  # someone else took the wire during our jitter
-            att = _Attempt(self.sim.now)
+            att = _Attempt(sim.now)
             if self._attempts:
                 # someone else is inside their vulnerable window: collision
                 att.collided = True
@@ -94,11 +99,12 @@ class Medium:
                     if not other.acquired:
                         other.collided = True
             self._attempts.append(att)
-            yield self.sim.timeout(p.prop_delay)
+            if not sim.hold(p.prop_delay):
+                yield sim.timeout1(p.prop_delay)
             if att.collided:
                 self._attempts.remove(att)
                 self.collisions += 1
-                jam_end = self.sim.now + p.jam_time
+                jam_end = sim.now + p.jam_time
                 self._busy_until = max(self._busy_until, jam_end + p.ifg)
                 attempts += 1
                 if attempts >= p.max_attempts:
@@ -106,8 +112,9 @@ class Medium:
                         f"excessive collisions sending from station {frame.src}"
                     )
                 k = min(attempts, p.backoff_limit)
-                backoff = rng.randrange(2**k) * p.slot_time
-                yield self.sim.timeout(p.jam_time + backoff)
+                backoff = p.jam_time + rng.randrange(2**k) * p.slot_time
+                if not sim.hold(backoff):
+                    yield sim.timeout1(backoff)
                 continue
             # acquired the wire
             att.acquired = True
@@ -116,7 +123,8 @@ class Medium:
             self.busy_time += ftime
             remaining = ftime - p.prop_delay
             if remaining > 0:
-                yield self.sim.timeout(remaining)
+                if not sim.hold(remaining):
+                    yield sim.timeout1(remaining)
             self._attempts.remove(att)
             self._schedule_delivery(frame)
             return attempts

@@ -184,7 +184,9 @@ class ModernFabric:
             unit = link.q.popleft()
             attempts = 0
             while True:
-                yield sim.timeout1(p.link_overhead + unit.nbytes * p.per_byte)
+                wire = p.link_overhead + unit.nbytes * p.per_byte
+                if not sim.hold(wire):
+                    yield sim.timeout1(wire)
                 self.packets_sent += 1
                 fate = ("deliver" if self.injector is None
                         else self.injector.decide(src, dst, unit.nbytes))
@@ -192,7 +194,8 @@ class ModernFabric:
                     # the duplicate serializes too; the receiving NIC's
                     # PSN check discards it (counter-visible only)
                     self.packets_duplicated += 1
-                    yield sim.timeout1(p.link_overhead + unit.nbytes * p.per_byte)
+                    if not sim.hold(wire):
+                        yield sim.timeout1(wire)
                     fate = "deliver"
                 if fate == "deliver":
                     break
@@ -205,7 +208,8 @@ class ModernFabric:
                     return
                 attempts += 1
                 self.retransmits += 1
-                yield sim.timeout1(p.retry_timeout)
+                if not sim.hold(p.retry_timeout):
+                    yield sim.timeout1(p.retry_timeout)
             self._deliver(dst, unit)
 
     def _deliver(self, dst: int, unit: _Unit) -> None:

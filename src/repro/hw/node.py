@@ -54,15 +54,21 @@ class Processor:
         return self._res.in_use > 0
 
     def execute(self, cost: float):
-        """Generator: occupy the processor for *cost* µs of reference work."""
+        """Generator: occupy the processor for *cost* µs of reference work.
+
+        The grant and the hold are elided exactly as in
+        :meth:`repro.sim.resources.Resource.use`: an uncontended
+        execution with nothing else due before it ends never yields.
+        """
         if cost < 0:
             raise ValueError(f"negative execution cost {cost!r}")
         scaled = cost / self.speed
         self.busy_time += scaled
         # Uncontended fast path inlined from Resource.use: same grant
         # event (elided when nothing else is runnable now) + hold
-        # timeout (identical event count and ordering), on pooled
-        # records, without the extra delegating generator frame.
+        # (elided when nothing is due before it ends), identical event
+        # count and ordering, on pooled records, without the extra
+        # delegating generator frame.
         res = self._res
         if res._in_use < res.capacity and not res._queue:
             res._in_use += 1
@@ -70,7 +76,8 @@ class Processor:
             try:
                 if not sim.elide():
                     yield sim.event1().succeed(None)
-                yield sim.timeout1(scaled)
+                if not sim.hold(scaled):
+                    yield sim.timeout1(scaled)
             finally:
                 if res._queue:
                     nxt = res._queue.popleft()

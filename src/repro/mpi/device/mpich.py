@@ -258,7 +258,9 @@ class MpichEndpoint(Endpoint):
             yield from self._finalize(req)
             req.raise_if_failed()
             return True
-        yield self.sim.timeout(0)
+        sim = self.sim
+        if not sim.hold(0):
+            yield sim.timeout1(0)
         return False
 
     def _finalize(self, req: Request):
@@ -418,13 +420,19 @@ class MpichEndpoint(Endpoint):
 
     def probe(self, source: int, tag: int, comm):
         """Blocking probe: poll the Elan until a match appears."""
+        sim = self.sim
+        interval = self.config.probe_interval
         while True:
             status = yield from self.iprobe(source, tag, comm)
             if status is not None:
                 return status
-            yield self.sim.timeout(self.config.probe_interval)
+            if not sim.hold(interval):
+                yield sim.timeout1(interval)
 
     def _progress(self, block: bool):
         """MPICH progresses on the Elan; the SPARC has nothing to pump."""
-        yield self.sim.timeout(self.config.probe_interval if block else 0)
+        delay = self.config.probe_interval if block else 0
+        sim = self.sim
+        if not sim.hold(delay):
+            yield sim.timeout1(delay)
         return False

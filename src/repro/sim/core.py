@@ -42,13 +42,15 @@ The run loop is compiled down to plain-list and tuple operations:
   are then ordinary garbage); event order is identical either way.
 * **Inlined scheduling.**  ``succeed``/``fail``/``Timeout()`` push the
   heap entry directly instead of funnelling through :meth:`_schedule`.
-* **Sequence-preserving elision.**  A zero-delay event whose firing
-  provably cannot reorder or affect anything consumes its sequence
-  number but never touches the heap.  :meth:`Simulator.elide` is the
-  only place that decides this; the uncontended grant of
-  ``Resource.use`` / ``Processor.execute`` and the acceptance event of
-  ``Store.post`` are the only users.  An *event count* therefore means
-  sequence numbers allocated, elided ones included.
+* **Sequence-preserving elision.**  An event whose firing provably
+  cannot reorder or affect anything consumes its sequence number but
+  never touches the heap.  :meth:`Simulator.elide` decides it for the
+  zero-delay cases (the uncontended grant of ``Resource.use`` /
+  ``Processor.execute``, the acceptance event of ``Store.post``) and
+  :meth:`Simulator.hold` for a process's own sleep, which every model
+  process takes as ``if not sim.hold(d): yield sim.timeout1(d)``.  An
+  *event count* therefore means sequence numbers allocated, elided
+  ones included; ``Simulator.elided`` counts the elided ones.
 
 Determinism
 -----------
@@ -540,6 +542,13 @@ def _never_elide(waited: bool = True) -> bool:
     return False
 
 
+def _never_hold(delay: float) -> bool:
+    """:meth:`Simulator.hold` of a ``Simulator(elide=False)``."""
+    if delay < 0:
+        raise ValueError(f"negative delay {delay!r}")
+    return False
+
+
 class Simulator:
     """The discrete-event loop.
 
@@ -554,7 +563,8 @@ class Simulator:
 
     ``pool=False`` turns off record recycling for the internal
     :meth:`timeout1`/:meth:`event1` fast paths and ``elide=False`` makes
-    :meth:`elide` refuse, so every elidable event takes its heap trip --
+    :meth:`elide` and :meth:`hold` refuse, so every elidable event takes
+    its heap trip --
     the two oracles the equivalence tests compare against.  Event order
     and sequence numbers are identical for every combination of the two.
     """
@@ -572,12 +582,18 @@ class Simulator:
         self._fanout = False
         #: a :meth:`stop` sentinel is queued
         self._stopping = False
+        #: latest time :meth:`hold` may move the clock to: the horizon
+        #: of the running :meth:`_run`, -inf outside it
+        self._horizon = -_INF
+        #: sequence numbers consumed without a heap trip (elide + hold)
+        self.elided = 0
         #: optional :class:`repro.obs.EventBus`; None keeps every
         #: emission site to a single attribute load + None check
         self.obs = None
         self._pool_on = pool
         if not elide:
             self.elide = _never_elide  # type: ignore[method-assign]
+            self.hold = _never_hold  # type: ignore[method-assign]
         #: free lists of recycled records (see timeout1/event1)
         self._tpool: List[Timeout] = []
         self._epool: List[Event] = []
@@ -716,8 +732,8 @@ class Simulator:
         tie-break of every later event are exactly what they would have
         been) and the caller must carry on as if the event had fired; on
         ``False`` the caller schedules and yields it as usual.  Two
-        cases qualify (proofs in docs/PERF.md "Sequence-preserving
-        elision"):
+        cases qualify here, :meth:`hold` is the third (proofs in
+        docs/PERF.md "Sequence-preserving elision"):
 
         ``waited=True`` -- a self-wakeup: the only waiter is the process
         calling, which would yield on the event next (the uncontended
@@ -737,6 +753,46 @@ class Simulator:
             if self._fanout or (heap and heap[0][0] <= self._now):
                 return False
         self._seq += 1
+        self.elided += 1
+        return True
+
+    def hold(self, delay: float) -> bool:
+        """Sequence-preserving elision of the caller's own sleep.
+
+        ``if not sim.hold(d): yield sim.timeout1(d)`` is how a process
+        sleeps *d* µs.  Granted -- the sequence number consumed, the
+        clock moved to ``now + d``, ``timer.fire`` emitted to an
+        attached bus, ``True`` returned and the caller carries on in
+        place -- only when the sleep would be the very next event
+        popped: no sibling callback of the firing event is pending, the
+        wakeup is within the horizon of the running :meth:`run` (so
+        :meth:`step` never holds and ``run(until=...)`` stops where it
+        would), and the heap, cancelled timers pruned off its top, is
+        empty or its top is strictly later than ``now + d``.  A negative
+        *delay* raises :class:`ValueError`, as :class:`Timeout` does.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        t = self._now + delay
+        if self._fanout or t > self._horizon:
+            return False
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[0] <= t:
+                if not entry[3]._cancelled:
+                    return False
+                heappop(heap)
+                self._dead -= 1
+                self._recycle(entry[3])
+            else:
+                break
+        self._seq += 1
+        self.elided += 1
+        self._now = t
+        obs = self.obs
+        if obs is not None:
+            obs.emit(t, "sim", "timer.fire", detail={"delay": delay})
         return True
 
     def stop(self) -> None:
@@ -835,6 +891,7 @@ class Simulator:
         obs = self.obs
         ev = None
         rest = ()  # callbacks behind the running one; spent once its event is done
+        self._horizon = horizon
         try:
             while heap:
                 entry = heap[0]
@@ -885,6 +942,8 @@ class Simulator:
         except StopRun:
             self._finish_stopped(ev, rest)
             return False
+        finally:
+            self._horizon = -_INF
         return True
 
     def _finish_stopped(self, ev: Event, rest: Iterable) -> None:

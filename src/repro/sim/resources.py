@@ -143,8 +143,11 @@ class Resource:
         (identical event count and sequence numbering — determinism
         depends on it), the hold a pooled timeout.  When nothing else is
         runnable at this instant the grant is elided
-        (:meth:`repro.sim.Simulator.elide`) and the first thing yielded
-        is the hold.
+        (:meth:`repro.sim.Simulator.elide`), and when nothing can run
+        before the hold ends the hold is too
+        (:meth:`repro.sim.Simulator.hold`): the process then carries on
+        without yielding at all.  The contended path's hold goes through
+        ``hold`` the same way once the grant has fired.
         """
         sim = self.sim
         if self._in_use < self.capacity and not self._queue:
@@ -152,7 +155,8 @@ class Resource:
             try:
                 if not sim.elide():
                     yield sim.event1().succeed(None)
-                yield sim.timeout1(hold_time)
+                if not sim.hold(hold_time):
+                    yield sim.timeout1(hold_time)
             finally:
                 if self._queue:
                     nxt = self._queue.popleft()
@@ -166,7 +170,8 @@ class Resource:
         released = False
         try:
             yield req
-            yield sim.timeout1(hold_time)
+            if not sim.hold(hold_time):
+                yield sim.timeout1(hold_time)
             self.release(req)
             released = True
         finally:

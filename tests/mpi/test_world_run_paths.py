@@ -11,6 +11,7 @@ clock, the sequence counter and (traced) every bus event.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, NodeCrash
 from repro.mpi import World
 from repro.mpi.exceptions import RankFailed
@@ -18,6 +19,7 @@ from repro.obs import EventBus
 from repro.sim import StopRun
 
 LIMIT = 1e9
+LIVELOCK_LIMIT = 1e4
 
 
 def _stepping(sim):
@@ -64,6 +66,15 @@ def _sleeps_past_the_limit(comm):
     yield comm.endpoint.sim.timeout(2 * LIMIT)
 
 
+def _spins_in_progress(comm):
+    """The seed-1006 ``meiko-mpich`` livelock shape: a rank polling the
+    device while nothing else is queued, so every poll sleep is a
+    granted :meth:`~repro.sim.Simulator.hold` that never touches the
+    heap -- only the hold's horizon check can end the run."""
+    while comm.rank == 0:
+        yield from comm.endpoint._progress(block=True)
+
+
 def _crash_then_survivors_finish(comm):
     """Rank 1 dies at t=50; rank 0 learns of it and returns."""
     if comm.rank == 1:
@@ -107,6 +118,7 @@ SCENARIOS = {
     "deadlock": (_deadlock, {}, {"limit": LIMIT}),
     "deadlock-no-limit": (_deadlock, {}, {}),
     "limit": (_sleeps_past_the_limit, {}, {"limit": LIMIT}),
+    "livelock": (_spins_in_progress, {"device": "mpich"}, {"limit": LIVELOCK_LIMIT}),
     "crash-then-finish": (_crash_then_survivors_finish, _crash(50.0), {"limit": LIMIT}),
     "finish-then-crash": (_survivors_finish_then_crash, _crash(50.0), {"limit": LIMIT}),
     "finish-then-crash-no-limit": (_survivors_finish_then_crash, _crash(50.0), {}),
@@ -158,6 +170,10 @@ def test_outcomes(traced):
     assert kind == "ConfigurationError" and "time limit" in msg
     assert now == 5.0  # the last event inside the limit
 
+    (kind, msg, _r, _t), now, _seq, _ = run("livelock")
+    assert kind == "ConfigurationError" and "time limit" in msg
+    assert LIVELOCK_LIMIT - 10.0 < now <= LIVELOCK_LIMIT
+
     result, now, _seq, _ = run("crash-then-finish")
     assert result == ("ok", ["survived", None]) and 50.0 < now < 10_000.0
 
@@ -170,3 +186,12 @@ def test_outcomes(traced):
     result, now, _seq, _ = run("doomed-rank-first")
     assert result == ("ok", [0, 1]) and now >= 500.0
 
+
+def test_a_livelock_spins_in_place_and_still_meets_its_limit():
+    """Polls that skip the heap are still bounded by ``World.run(limit=...)``."""
+    world = World(2, platform="meiko", device="mpich", seed=0)
+    with pytest.raises(ConfigurationError, match="time limit"):
+        world.run(_spins_in_progress, limit=LIVELOCK_LIMIT)
+    assert world.sim.now <= LIVELOCK_LIMIT
+    # ~1000 probe-interval polls, (nearly) all of them held in place
+    assert world.sim.elided > 900

@@ -1,12 +1,14 @@
-"""The kernel contract behind ``Simulator.elide`` / ``stop`` / ``StopRun``.
+"""The kernel contract behind ``Simulator.elide`` / ``hold`` / ``stop`` / ``StopRun``.
 
 Elision must be invisible: a simulator that elides and the
 ``Simulator(elide=False)`` oracle (every elidable event takes its heap
 trip) produce the identical sequence of (time, sequence number, resumed
-process) and end on the identical ``_seq``, in ``run()`` with and
-without a bus attached and under ``step()``.
+process), end on the identical ``_seq`` and emit the identical bus
+stream, in ``run()`` with and without a bus attached, in
+``run(until=...)`` slices and under ``step()``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,8 @@ STORE_CAPS = (1, 2, INF)
 
 #: small integer delays: same-timestamp ties are the common case
 _delay = st.sampled_from([0.0, 0.0, 1.0, 2.0])
+#: a self-sleep lands on, between and beyond the integer grid
+_hold_delay = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
 _op = st.one_of(
     st.tuples(st.just("use"), st.integers(0, N_RES - 1), _delay),
     st.tuples(st.just("request"), st.integers(0, N_RES - 1), _delay),
@@ -36,24 +40,59 @@ _op = st.one_of(
     st.tuples(st.just("set"), st.integers(0, N_NOTIFY - 1)),
     st.tuples(st.just("wait"), st.integers(0, N_NOTIFY - 1)),
     st.tuples(st.just("sleep"), _delay),
+    st.tuples(st.just("hold"), _hold_delay),
+    st.tuples(st.just("arm"), _hold_delay),
+    st.tuples(st.just("cancel")),
+    st.tuples(st.just("stop")),
     st.tuples(st.just("gate_wait")),
     st.tuples(st.just("gate_fire")),
+    st.tuples(st.just("gate_timer"), _hold_delay),
 )
 _programs = st.lists(st.lists(_op, min_size=1, max_size=8), min_size=1, max_size=5)
 
+LOOPS = ("run", "traced", "until", "step")
 
-class _NullBus:
-    """Just enough of an EventBus to take the run loop's emitting branch."""
 
-    def emit(self, *args, **kwargs):
-        pass
+class _ListBus:
+    """Just enough of an EventBus to record what the kernel emits."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, t, layer, kind, rank=None, detail=None):
+        self.events.append((t, layer, kind, rank, repr(detail)))
+
+
+def _nap(sim, delay):
+    """A process's own sleep, the way model code takes it."""
+    if not sim.hold(delay):
+        yield sim.timeout1(delay)
+
+
+def _drain(sim, loop):
+    """Run *sim* to exhaustion the *loop* way, resuming after stops."""
+    if loop == "step":
+        while sim.peek() != INF:
+            try:
+                sim.step()
+            except StopRun:
+                pass
+    elif loop == "until":
+        h = 0.0
+        while sim.peek() != INF:
+            h += 1.25  # slices end between, on and beyond the events
+            sim.run(until=h)
+    else:
+        while sim.peek() != INF:
+            sim.run()
 
 
 def _drive(programs, elide, loop, store_cls=Store):
-    """Run *programs* (one op list per process); return (log, final _seq)."""
+    """Run *programs* (one op list per process); return (log, final _seq,
+    bus stream or None)."""
     sim = Simulator(elide=elide)
     if loop == "traced":
-        sim.obs = _NullBus()
+        sim.obs = _ListBus()
     res = [Resource(sim, capacity=1 + i) for i in range(N_RES)]
     cpus = [Processor(sim, name=f"cpu{i}") for i in range(N_CPU)]
     stores = [store_cls(sim, capacity=cap) for cap in STORE_CAPS]
@@ -62,6 +101,7 @@ def _drive(programs, elide, loop, store_cls=Store):
     log = []
 
     def body(pid, ops):
+        timers = []
         for i, op in enumerate(ops):
             kind = op[0]
             got = None
@@ -86,30 +126,42 @@ def _drive(programs, elide, loop, store_cls=Store):
                 yield notifies[op[1]].wait1()
             elif kind == "sleep":
                 yield sim.timeout(op[1])
+            elif kind == "hold":
+                yield from _nap(sim, op[1])
+            elif kind == "arm":
+                timers.append(sim.call_later(
+                    op[1], lambda _ev, at=(pid, i): log.append(
+                        (sim.now, sim._seq, "timer", at))))
+            elif kind == "cancel":
+                if timers:
+                    timers.pop().cancel()  # a tombstone while still queued
+            elif kind == "stop":
+                sim.stop()
             elif kind == "gate_wait":
                 yield gate
             elif kind == "gate_fire":
                 if not gate.triggered:
                     gate.succeed()
+            elif kind == "gate_timer":
+                # fired from a callback: its waiters may find the heap empty
+                sim.call_later(op[1], lambda _ev: gate.triggered or gate.succeed())
             log.append((sim.now, sim._seq, pid, i, got))
 
     for pid, ops in enumerate(programs):
         sim.process(body(pid, ops), name=f"p{pid}")
-    if loop == "step":
-        while sim.peek() != INF:
-            sim.step()
-    else:
-        sim.run()
-    return log, sim._seq
+    _drain(sim, loop)
+    return log, sim._seq, (sim.obs.events if loop == "traced" else None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_programs)
 def test_elision_is_invisible(programs):
-    oracle = _drive(programs, elide=False, loop="fast")
-    assert _drive(programs, elide=True, loop="fast") == oracle
-    assert _drive(programs, elide=True, loop="traced") == oracle
-    assert _drive(programs, elide=True, loop="step") == oracle
+    for loop in LOOPS:
+        assert _drive(programs, elide=True, loop=loop) == _drive(programs, elide=False, loop=loop)
+    # the untraced loops agree with the traced one and with each other
+    log, seq, _bus = _drive(programs, elide=False, loop="traced")
+    for loop in ("run", "until", "step"):
+        assert _drive(programs, elide=True, loop=loop)[:2] == (log, seq)
 
 
 def test_sibling_waiters_block_self_wakeup_elision():
@@ -122,9 +174,8 @@ def test_sibling_waiters_block_self_wakeup_elision():
         [("gate_wait",), ("sleep", 1.0)],
         [("sleep", 1.0), ("gate_fire",), ("sleep", 2.0)],
     ]
-    oracle = _drive(programs, elide=False, loop="fast")
-    for loop in ("fast", "traced", "step"):
-        assert _drive(programs, elide=True, loop=loop) == oracle
+    for loop in LOOPS:
+        assert _drive(programs, elide=True, loop=loop) == _drive(programs, elide=False, loop=loop)
 
 
 def _fired_events(sim):
@@ -153,6 +204,175 @@ def test_elision_skips_the_heap_but_keeps_the_sequence_number():
     # start, grant, hold, put acceptance, process exit
     assert (fired_oracle, seq_oracle) == (5, 5)
     assert (fired, seq) == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# Simulator.hold: the explicit cases
+# ---------------------------------------------------------------------------
+
+
+def _both(build, drain=lambda sim: _drain(sim, "run")):
+    """Run *build* then *drain* on the oracle and on an eliding
+    simulator, untraced and traced; assert the same log, ``_seq``, clock
+    and bus stream, and that the oracle never held.  Return the eliding
+    untraced run's (log, grants -- one bool per hold -- simulator)."""
+    runs = {}
+    for elide in (False, True):
+        for traced in (False, True):
+            sim = Simulator(elide=elide)
+            if traced:
+                sim.obs = _ListBus()
+            log, grants = [], []
+            build(sim, log, grants)
+            drain(sim)
+            runs[elide, traced] = (log, sim._seq, sim.now), grants, sim
+    oracle = runs[False, False][0]
+    for (elide, _traced), (outcome, grants, _sim) in runs.items():
+        assert outcome == oracle
+        assert elide or not any(grants)
+    assert runs[True, True][2].obs.events == runs[False, True][2].obs.events
+    (log, _seq, _now), grants, sim = runs[True, False]
+    return log, grants, sim
+
+
+def _hold_logged(sim, delay, log, grants, who):
+    granted = sim.hold(delay)
+    grants.append(granted)
+    if not granted:
+        yield sim.timeout1(delay)
+    log.append((sim.now, sim._seq, who))
+
+
+def test_hold_refuses_a_tie_at_its_deadline():
+    def build(sim, log, grants):
+        def first():
+            yield sim.timeout(3.0)
+            log.append((sim.now, sim._seq, "B"))
+
+        def second():
+            yield sim.timeout(1.0)
+            yield from _hold_logged(sim, 2.0, log, grants, "A")  # lands on B
+            yield sim.timeout(0.0)  # behind B's exit, also at t=3
+            yield from _hold_logged(sim, 1.0, log, grants, "A")  # nothing queued
+
+        sim.process(first())
+        sim.process(second())
+
+    _log, grants, sim = _both(build)
+    assert grants == [False, True]
+    assert sim.now == 4.0 and sim.elided == 1
+
+
+def test_hold_prunes_a_tombstone_off_the_top():
+    def build(sim, log, grants):
+        def proc():
+            sim.call_later(1.0, lambda _ev: None).cancel()
+            later = sim.call_later(5.0, lambda _ev: log.append((sim.now, sim._seq, "timer")))
+            yield from _hold_logged(sim, 2.0, log, grants, "A")  # past the tombstone
+            yield from _hold_logged(sim, 3.0, log, grants, "A")  # ties the live timer
+            assert later.processed
+
+        sim.process(proc())
+
+    _log, grants, sim = _both(build)
+    assert grants == [True, False]
+    assert sim._dead == 0
+
+
+def test_hold_stays_inside_the_run_horizon():
+    def build(sim, log, grants):
+        def proc():
+            yield from _hold_logged(sim, 3.0, log, grants, "A")  # exactly at the horizon
+            yield from _hold_logged(sim, 2.0, log, grants, "A")  # crosses it
+
+        sim.process(proc())
+
+    def drain(sim):
+        sim.run(until=3.0)
+        assert sim.now == 3.0 and sim.peek() == 5.0
+        sim.run(until=4.0)
+        assert sim.now == 4.0 and sim.peek() == 5.0
+        sim.run()
+
+    _log, grants, sim = _both(build, drain)
+    assert grants == [True, False]
+
+
+def test_hold_refuses_behind_a_stop_sentinel():
+    def build(sim, log, grants):
+        def proc():
+            sim.stop()
+            yield from _hold_logged(sim, 1.0, log, grants, "A")
+            yield from _hold_logged(sim, 1.0, log, grants, "A")
+
+        sim.process(proc())
+
+    def drain(sim):
+        sim.run()
+        assert sim.now == 0.0 and not sim._stopping  # stopped at the sentinel
+        sim.run()
+
+    _log, grants, sim = _both(build, drain)
+    assert grants == [False, True]
+
+
+def test_hold_never_grants_under_step():
+    def build(sim, log, grants):
+        def proc():
+            sim.stop()
+            for _ in range(3):
+                yield from _hold_logged(sim, 1.0, log, grants, "A")
+
+        sim.process(proc())
+
+    def drain(sim):
+        sim.run()  # stopped before the first hold: its horizon is gone
+        _drain(sim, "step")
+
+    _log, grants, sim = _both(build, drain)
+    assert grants == [False] * 3 and sim.elided == 0
+
+
+def test_hold_refuses_while_sibling_waiters_are_pending():
+    def build(sim, log, grants):
+        gate = sim.event()
+
+        def waiter(who):
+            yield gate
+            yield from _hold_logged(sim, 1.0, log, grants, who)
+
+        for who in "ABC":
+            sim.process(waiter(who))
+        # opened from a timer callback: nothing else is queued at t=1
+        sim.call_later(1.0, lambda _ev: gate.succeed())
+
+    log, grants, _sim = _both(build)
+    # all three resume from one fire: none may run ahead of the others
+    assert grants == [False, False, False]
+    assert [(t, who) for t, _seq, who in log] == [(2.0, "A"), (2.0, "B"), (2.0, "C")]
+
+
+@pytest.mark.parametrize("elide", [True, False])
+def test_hold_rejects_a_negative_delay(elide):
+    sim = Simulator(elide=elide)
+    with pytest.raises(ValueError, match="negative delay"):
+        sim.hold(-1.0)
+    assert sim._seq == 0
+
+
+def test_elided_counts_every_sequence_number_that_skipped_the_heap():
+    sim = Simulator()
+    cpu = Processor(sim)
+    store = Store(sim)
+
+    def proc():
+        yield from cpu.execute(1.0)  # grant elided, hold held
+        store.post("x")  # orphan acceptance elided
+
+    sim.process(proc())
+    sim.run()
+    # start, grant, hold, acceptance, exit: three never touched the heap
+    assert (sim._seq, sim.elided) == (5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +424,7 @@ def test_stoprun_finishes_the_stopping_events_callbacks():
     for traced in (False, True):
         sim = Simulator()
         if traced:
-            sim.obs = _NullBus()
+            sim.obs = _ListBus()
         order = []
         _three_waiters(sim, order).succeed()
         later = sim.event()

@@ -236,8 +236,8 @@ def test_the_hand_off_is_invisible(programs):
     and ``PriorityStore`` included, with and without elision."""
     for elide in (True, False):
         for cls, ref in ((Store, _QueuedStore), (PriorityStore, _QueuedPriorityStore)):
-            assert (_drive(programs, elide, "fast", store_cls=cls)
-                    == _drive(programs, elide, "fast", store_cls=ref))
+            assert (_drive(programs, elide, "run", store_cls=cls)
+                    == _drive(programs, elide, "run", store_cls=ref))
 
 
 def _three_getters(cls, producer):
