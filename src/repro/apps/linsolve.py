@@ -86,12 +86,13 @@ def linsolve(
             pivot[:n] = my_a[local_idx]
             pivot[n] = my_b[local_idx]
         yield from comm.bcast(pivot, root=owner)
-        below = my_rows > k
-        nbelow = int(below.sum())
-        if nbelow:
-            factors = my_a[below, k] / pivot[k]
-            my_a[below, k:] -= np.outer(factors, pivot[k:n])
-            my_b[below] -= factors * pivot[n]
+        # my rows below k (rank, rank+size, ... > k) are a suffix of mine
+        first = 0 if k < rank else (k - rank) // size + 1
+        nbelow = len(my_a) - first
+        if nbelow > 0:
+            factors = my_a[first:, k] / pivot[k]
+            my_a[first:, k:] -= factors[:, None] * pivot[k:n]
+            my_b[first:] -= factors * pivot[n]
             # 2 flops per updated element, plus the factor divisions
             flops = nbelow * (2 * (n - k) + 1)
             yield from host.compute(flops * flop_time, quantum=quantum)

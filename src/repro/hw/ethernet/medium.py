@@ -146,8 +146,7 @@ class Medium:
                 self.frames_duplicated += 1
                 copies = 2
         for _ in range(copies):
-            ev = self.sim.timeout(self.params.prop_delay, frame)
-            ev.add_callback(self._deliver)
+            self.sim.timeout1(self.params.prop_delay, frame).callbacks.append(self._deliver)
 
     def _deliver(self, event) -> None:
         frame: Frame = event.value

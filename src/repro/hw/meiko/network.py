@@ -65,6 +65,11 @@ class MeikoNetwork:
         self.delivered = {PKT_TXN: 0, PKT_DMA: 0}
         self.packets_dropped = 0
         self.packets_corrupted = 0
+        #: one-way route latency by stages climbed (0 .. height)
+        self._latency = [
+            params.net_base + params.net_per_stage * max(1, 2 * s - 1)
+            for s in range(self.height() + 1)
+        ]
 
     # -- topology ---------------------------------------------------------
     def stages(self, src: int, dst: int) -> int:
@@ -92,12 +97,9 @@ class MeikoNetwork:
         return h
 
     def route_latency(self, src: int, dst: int) -> float:
-        """One-way fabric latency, excluding injection serialization."""
-        p = self.params
-        # up and down the tree: 2*stages - 1 switch traversals
-        s = self.stages(src, dst)
-        hops = max(1, 2 * s - 1)
-        return p.net_base + p.net_per_stage * hops
+        """One-way fabric latency, excluding injection serialization:
+        up and down the tree, 2*stages - 1 switch traversals."""
+        return self._latency[self.stages(src, dst)]
 
     def _check(self, node: int) -> None:
         if not (0 <= node < self.nnodes):
@@ -107,13 +109,10 @@ class MeikoNetwork:
     def transmit(self, packet: Packet) -> None:
         """Launch *packet*; it arrives at the destination after the route
         latency and is queued on the destination's receive path."""
-        self._check(packet.src)
-        self._check(packet.dst)
+        delay = self.route_latency(packet.src, packet.dst)
         if self._faulted(packet):
             return
-        delay = self.route_latency(packet.src, packet.dst)
-        ev = self.sim.timeout(delay, packet)
-        ev.add_callback(self._arrive)
+        self.sim.timeout1(delay, packet).callbacks.append(self._arrive)
 
     def _faulted(self, packet: Packet) -> bool:
         """Consult the fault injector; True if the packet is lost."""
@@ -136,16 +135,16 @@ class MeikoNetwork:
         (including the sender — the CS/2 broadcast range covers the whole
         segment; senders typically ignore their own copy)."""
         self._check(src)
-        p = self.params
-        delay = p.net_base + p.net_per_stage * (2 * self.height() - 1) + p.bcast_extra
+        delay = self._latency[-1] + self.params.bcast_extra  # a full-height route
+        timeout1 = self.sim.timeout1
+        arrive = self._arrive
         for dst in range(self.nnodes):
             packet = make_packet(dst)
             if packet is None:
                 continue
             if self._faulted(packet):
                 continue
-            ev = self.sim.timeout(delay, packet)
-            ev.add_callback(self._arrive)
+            timeout1(delay, packet).callbacks.append(arrive)
 
     def _arrive(self, event) -> None:
         packet: Packet = event.value

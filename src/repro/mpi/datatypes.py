@@ -8,18 +8,20 @@ over its underlying basic type:
 * ``extent_elems`` — the stride (in basic elements) between consecutive
   items of the type.
 
-``pack`` gathers those elements into wire bytes; ``unpack`` scatters
-wire bytes back into a buffer.  Buffers are NumPy arrays (for numeric
-types) or bytes-like objects (for BYTE/CHAR).  MPI_Type_struct is
-covered by NumPy *structured dtypes*: ``from_numpy_dtype`` on a record
-dtype yields a BasicType whose itemsize is the whole record, and the
-derived constructors compose over it (e.g. a Vector of every other
-particle record).
+``pack`` turns those elements into wire bytes; ``unpack`` writes wire
+bytes back into a buffer.  Buffers are NumPy arrays (for numeric types)
+or bytes-like objects — ``bytes``, ``bytearray``, ``memoryview`` — for
+1-byte types.  MPI_Type_struct is covered by NumPy *structured dtypes*:
+``from_numpy_dtype`` on a record dtype yields a BasicType whose itemsize
+is the whole record, and the derived constructors compose over it (e.g.
+a Vector of every other particle record).
 
-Noncontiguous types cost a real gather/scatter on the wire path — the
-devices charge a per-byte copy for them, contiguous ones go straight
-from the user buffer (the distinction the paper's low-latency path
-exploits).
+Contiguous types go straight from the user buffer: for every buffer
+kind, ``pack`` is one slice copied into the wire bytes and ``unpack``
+one slice assignment, with no offset map built or kept.  Only
+noncontiguous types gather/scatter through an offset map (cached per
+count) — the devices charge a per-byte copy for those, the distinction
+the paper's low-latency path exploits.
 """
 
 from __future__ import annotations
@@ -50,68 +52,62 @@ BufferLike = Union[np.ndarray, bytes, bytearray, memoryview]
 
 
 class Datatype:
-    """Base class.  Subclasses set ``basic``, ``_elem_offsets``,
-    ``extent_elems`` and ``name``."""
+    """Base class.  Subclasses set ``name`` and ``basic``, then fix the
+    element map with :meth:`_layout`."""
 
     basic: "BasicType"
     _elem_offsets: np.ndarray
     extent_elems: int
     name: str
+    #: bytes of message data per item of this type
+    size: int
+    #: True if items pack with no gather (straight memory copy)
+    contiguous: bool
 
-    # -- derived quantities ------------------------------------------------
-    # Datatypes are immutable after construction, so the derived
-    # quantities and offset maps are cached per instance (offsets() sits
-    # on the per-message pack/unpack path).
-    @property
-    def size(self) -> int:
-        """Bytes of message data per item of this type."""
-        d = self.__dict__
-        sz = d.get("_size")
-        if sz is None:
-            sz = d["_size"] = len(self._elem_offsets) * self.basic.itemsize
-        return sz
+    def _layout(self, elem_offsets: np.ndarray, extent_elems: int) -> None:
+        """Fix the element map of one item.  Datatypes are immutable, so
+        everything pack/unpack derive from the map is derived here, once."""
+        n = len(elem_offsets)
+        self._elem_offsets = elem_offsets
+        self.extent_elems = extent_elems
+        self.size = n * self.basic.itemsize
+        self.contiguous = extent_elems == n and bool(
+            np.array_equal(elem_offsets, np.arange(n)))
+        # elements of buffer that count items reach:
+        # (count - 1) * extent_elems + _reach, for any count >= 1
+        self._reach = int(elem_offsets.max()) + 1
+        # gather/scatter maps by count; only a noncontiguous type fills it
+        self._offs_cache = {}
 
     @property
     def extent(self) -> int:
         """Bytes of buffer spanned by one item (stride between items)."""
         return self.extent_elems * self.basic.itemsize
 
-    @property
-    def contiguous(self) -> bool:
-        """True if items pack with no gather (straight memory copy)."""
-        d = self.__dict__
-        c = d.get("_contig")
-        if c is None:
-            n = len(self._elem_offsets)
-            c = d["_contig"] = bool(
-                np.array_equal(self._elem_offsets, np.arange(n))
-                and self.extent_elems == n
-            )
-        return c
-
     def offsets(self, count: int) -> np.ndarray:
-        """Flat basic-element offsets covered by *count* items.
+        """Flat basic-element offsets covered by *count* items (read-only).
 
-        The returned array is cached (and marked read-only): do not
-        mutate it.
+        This is the map a noncontiguous type gathers and scatters
+        through.  A contiguous type never needs it: its pack and unpack
+        slice the user buffer directly, whatever the buffer kind.
         """
-        cache = self.__dict__.setdefault("_offs_cache", {})
-        offs = cache.get(count)
-        if offs is not None:
-            return offs
         if count < 0:
             raise DatatypeError(f"negative count {count}")
-        if count == 0:
-            offs = np.empty(0, dtype=np.intp)
-        else:
-            base = np.arange(count, dtype=np.intp) * self.extent_elems
-            offs = (base[:, None] + self._elem_offsets[None, :]).ravel()
+        base = np.arange(count, dtype=np.intp) * self.extent_elems
+        offs = (base[:, None] + self._elem_offsets[None, :]).ravel()
         offs.flags.writeable = False
-        cache[count] = offs
+        return offs
+
+    def _gather_offsets(self, count: int) -> np.ndarray:
+        offs = self._offs_cache.get(count)
+        if offs is None:
+            offs = self._offs_cache[count] = self.offsets(count)
         return offs
 
     # -- buffer access -------------------------------------------------------
     def _as_flat_array(self, buf: BufferLike, writable: bool) -> np.ndarray:
+        """*buf* as a flat array of basic elements: a view, except for a
+        strided memoryview (copied) or a non-contiguous ndarray."""
         if isinstance(buf, np.ndarray):
             if buf.dtype != self.basic.np_dtype:
                 raise DatatypeError(
@@ -129,65 +125,53 @@ class Datatype:
             if writable:
                 if isinstance(buf, bytes):
                     raise DatatypeError("receive buffer is immutable bytes")
-                return np.frombuffer(buf, dtype=np.uint8)
-            return np.frombuffer(bytes(buf), dtype=np.uint8)
+            elif isinstance(buf, memoryview) and not buf.c_contiguous:
+                buf = buf.tobytes()  # a strided view has no flat byte view
+            return np.frombuffer(buf, dtype=np.uint8)
         raise DatatypeError(f"unsupported buffer type {type(buf).__name__}")
 
+    def _check_reach(self, op: str, count: int, flat: np.ndarray) -> None:
+        if count:
+            need = (count - 1) * self.extent_elems + self._reach
+            if need > flat.size:
+                raise DatatypeError(
+                    f"{op} of {count} x {self.name} needs {need} elements, "
+                    f"buffer has {flat.size}"
+                )
+
     def pack(self, buf: BufferLike, count: int) -> bytes:
-        """Gather *count* items from *buf* into wire bytes."""
-        if count > 0 and self.contiguous and type(buf) is np.ndarray:
-            # contiguous fast path: straight slice, no index gather
-            if buf.dtype == self.basic.np_dtype:
-                n = count * self.extent_elems
-                flat = buf.reshape(-1)
-                if n > flat.size:
-                    raise DatatypeError(
-                        f"pack of {count} x {self.name} needs {n} elements, "
-                        f"buffer has {flat.size}"
-                    )
-                return flat[:n].tobytes()
-        offs = self.offsets(count)
+        """Gather *count* items from *buf* into wire bytes.
+
+        The result is a new ``bytes`` object on every call, never *buf*
+        itself — not even for a ``bytes`` buffer the message covers
+        whole.  The rdma device's registration cache keys on buffer
+        identity: a ping-pong that echoes the received object would
+        otherwise turn its registration misses into hits.
+        """
+        if count < 0:
+            raise DatatypeError(f"negative count {count}")
         flat = self._as_flat_array(buf, writable=False)
-        if len(offs) and (offs.max() >= flat.size):
-            raise DatatypeError(
-                f"pack of {count} x {self.name} needs {offs.max() + 1} elements, "
-                f"buffer has {flat.size}"
-            )
-        return flat[offs].tobytes()
+        self._check_reach("pack", count, flat)
+        if self.contiguous:
+            return flat[:count * self.extent_elems].tobytes()
+        return flat[self._gather_offsets(count)].tobytes()
 
     def unpack(self, data: bytes, buf: BufferLike, count: int) -> None:
         """Scatter wire bytes into *buf* as *count* items."""
-        if count > 0 and self.contiguous and type(buf) is np.ndarray:
-            # contiguous fast path: straight slice, no index scatter
-            if buf.dtype == self.basic.np_dtype and buf.flags.writeable:
-                n = count * self.extent_elems
-                expected = n * self.basic.itemsize
-                if len(data) != expected:
-                    raise DatatypeError(
-                        f"unpack of {count} x {self.name} expects {expected} bytes, "
-                        f"got {len(data)}"
-                    )
-                flat = buf.reshape(-1)
-                if n > flat.size:
-                    raise DatatypeError(
-                        f"unpack of {count} x {self.name} needs {n} elements, "
-                        f"buffer has {flat.size}"
-                    )
-                flat[:n] = np.frombuffer(data, dtype=self.basic.np_dtype)
-                return
-        offs = self.offsets(count)
-        expected = len(offs) * self.basic.itemsize
+        if count < 0:
+            raise DatatypeError(f"negative count {count}")
+        expected = count * self.size
         if len(data) != expected:
             raise DatatypeError(
                 f"unpack of {count} x {self.name} expects {expected} bytes, got {len(data)}"
             )
         flat = self._as_flat_array(buf, writable=True)
-        if len(offs) and offs.max() >= flat.size:
-            raise DatatypeError(
-                f"unpack of {count} x {self.name} needs {offs.max() + 1} elements, "
-                f"buffer has {flat.size}"
-            )
-        flat[offs] = np.frombuffer(data, dtype=self.basic.np_dtype)
+        self._check_reach("unpack", count, flat)
+        wire = np.frombuffer(data, dtype=self.basic.np_dtype)
+        if self.contiguous:
+            flat[:count * self.extent_elems] = wire
+        else:
+            flat[self._gather_offsets(count)] = wire
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Datatype {self.name} size={self.size} extent={self.extent}>"
@@ -201,8 +185,7 @@ class BasicType(Datatype):
         self.np_dtype = np.dtype(np_dtype)
         self.itemsize = self.np_dtype.itemsize
         self.basic = self
-        self._elem_offsets = np.arange(1, dtype=np.intp)
-        self.extent_elems = 1
+        self._layout(np.arange(1, dtype=np.intp), 1)
 
 
 class Contiguous(Datatype):
@@ -213,9 +196,7 @@ class Contiguous(Datatype):
             raise DatatypeError(f"Contiguous count must be >= 1, got {count}")
         self.name = f"contig({count},{base.name})"
         self.basic = base.basic
-        one = base.offsets(count)
-        self._elem_offsets = one
-        self.extent_elems = count * base.extent_elems
+        self._layout(base.offsets(count), count * base.extent_elems)
 
 
 class Vector(Datatype):
@@ -233,8 +214,10 @@ class Vector(Datatype):
         self.basic = base.basic
         block = base.offsets(blocklength)
         starts = np.arange(count, dtype=np.intp) * stride * base.extent_elems
-        self._elem_offsets = (starts[:, None] + block[None, :]).ravel()
-        self.extent_elems = ((count - 1) * stride + blocklength) * base.extent_elems
+        self._layout(
+            (starts[:, None] + block[None, :]).ravel(),
+            ((count - 1) * stride + blocklength) * base.extent_elems,
+        )
 
 
 class Indexed(Datatype):
@@ -258,8 +241,7 @@ class Indexed(Datatype):
         offs = np.concatenate(parts)
         if len(np.unique(offs)) != len(offs):
             raise DatatypeError("Indexed blocks overlap")
-        self._elem_offsets = offs
-        self.extent_elems = int(offs.max()) + base.extent_elems
+        self._layout(offs, int(offs.max()) + base.extent_elems)
 
 
 # --- the predefined basic types ---------------------------------------------

@@ -626,6 +626,12 @@ class Simulator:
         so it must never be retained across a suspension, given a second
         waiter, placed in an :class:`AnyOf`/:class:`AllOf`, or cancelled
         after it fired.  Use :meth:`timeout` for anything user-visible.
+
+        A model can also deliver through one without a process:
+        ``sim.timeout1(delay, packet).callbacks.append(on_arrival)``
+        makes *on_arrival* its one waiter, which reads ``event.value``
+        and keeps the value, never the event.  It is numbered and fires
+        exactly where ``sim.timeout(delay, packet)`` would.
         """
         if self._pool_on:
             pool = self._tpool

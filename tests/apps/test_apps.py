@@ -62,6 +62,49 @@ def test_linsolve_explicit_system(meiko_device):
     assert np.allclose(res[0], np.linalg.solve(a, b))
 
 
+def _linsolve_by_masks(n, size, seed):
+    """linsolve's arithmetic with every rank's elimination written as a
+    boolean row mask, fancy indexing and ``np.outer``: the reference the
+    slicing elimination must match bit for bit."""
+    a, b = generate_system(n, seed)
+    rows = [np.arange(r, n, size) for r in range(size)]
+    chunks = [(a[rows[r]].copy(), b[rows[r]].copy()) for r in range(size)]
+    pivot = np.empty(n + 1, dtype=np.float64)
+    for k in range(n):
+        owner = k % size
+        pivot[:n] = chunks[owner][0][(k - owner) // size]
+        pivot[n] = chunks[owner][1][(k - owner) // size]
+        for r, (my_a, my_b) in enumerate(chunks):
+            below = rows[r] > k
+            if below.sum():
+                factors = my_a[below, k] / pivot[k]
+                my_a[below, k:] -= np.outer(factors, pivot[k:n])
+                my_b[below] -= factors * pivot[n]
+    u, c = np.empty((n, n)), np.empty(n)
+    for r, (my_a, my_b) in enumerate(chunks):
+        u[rows[r]] = my_a
+        c[rows[r]] = my_b
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (c[k] - u[k, k + 1:] @ x[k + 1:]) / u[k, k]
+    return x
+
+
+@pytest.mark.parametrize("platform,device,n,nprocs", [
+    ("meiko", "lowlatency", 37, 5),
+    ("meiko", "mpich", 24, 8),
+    ("atm", "tcp", 13, 4),
+])
+def test_linsolve_eliminates_bit_identically_to_the_mask_formulation(
+        platform, device, n, nprocs):
+    def main(comm):
+        x, _ = yield from linsolve(comm, n=n, seed=5)
+        return x
+
+    x = run_world(nprocs, main, platform, device)[0]
+    assert x.tobytes() == _linsolve_by_masks(n, nprocs, seed=5).tobytes()
+
+
 def test_linsolve_rejects_bad_n():
     def main(comm):
         with pytest.raises(ConfigurationError):

@@ -264,6 +264,29 @@ def test_traced_command_prints_what_the_untraced_one_does(tmp_path):
     assert traced[len(plain):].startswith("trace: ")
 
 
+def test_consecutive_calls_print_what_fresh_parsers_print(tmp_path, monkeypatch):
+    """main() parses with one parser per process; a call must not see
+    the flags or subcommand of the call before it."""
+    import repro.cli
+
+    trace = str(tmp_path / "t.json")
+    calls = [
+        ["pingpong", "--platform", "meiko", "--sizes", "1", "--trace", trace],
+        ["pingpong", "--platform", "meiko", "--sizes", "1"],
+        ["app", "linsolve", "--nprocs", "2", "--size", "8", "--trace", trace,
+         "--trace-format", "jsonl"],
+        ["app", "linsolve", "--nprocs", "2", "--size", "8"],
+        ["figure", "fig01"],
+    ]
+    cached = [run_cli(*argv) for argv in calls]
+    assert repro.cli._parser() is repro.cli._parser()
+    for argv in calls:
+        assert vars(repro.cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(repro.cli, "_parser", build_parser)
+    assert cached == [run_cli(*argv) for argv in calls]
+    assert "trace:" not in cached[1][1] and "trace:" not in cached[3][1]
+
+
 def test_cli_builds_no_world():
     """One execution path: commands build cells, cells build worlds."""
     import inspect

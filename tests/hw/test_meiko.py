@@ -120,6 +120,18 @@ def test_route_latency_monotone_in_distance(sim):
     assert near < mid < far
 
 
+def test_route_latency_table_is_the_per_stage_formula(sim):
+    """The construction-time table gives each route exactly the latency
+    the per-packet formula did, keyed by stages only (no per-pair state)."""
+    m = machine(sim, 20)
+    net, p = m.network, m.network.params
+    assert len(net._latency) == net.height() + 1
+    for src in range(20):
+        for dst in range(20):
+            hops = max(1, 2 * net.stages(src, dst) - 1)
+            assert net.route_latency(src, dst) == p.net_base + p.net_per_stage * hops
+
+
 def test_bad_node_rejected(sim):
     m = machine(sim, 4)
     with pytest.raises(HardwareError):

@@ -272,3 +272,184 @@ def test_indexed_roundtrip(data):
     t.unpack(t.pack(src, 1), dst, 1)
     offs = t.offsets(1)
     assert np.array_equal(dst[offs], src[offs])
+
+
+# ---------------------------------------------------------------------------
+# contiguous types slice, noncontiguous types gather: one behaviour
+# ---------------------------------------------------------------------------
+
+
+def _reference_flat(t, buf, writable):
+    """Buffer access as the offset-map engine did it (bytes-likes copied)."""
+    if isinstance(buf, np.ndarray):
+        if buf.dtype != t.basic.np_dtype:
+            raise DatatypeError(
+                f"buffer dtype {buf.dtype} does not match datatype {t.name} "
+                f"({t.basic.np_dtype})"
+            )
+        if writable and not buf.flags.writeable:
+            raise DatatypeError("receive buffer is not writable")
+        return buf.reshape(-1)
+    if isinstance(buf, (bytes, bytearray, memoryview)):
+        if t.basic.itemsize != 1:
+            raise DatatypeError(f"bytes-like buffer requires a 1-byte datatype, not {t.name}")
+        if writable:
+            if isinstance(buf, bytes):
+                raise DatatypeError("receive buffer is immutable bytes")
+            return np.frombuffer(buf, dtype=np.uint8)
+        return np.frombuffer(bytes(buf), dtype=np.uint8)
+    raise DatatypeError(f"unsupported buffer type {type(buf).__name__}")
+
+
+def _reference_pack(t, buf, count):
+    """Every type gathered through its offset map, bounded by offs.max()."""
+    offs = t.offsets(count)
+    flat = _reference_flat(t, buf, writable=False)
+    if len(offs) and offs.max() >= flat.size:
+        raise DatatypeError(
+            f"pack of {count} x {t.name} needs {offs.max() + 1} elements, "
+            f"buffer has {flat.size}"
+        )
+    return flat[offs].tobytes()
+
+
+def _reference_unpack(t, data, buf, count):
+    offs = t.offsets(count)
+    expected = len(offs) * t.basic.itemsize
+    if len(data) != expected:
+        raise DatatypeError(
+            f"unpack of {count} x {t.name} expects {expected} bytes, got {len(data)}"
+        )
+    flat = _reference_flat(t, buf, writable=True)
+    if len(offs) and offs.max() >= flat.size:
+        raise DatatypeError(
+            f"unpack of {count} x {t.name} needs {offs.max() + 1} elements, "
+            f"buffer has {flat.size}"
+        )
+    flat[offs] = np.frombuffer(data, dtype=t.basic.np_dtype)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the same error, type and message, is the property
+        return type(exc), str(exc)
+
+
+@st.composite
+def _datatypes(draw):
+    base = draw(st.sampled_from([BYTE, CHAR, INT, DOUBLE]))
+    if draw(st.booleans()):
+        base = Contiguous(draw(st.integers(1, 3)), base)
+    kind = draw(st.sampled_from(["basic", "contiguous", "vector", "indexed"]))
+    if kind == "basic":
+        return base.basic
+    if kind == "contiguous":
+        return Contiguous(draw(st.integers(1, 4)), base)
+    if kind == "vector":
+        blocklength = draw(st.integers(1, 3))
+        stride = blocklength + draw(st.integers(0, 2))
+        return Vector(draw(st.integers(1, 3)), blocklength, stride, base)
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    disps, cur = [], 0
+    for ln in lengths:
+        disps.append(cur + draw(st.integers(0, 2)))
+        cur = disps[-1] + ln
+    return Indexed(lengths, disps, base)
+
+
+BUFFER_KINDS = ["ndarray", "ndarray-other-dtype", "bytes", "bytearray",
+                "memoryview", "memoryview-readonly", "memoryview-strided", "list"]
+
+
+def _make_buffer(kind, t, nelems):
+    """A fresh buffer of *nelems* basic elements of *t* holding a fixed pattern."""
+    raw = bytes((i * 37 + 11) % 256 for i in range(nelems * t.basic.itemsize))
+    if kind == "ndarray":
+        return np.frombuffer(raw, dtype=t.basic.np_dtype).copy()
+    if kind == "ndarray-other-dtype":
+        return np.zeros(nelems, dtype=np.float32)
+    if kind == "bytes":
+        return raw
+    if kind == "bytearray":
+        return bytearray(raw)
+    if kind == "memoryview":
+        return memoryview(bytearray(raw))
+    if kind == "memoryview-readonly":
+        return memoryview(raw)
+    if kind == "memoryview-strided":
+        return memoryview(bytearray(raw * 2))[::2]
+    return list(raw)
+
+
+def _contents(buf):
+    return buf.tobytes() if isinstance(buf, (np.ndarray, memoryview)) else bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=_datatypes(),
+    kind=st.sampled_from(BUFFER_KINDS),
+    nelems=st.integers(0, 40),
+    count=st.integers(-1, 12),
+    skew=st.sampled_from([0, 0, 0, 1, -1]),
+)
+def test_pack_unpack_equal_the_offset_map_gather(t, kind, nelems, count, skew):
+    """For every type, buffer kind and count -- 0, fitting, too large for
+    the buffer, negative -- pack/unpack give the gather/scatter's bytes
+    and buffer contents, or raise its error with its message."""
+    got = _outcome(t.pack, _make_buffer(kind, t, nelems), count)
+    assert got == _outcome(_reference_pack, t, _make_buffer(kind, t, nelems), count)
+
+    nbytes = max(0, max(count, 0) * t.size + skew)
+    data = bytes((i * 13 + 5) % 256 for i in range(nbytes))
+    mine, ref = _make_buffer(kind, t, nelems), _make_buffer(kind, t, nelems)
+    got = _outcome(t.unpack, data, mine, count)
+    assert got == _outcome(_reference_unpack, t, data, ref, count)
+    assert _contents(mine) == _contents(ref)
+
+
+@pytest.mark.parametrize("buf,t,count", [
+    (b"m" * 64, BYTE, 64),
+    (bytearray(b"m" * 64), BYTE, 64),
+    (memoryview(b"m" * 64), BYTE, 64),
+    (np.arange(8, dtype=np.float64), DOUBLE, 8),
+])
+def test_pack_returns_a_new_object_every_call(buf, t, count):
+    """Even when the message covers a ``bytes`` buffer whole, pack hands
+    back a new object.  The rdma registration cache keys on buffer
+    identity: returning the caller's object lets a ping-pong that echoes
+    what it received hit on a buffer it never registered."""
+    first, second = t.pack(buf, count), t.pack(buf, count)
+    assert first is not buf and second is not buf
+    assert first is not second
+    assert first == second == _contents(buf)
+
+
+def test_rdma_rendezvous_rtt_pays_its_registration_misses():
+    """The echo re-sends the bytes it received, so a pack that returned
+    its argument would turn this 8193-B rendezvous into cache hits."""
+    from repro.bench.harness import mpi_pingpong_rtt
+
+    assert mpi_pingpong_rtt("modern", "rdma", 8193) == pytest.approx(9.4288, abs=1e-9)
+
+
+def test_contiguous_message_costs_one_copy():
+    """1 MiB through BYTE: pack makes the wire bytes and nothing else,
+    unpack writes into the receive buffer in place, no map is kept."""
+    import tracemalloc
+
+    payload = bytes(range(256)) * 4096
+    sink = bytearray(len(payload))
+    tracemalloc.start()
+    try:
+        wire = BYTE.pack(payload, len(payload))
+        BYTE.unpack(wire, sink, len(payload))
+        del wire
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink == payload
+    assert retained < 64 * 1024
+    assert peak < len(payload) + 64 * 1024
+    assert not BYTE._offs_cache
