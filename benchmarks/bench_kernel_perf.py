@@ -54,7 +54,7 @@ def main(argv=None) -> int:
             failed.append(name)
         print(
             f"  {name:<12} {rec['events']:>8} events  {rec['elided']:>8} elided  "
-            f"{rec['wall_s']:>9.4f} s  "
+            f"{rec['carried']:>8} carried  {rec['wall_s']:>9.4f} s  "
             f"{rec['events_per_sec']:>9} ev/s  (floor {floor}{'' if ok else '  ** UNDER **'})"
         )
     for shard in suite["shards"]:

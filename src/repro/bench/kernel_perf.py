@@ -44,7 +44,9 @@ workloads exercise the kernel's hot paths from different directions:
 
 ``run_suite`` returns one record per workload (events scheduled, how
 many of them were elided -- numbered without a heap trip, see
-:meth:`repro.sim.Simulator.hold` -- wall-clock seconds, events per
+:meth:`repro.sim.Simulator.hold` -- how many resource grants were
+carried into their hold without waking the holder, see
+:meth:`repro.sim.Simulator.grant1` -- wall-clock seconds, events per
 second) ready to be serialized as
 ``BENCH_kernel.json`` — the tracked perf trajectory of the kernel.
 """
@@ -120,13 +122,15 @@ WORLD_CELLS = {
 }
 
 
-def _counts(*sims) -> Tuple[int, int]:
-    """(events, elided) of the workload's simulators: sequence numbers
-    allocated, and how many of them never touched the heap."""
-    return sum(s._seq for s in sims), sum(s.elided for s in sims)
+def _counts(*sims) -> Tuple[int, int, int]:
+    """(events, elided, carried) of the workload's simulators: sequence
+    numbers allocated, how many of them never touched the heap, and how
+    many grants were carried into their hold without a wakeup."""
+    return (sum(s._seq for s in sims), sum(s.elided for s in sims),
+            sum(s.carried for s in sims))
 
 
-def _solver(quick: bool) -> Tuple[int, int]:
+def _solver(quick: bool) -> Tuple[int, int, int]:
     from repro.apps import linsolve
     from repro.mpi import World
 
@@ -140,7 +144,7 @@ def _solver(quick: bool) -> Tuple[int, int]:
     return _counts(world.sim)
 
 
-def _nbody(quick: bool) -> Tuple[int, int]:
+def _nbody(quick: bool) -> Tuple[int, int, int]:
     from repro.apps import nbody_ring
     from repro.mpi import World
 
@@ -156,7 +160,7 @@ def _nbody(quick: bool) -> Tuple[int, int]:
     return _counts(world.sim)
 
 
-def _chaos(quick: bool) -> Tuple[int, int]:
+def _chaos(quick: bool) -> Tuple[int, int, int]:
     from repro.bench.harness import cold_pingpong
     from repro.faults import FaultPlan, PacketLoss
     from repro.mpi import World
@@ -173,7 +177,7 @@ def _chaos(quick: bool) -> Tuple[int, int]:
     return _counts(world.sim)
 
 
-def _ring_1k(quick: bool) -> Tuple[int, int]:
+def _ring_1k(quick: bool) -> Tuple[int, int, int]:
     from repro.mpi import World
 
     world = World(1024, *WORLD_CELLS["ring_1k"])
@@ -196,7 +200,7 @@ def _ring_1k(quick: bool) -> Tuple[int, int]:
     return _counts(world.sim)
 
 
-def _coll_4k(quick: bool) -> Tuple[int, int]:
+def _coll_4k(quick: bool) -> Tuple[int, int, int]:
     import numpy as np
 
     from repro.mpi import World
@@ -245,7 +249,7 @@ def coll_10k_main(comm):
     return None
 
 
-def _coll_10k(quick: bool) -> Tuple[int, int]:
+def _coll_10k(quick: bool) -> Tuple[int, int, int]:
     from repro.mpi import World
 
     world = World(2048 if quick else 10_000, *WORLD_CELLS["coll_10k"])
@@ -253,7 +257,7 @@ def _coll_10k(quick: bool) -> Tuple[int, int]:
     return _counts(world.sim)
 
 
-def _timer_churn(quick: bool) -> Tuple[int, int]:
+def _timer_churn(quick: bool) -> Tuple[int, int, int]:
     from repro.sim import Simulator
 
     sim = Simulator()
@@ -275,7 +279,7 @@ def _timer_churn(quick: bool) -> Tuple[int, int]:
     return _counts(sim)
 
 
-WORKLOADS: Dict[str, Callable[[bool], Tuple[int, int]]] = {
+WORKLOADS: Dict[str, Callable[[bool], Tuple[int, int, int]]] = {
     "solver": _solver,
     "nbody": _nbody,
     "chaos": _chaos,
@@ -332,11 +336,13 @@ def bytes_per_rank(nprocs: int, platform: str = "meiko",
 
 
 def time_workload(name: str, quick: bool = False) -> Dict:
-    """One timed run of one workload: ``{"events", "elided", "wall_s"}``."""
+    """One timed run of one workload:
+    ``{"events", "elided", "carried", "wall_s"}``."""
     fn = WORKLOADS[name]
     t0 = time.perf_counter()
-    events, elided = fn(quick)
-    return {"events": events, "elided": elided, "wall_s": time.perf_counter() - t0}
+    events, elided, carried = fn(quick)
+    return {"events": events, "elided": elided, "carried": carried,
+            "wall_s": time.perf_counter() - t0}
 
 
 def plan(names: Sequence[str], quick: bool = False, repeats: int = 3):
@@ -361,6 +367,7 @@ def plan(names: Sequence[str], quick: bool = False, repeats: int = 3):
             records[name] = {
                 "events": best["events"],
                 "elided": best["elided"],
+                "carried": best["carried"],
                 "wall_s": round(best["wall_s"], 6),
                 "events_per_sec": int(best["events"] / best["wall_s"]),
             }

@@ -23,8 +23,9 @@ Commands
 ``perf``
     Time the simulator-kernel performance workloads (best of
     ``--repeats``), optionally under cProfile (``--profile``); each
-    line gives the events and how many of them were elided (numbered
-    without a heap trip).
+    line gives the events, how many of them were elided (numbered
+    without a heap trip) and how many resource grants were carried
+    into their hold without waking the holder.
 ``fuzz``
     Differential MPI conformance fuzzer: generate a random program
     from a seed, run it on every device in the matrix, and assert all
@@ -505,7 +506,7 @@ def cmd_perf(args, out) -> int:
     (records,), _ = evaluate([plan(names, args.quick, args.repeats)])
     for name, rec in records.items():
         print(f"{name:<12} {rec['events']:>8} events  {rec['elided']:>8} elided  "
-              f"{rec['wall_s']:>9.4f} s  "
+              f"{rec['carried']:>8} carried  {rec['wall_s']:>9.4f} s  "
               f"{rec['events_per_sec']:>9} ev/s", file=out)
     return 0
 

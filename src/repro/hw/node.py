@@ -56,18 +56,19 @@ class Processor:
     def execute(self, cost: float):
         """Generator: occupy the processor for *cost* µs of reference work.
 
-        The grant and the hold are elided exactly as in
-        :meth:`repro.sim.resources.Resource.use`: an uncontended
+        Claimed exactly as :meth:`repro.sim.resources.Resource.use`
+        claims: the process is woken once, when its CPU time is over
+        (:meth:`repro.sim.Simulator.grant1`), and an uncontended
         execution with nothing else due before it ends never yields.
         """
         if cost < 0:
             raise ValueError(f"negative execution cost {cost!r}")
         scaled = cost / self.speed
         self.busy_time += scaled
-        # Uncontended fast path inlined from Resource.use: same grant
-        # event (elided when nothing else is runnable now) + hold
-        # (elided when nothing is due before it ends), identical event
-        # count and ordering, on pooled records, without the extra
+        # Uncontended fast path inlined from Resource.use: the same
+        # grant record carrying the hold (or, when nothing else is
+        # runnable now, the grant elided and the hold taken in place),
+        # identical event count and ordering, without the extra
         # delegating generator frame.
         res = self._res
         if res._in_use < res.capacity and not res._queue:
@@ -75,8 +76,8 @@ class Processor:
             sim = res.sim
             try:
                 if not sim.elide():
-                    yield sim.event1().succeed(None)
-                if not sim.hold(scaled):
+                    yield sim.grant1(scaled).succeed(None)
+                elif not sim.hold(scaled):
                     yield sim.timeout1(scaled)
             finally:
                 if res._queue:

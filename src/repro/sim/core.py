@@ -25,16 +25,27 @@ The run loop is compiled down to plain-list and tuple operations:
 * **Kind dispatch.** Every event class carries a class-level ``_kind``
   tag (`K_EVENT`/`K_TIMEOUT`/`K_PROCESS`); the loop branches on the tag
   instead of ``type()``/``isinstance`` checks, so the only polymorphic
-  call left per event is the waiter callback itself.
+  call left per event is the waiter callback itself.  The pooled timeout
+  record carries its tag per instance, for the next point.
+* **A claim wakes its process once.**  :meth:`Simulator.grant1` is a
+  resource grant (`K_GRANT`) that carries its holder's hold, yielded by
+  ``Resource.use`` and ``Processor.execute``.  Popping one, the loop
+  does what the woken holder would do next instead of waking it: it
+  calls :meth:`Simulator.hold` and, granted, wakes the holder in place
+  at the end of the hold, or re-pushes the same record as the hold's
+  timeout (`K_TIMEOUT`) with the next sequence number -- the same calls
+  at the same instant against the same counter, so nothing observable
+  moves; ``Simulator.carried`` counts the wakeups saved.
 * **One loop, obs hoisted.** :meth:`Simulator.run` drives one loop,
   :meth:`_run`, that reads ``self.obs`` into a local once per call; an
   untraced event pays one ``is not None`` on that local, a traced timeout
   also emits ``timer.fire``.  Tracing provably cannot perturb the
   simulation because there is only one fire sequence to drive.
-* **Record pooling.** Internal single-waiter records (the timeouts
-  behind :meth:`repro.sim.resources.Resource.use`, the wakeup events
-  behind :class:`repro.sim.notify.Notify`) come from per-simulator free
-  lists via :meth:`Simulator.timeout1` / :meth:`Simulator.event1` and
+* **Record pooling.** Internal single-waiter records (the grants and
+  holds behind :meth:`repro.sim.resources.Resource.use`, the wakeup
+  events behind :class:`repro.sim.notify.Notify`) come from
+  per-simulator free lists via :meth:`Simulator.timeout1` /
+  :meth:`Simulator.grant1` (one list) and :meth:`Simulator.event1` and
   are recycled the moment their callbacks have run.  Public
   :meth:`Simulator.timeout` / :meth:`Simulator.event` handles are never
   pooled -- callers may retain them, put them in conditions, or cancel
@@ -98,9 +109,12 @@ _PENDING = object()
 
 #: Event-kind tags: class-level dispatch constants read by the run loop
 #: (and by the tracer to classify timer fires) instead of type checks.
+#: A grant record carries its tag per instance: K_GRANT until the loop
+#: re-arms it as its holder's hold, K_TIMEOUT from then on.
 K_EVENT = 0
 K_TIMEOUT = 1
 K_PROCESS = 2
+K_GRANT = 3
 
 #: Free lists stop growing past this many recycled records apiece.
 _POOL_CAP = 4096
@@ -310,11 +324,39 @@ class Timeout(Event):
         return True
 
 
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` allocated by :meth:`Simulator.timeout1`.
+class _Grant(Timeout):
+    """A claim on a resource that carries its holder's hold.
 
-    Identical behaviour; the tag routes the record back to the
-    simulator's timeout free list once its callbacks have run.
+    Allocated by :meth:`Simulator.grant1`, pending until the claim is
+    granted (``succeed(None)``).  When the run loop pops it, it does
+    what the woken holder would do next -- ``hold(delay)`` -- instead
+    of waking it: granted, the holder resumes once, at the end of its
+    hold; refused, the same record is re-armed as the hold's timeout
+    (its ``_kind`` becomes :data:`K_TIMEOUT`) and wakes the holder when
+    it fires.
+    """
+
+    __slots__ = ("_kind",)
+
+    def __init__(self, sim: "Simulator", delay: float):
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        self._kind = K_GRANT
+
+
+class _PooledTimeout(_Grant):
+    """The pooled record of :meth:`Simulator.timeout1` and
+    :meth:`Simulator.grant1`: one free list serves both, since a
+    grant's record ends its life as its hold's timeout anyway.
+
+    Its kind is per record, set by whichever factory hands it out; the
+    tag routes it back to the free list once its callbacks have run.
     """
 
     __slots__ = ()
@@ -587,6 +629,9 @@ class Simulator:
         self._horizon = -_INF
         #: sequence numbers consumed without a heap trip (elide + hold)
         self.elided = 0
+        #: grants the loop carried into their hold's timeout instead of
+        #: waking the holder: process wakeups saved (see :meth:`grant1`)
+        self.carried = 0
         #: optional :class:`repro.obs.EventBus`; None keeps every
         #: emission site to a single attribute load + None check
         self.obs = None
@@ -594,7 +639,7 @@ class Simulator:
         if not elide:
             self.elide = _never_elide  # type: ignore[method-assign]
             self.hold = _never_hold  # type: ignore[method-assign]
-        #: free lists of recycled records (see timeout1/event1)
+        #: free lists of recycled records (see timeout1/grant1, event1)
         self._tpool: List[Timeout] = []
         self._epool: List[Event] = []
 
@@ -632,23 +677,30 @@ class Simulator:
         makes *on_arrival* its one waiter, which reads ``event.value``
         and keeps the value, never the event.  It is numbered and fires
         exactly where ``sim.timeout(delay, packet)`` would.
+
+        The free list is shared with :meth:`grant1`, whose record is
+        re-armed once as its holder's hold and recycled once, after
+        that last firing, like any other record here.
         """
         if self._pool_on:
+            if delay < 0:
+                raise ValueError(f"negative delay {delay!r}")
             pool = self._tpool
             if pool:
-                if delay < 0:
-                    raise ValueError(f"negative delay {delay!r}")
                 t = pool.pop()
                 t.callbacks = []
-                t._value = value
-                t._scheduled = True
                 t._defused = False
                 t._cancelled = False
                 t.delay = delay
-                self._seq = seq = self._seq + 1
-                heappush(self._heap, (self._now + delay, NORMAL, seq, t))
-                return t
-            return _PooledTimeout(self, delay, value)
+            else:
+                t = _PooledTimeout(self, delay)
+                t._ok = True
+            t._value = value
+            t._scheduled = True
+            t._kind = K_TIMEOUT
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (self._now + delay, NORMAL, seq, t))
+            return t
         return Timeout(self, delay, value)
 
     def event1(self) -> Event:
@@ -670,6 +722,60 @@ class Simulator:
                 return ev
             return _PooledEvent(self)
         return Event(self)
+
+    def grant1(self, delay: float) -> Event:
+        """A pooled pending claim that carries its holder's hold of *delay*.
+
+        The holder numbers it exactly where a grant event is numbered
+        (``succeed(None)``: at once when uncontended, by the releaser
+        when it queued), yields it once and is woken once, when its
+        hold is over.  Between the two, the run loop does what the
+        woken holder would have done: it calls :meth:`hold` at the
+        grant's instant and, granted, wakes the holder in place at
+        ``now + delay``; refused, it re-pushes the same record as the
+        hold's timeout with the next sequence number.  Sequence
+        numbers, event counts, :attr:`elided`, the clock and the bus
+        stream are the two-wakeup protocol's by construction;
+        :attr:`carried` counts the wakeups saved, one per re-arm.
+
+        Same pool contract and free list as :meth:`timeout1`: one
+        waiter, yielded once, never retained (the record is re-armed
+        once at most and recycled once, after its last firing).  A
+        grant whose waiter was interrupted fires into nobody and takes
+        no second number.  A negative *delay* raises :class:`ValueError`.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        if self._pool_on:
+            pool = self._tpool
+            if pool:
+                g = pool.pop()
+                g.callbacks = []
+                g._value = _PENDING
+                g._ok = None
+                g._scheduled = False
+                g._cancelled = False  # the record may be a recycled tombstone
+                g.delay = delay
+                g._kind = K_GRANT
+                return g
+            return _PooledTimeout(self, delay)
+        return _Grant(self, delay)
+
+    def _carry(self, grant: _Grant, callbacks: list) -> bool:
+        """What the holder of a firing *grant* (its one waiter in
+        *callbacks*) would do next: ``hold`` the grant's delay -- True,
+        the caller wakes the holder now, at the end of it -- or schedule
+        the hold's timeout, which is the same record re-armed (False).
+        Only the re-arm saves a wakeup: a woken holder whose hold was
+        granted carried on in place, so it was woken once either way."""
+        if self.hold(grant.delay):
+            return True
+        self.carried += 1
+        grant._kind = K_TIMEOUT
+        grant.callbacks = callbacks
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now + grant.delay, NORMAL, seq, grant))
+        return False
 
     def call_later(self, delay: float, fn: Callable[[Event], None]) -> Timeout:
         """Schedule ``fn(event)`` to run *delay* microseconds from now.
@@ -829,8 +935,10 @@ class Simulator:
         """Fire the next scheduled live event, advancing the clock.
 
         Cancelled timers encountered on the way are discarded unfired.
-        Stepping an empty (or all-tombstone) queue raises
-        :class:`SimulationError`.
+        A grant (:meth:`grant1`) is carried into its hold exactly as
+        :meth:`run` carries it (``hold`` refuses outside a run, so the
+        step re-arms it and wakes nobody).  Stepping an empty (or
+        all-tombstone) queue raises :class:`SimulationError`.
         """
         heap = self._heap
         while heap:
@@ -845,6 +953,9 @@ class Simulator:
             obs = self.obs
             if obs is not None and event._kind == K_TIMEOUT:
                 obs.emit(t, "sim", "timer.fire", detail={"delay": event.delay})
+            cbs = event.callbacks
+            if event._kind == K_GRANT and len(cbs) == 1 and not self._carry(event, cbs):
+                return
             event._fire()
             self._recycle(event)
             return
@@ -886,14 +997,16 @@ class Simulator:
             self._now = until
 
     def _run(self, horizon: float) -> bool:
-        # The hot loop: no method calls besides heappop and the waiter
-        # callbacks, kind/pool dispatch on class-level ints, the bus read
+        # The hot loop: no method calls besides heappop, the waiter
+        # callbacks and a grant's `_carry` (the `hold` its woken holder
+        # would call next), kind/pool dispatch on ints, the bus read
         # once into a local (an untraced event pays one `is not None`).
         # True = drained or horizon reached, False = stopped by StopRun.
         heap = self._heap
         pop = heappop
         tpool = self._tpool
         epool = self._epool
+        carry = self._carry
         obs = self.obs
         ev = None
         rest = ()  # callbacks behind the running one; spent once its event is done
@@ -930,6 +1043,10 @@ class Simulator:
                         if cbs:
                             # single-waiter wakeup fast path
                             if len(cbs) == 1:
+                                # a grant wakes its holder only once its
+                                # hold is over: re-armed, it is live again
+                                if ev._kind == K_GRANT and not carry(ev, cbs):
+                                    continue
                                 cbs[0](ev)
                             else:
                                 self._fanout = True

@@ -123,9 +123,13 @@ class Resource:
             self._queue.remove(request)
             request.succeed(None)  # fire so any waiter is not stranded
             return
-        if self._queue:
-            nxt = self._queue.popleft()
-            nxt.succeed(None)
+        self._hand_on()
+
+    def _hand_on(self) -> None:
+        """Give a granted unit to the oldest waiter, or back to the pool."""
+        queue = self._queue
+        if queue:
+            queue.popleft().succeed(None)
         else:
             if self._in_use <= 0:
                 raise SimulationError(f"over-release of resource {self.name!r}")
@@ -134,49 +138,52 @@ class Resource:
     def use(self, hold_time: float):
         """Generator helper: acquire, hold for *hold_time*, release.
 
-        The release is in a ``finally`` that also covers the acquisition
-        wait, so an exception thrown into the generator at any point
-        (interrupt, failure) returns or cancels the claim.
+        A negative *hold_time* raises :class:`ValueError` at the call,
+        before any unit is claimed or sequence number used.  The release
+        is in a ``finally`` that also covers the acquisition wait, so an
+        exception thrown into the generator at any point (interrupt,
+        failure) returns or withdraws the claim.
 
-        The uncontended path runs on pooled records: the grant is a
-        pooled event numbered exactly where a Request grant would be
-        (identical event count and sequence numbering — determinism
-        depends on it), the hold a pooled timeout.  When nothing else is
-        runnable at this instant the grant is elided
-        (:meth:`repro.sim.Simulator.elide`), and when nothing can run
-        before the hold ends the hold is too
+        The claim is one pooled record (:meth:`repro.sim.Simulator.grant1`)
+        numbered exactly where a Request grant is -- at once when
+        uncontended, by the releaser's ``succeed`` when it queued --
+        which carries the hold: the process is woken once, when its hold
+        is over, and event count and sequence numbering are those of a
+        grant followed by a hold (determinism depends on it).  When
+        nothing else is runnable at this instant the uncontended grant
+        is elided (:meth:`repro.sim.Simulator.elide`), and when nothing
+        can run before the hold ends the hold is too
         (:meth:`repro.sim.Simulator.hold`): the process then carries on
-        without yielding at all.  The contended path's hold goes through
-        ``hold`` the same way once the grant has fired.
+        without yielding at all.
         """
+        if hold_time < 0:
+            raise ValueError(f"negative hold time {hold_time!r}")
         sim = self.sim
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             try:
                 if not sim.elide():
-                    yield sim.event1().succeed(None)
-                if not sim.hold(hold_time):
+                    yield sim.grant1(hold_time).succeed(None)
+                elif not sim.hold(hold_time):
                     yield sim.timeout1(hold_time)
             finally:
-                if self._queue:
-                    nxt = self._queue.popleft()
-                    nxt.succeed(None)
-                else:
-                    if self._in_use <= 0:
-                        raise SimulationError(f"over-release of resource {self.name!r}")
-                    self._in_use -= 1
+                self._hand_on()
             return
-        req = self.request()
-        released = False
+        grant = sim.grant1(hold_time)
+        queue = self._queue
+        if queue is EMPTY:
+            queue = self._queue = deque()
+        queue.append(grant)
         try:
-            yield req
-            if not sim.hold(hold_time):
-                yield sim.timeout1(hold_time)
-            self.release(req)
-            released = True
+            yield grant
         finally:
-            if not released:
-                self.release(req)
+            if grant._value is _PENDING:
+                # thrown out of the queue: withdraw the claim, numbered
+                # as a cancelled request's grant (it fires into nobody)
+                queue.remove(grant)
+                grant.succeed(None)
+            else:
+                self._hand_on()
 
 
 class Store:
@@ -271,7 +278,7 @@ class Store:
         if handle is not None:
             handle.succeed(None)
         elif not self.sim.elide(waited=False):
-            self.sim.event1().succeed(None)
+            self.sim.event1().succeed()
 
     def get(self) -> Event:
         ev = self.sim.event1()

@@ -216,7 +216,8 @@ def test_perf_prints_the_deterministic_event_count():
     code, text = run_cli("perf", "--workload", "ring_1k", "--quick", "--repeats", "2")
     assert code == 0
     assert re.fullmatch(
-        r"ring_1k         37886 events  [ \d]{7}\d elided  [ \d]{4}\.\d{4} s  [ \d]{9} ev/s\n",
+        r"ring_1k         37886 events  [ \d]{7}\d elided  [ \d]{7}\d carried  "
+        r"[ \d]{4}\.\d{4} s  [ \d]{9} ev/s\n",
         text), text
 
 

@@ -1,11 +1,14 @@
-"""The kernel contract behind ``Simulator.elide`` / ``hold`` / ``stop`` / ``StopRun``.
+"""The kernel contract behind ``Simulator.elide`` / ``hold`` / ``grant1`` /
+``stop`` / ``StopRun``.
 
 Elision must be invisible: a simulator that elides and the
 ``Simulator(elide=False)`` oracle (every elidable event takes its heap
 trip) produce the identical sequence of (time, sequence number, resumed
 process), end on the identical ``_seq`` and emit the identical bus
 stream, in ``run()`` with and without a bus attached, in
-``run(until=...)`` slices and under ``step()``.
+``run(until=...)`` slices and under ``step()``.  So must carrying a
+granted claim into its hold, against a copy of the two-wakeup claim
+kept here as the reference.
 """
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.node import Processor
-from repro.sim import Resource, Simulator, StopRun, Store
+from repro.sim import Interrupt, Resource, Simulator, StopRun, Store
 from repro.sim.notify import Notify
 
 INF = float("inf")
@@ -373,6 +376,251 @@ def test_elided_counts_every_sequence_number_that_skipped_the_heap():
     sim.run()
     # start, grant, hold, acceptance, exit: three never touched the heap
     assert (sim._seq, sim.elided) == (5, 3)
+
+
+# ---------------------------------------------------------------------------
+# a grant carried into its hold: one wakeup per claim
+# ---------------------------------------------------------------------------
+
+
+def _ref_use(res, hold_time):
+    """``Resource.use`` as it was before the loop carried grants: the
+    holder is woken by its grant (a pooled event, or the queued
+    ``Request``) and then schedules its own hold."""
+    sim = res.sim
+    if res._in_use < res.capacity and not res._queue:
+        res._in_use += 1
+        try:
+            if not sim.elide():
+                yield sim.event1().succeed(None)
+            if not sim.hold(hold_time):
+                yield sim.timeout1(hold_time)
+        finally:
+            res._hand_on()
+        return
+    req = res.request()
+    released = False
+    try:
+        yield req
+        if not sim.hold(hold_time):
+            yield sim.timeout1(hold_time)
+        res.release(req)
+        released = True
+    finally:
+        if not released:
+            res.release(req)
+
+
+def _ref_execute(cpu, cost):
+    """``Processor.execute`` on the two-wakeup claim of :func:`_ref_use`."""
+    scaled = cost / cpu.speed
+    cpu.busy_time += scaled
+    yield from _ref_use(cpu._res, scaled)
+
+
+_claim_op = st.one_of(
+    st.tuples(st.just("use"), st.integers(0, N_RES - 1), _hold_delay),
+    st.tuples(st.just("exec"), st.integers(0, N_CPU - 1), _hold_delay),
+    st.tuples(st.just("request"), st.integers(0, N_RES - 1), _delay),
+    st.tuples(st.just("sleep"), _delay),
+    st.tuples(st.just("hold"), _hold_delay),
+    st.tuples(st.just("interrupt"), st.integers(0, 4)),
+    # a pooled timer withdrawn at once: its tombstone is recycled into
+    # the free list the grants share
+    st.tuples(st.just("cancel1"), _hold_delay),
+    st.tuples(st.just("stop")),
+)
+_claim_programs = st.lists(st.lists(_claim_op, min_size=1, max_size=8), min_size=2, max_size=5)
+
+
+def _drive_claims(programs, carried, loop, pool=True, elide=True):
+    """Run claim *programs* on the kernel's ``use``/``execute`` (*carried*)
+    or on the two-wakeup reference; return everything observable."""
+    sim = Simulator(pool=pool, elide=elide)
+    if loop == "traced":
+        sim.obs = _ListBus()
+    res = [Resource(sim, capacity=1 + i) for i in range(N_RES)]
+    cpus = [Processor(sim, name=f"cpu{i}") for i in range(N_CPU)]
+    use = Resource.use if carried else _ref_use
+    execute = Processor.execute if carried else _ref_execute
+    procs = []
+    log = []
+
+    def body(pid, ops):
+        for i, op in enumerate(ops):
+            kind = op[0]
+            try:
+                if kind == "use":
+                    yield from use(res[op[1]], op[2])
+                elif kind == "exec":
+                    yield from execute(cpus[op[1]], op[2])
+                elif kind == "request":
+                    req = res[op[1]].request()
+                    try:
+                        yield req
+                        yield sim.timeout(op[2])
+                    finally:
+                        res[op[1]].release(req)
+                elif kind == "sleep":
+                    yield sim.timeout(op[1])
+                elif kind == "hold":
+                    yield from _nap(sim, op[1])
+                elif kind == "interrupt":
+                    # only a process blocked on an event: one not yet
+                    # started (or already interrupted) would be resumed
+                    # twice, by either implementation
+                    victim = procs[op[1] % len(procs)]
+                    if victim._target is not None:
+                        victim.interrupt((pid, i))
+                elif kind == "cancel1":
+                    sim.timeout1(op[1]).cancel()
+                elif kind == "stop":
+                    sim.stop()
+            except Interrupt as irq:
+                log.append((sim.now, sim._seq, pid, i, "interrupted", irq.cause))
+                continue
+            log.append((sim.now, sim._seq, pid, i))
+
+    for pid, ops in enumerate(programs):
+        procs.append(sim.process(body(pid, ops), name=f"p{pid}"))
+    _drain(sim, loop)
+    state = ([(r.in_use, r.queued) for r in res]
+             + [(c._res.in_use, c._res.queued, c.busy_time) for c in cpus])
+    return (log, sim._seq, sim.elided, sim.now, state,
+            sim.obs.events if loop == "traced" else None), sim.carried
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_claim_programs)
+def test_carried_grants_match_the_two_wakeup_reference(programs):
+    for loop in LOOPS:
+        for pool in (True, False):
+            for elide in (True, False):
+                got, carried = _drive_claims(programs, True, loop, pool, elide)
+                want, none = _drive_claims(programs, False, loop, pool, elide)
+                assert got == want, (loop, pool, elide)
+                assert none == 0
+
+
+def _count_resumes(proc):
+    """Count the resumes of *proc* after its start."""
+    n = [0]
+    inner = proc._resume_cb
+
+    def counted(event):
+        n[0] += 1
+        inner(event)
+
+    proc._resume_cb = counted
+    return n
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_a_contended_charge_wakes_its_process_once(loop):
+    """Two processes charge two CPUs at the same instant, so neither
+    grant may be elided; each is carried into its hold (refused: the
+    other's hold is due at the same time) and wakes its process once,
+    at the end of the charge, instead of twice."""
+    def run(carried):
+        sim = Simulator()
+        if loop == "traced":
+            sim.obs = _ListBus()
+        cpus = [Processor(sim), Processor(sim)]
+        execute = Processor.execute if carried else _ref_execute
+        log = []
+
+        def proc(cpu):
+            yield from execute(cpu, 1.0)
+            log.append((sim.now, sim._seq))
+
+        counts = [_count_resumes(sim.process(proc(cpu))) for cpu in cpus]
+        _drain(sim, loop)
+        return (log, sim._seq, sim.elided, getattr(sim.obs, "events", None)), \
+            [n[0] for n in counts], sim.carried
+
+    (outcome, resumes, carried) = run(True)
+    (want, want_resumes, none) = run(False)
+    assert outcome == want
+    assert (resumes, carried) == ([1, 1], 2)
+    assert (want_resumes, none) == ([2, 2], 0)
+
+
+def _interrupt_at(phase, carried):
+    """A process on a busy 1-unit resource (queued for the grant until
+    t=2, then holding it until t=5) is interrupted during *phase*."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    use = Resource.use if carried else _ref_use
+    log = []
+
+    def holder():
+        yield from use(res, 2.0)
+        log.append(("holder done", sim.now, sim._seq))
+        if phase == "granted":  # the grant it handed on has not fired
+            v.interrupt("now")
+
+    def victim():
+        try:
+            yield from use(res, 3.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now, sim._seq, res.in_use, res.queued))
+        log.append(("victim done", sim.now, sim._seq))
+
+    def after():
+        yield from use(res, 1.0)
+        log.append(("after done", sim.now, sim._seq))
+
+    sim.process(holder())
+    v = sim.process(victim())
+    sim.process(after())
+    if phase != "granted":
+        at = {"queued": 1.0, "hold": 3.0}[phase]
+        sim.call_later(at, lambda _ev: v.interrupt("now"))
+    sim.run()
+    return log, sim._seq, sim.now, res.in_use, res.queued
+
+
+@pytest.mark.parametrize("phase", ["queued", "granted", "hold"])
+def test_an_interrupted_claim_matches_the_reference(phase):
+    """Interrupted while queued, with its grant scheduled but not yet
+    fired, or during the hold: the claim is withdrawn or released as
+    before, the orphaned grant or hold fires into nobody and takes no
+    second sequence number."""
+    got = _interrupt_at(phase, True)
+    assert got == _interrupt_at(phase, False)
+    interrupted_at = [entry[1] for entry in got[0] if entry[0] == "interrupted"]
+    assert interrupted_at == [{"queued": 1.0, "granted": 2.0, "hold": 3.0}[phase]]
+
+
+@pytest.mark.parametrize("pool", [True, False])
+def test_a_grant_record_is_rearmed_once_and_recycled_once(pool):
+    sim = Simulator(pool=pool)
+    cpus = [Processor(sim), Processor(sim)]
+    records = []
+
+    def proc(cpu):
+        for _ in range(3):
+            yield from cpu.execute(1.0)
+
+    def grant1(delay, _inner=sim.grant1):
+        records.append(_inner(delay))
+        return records[-1]
+
+    sim.grant1 = grant1
+    for cpu in cpus:
+        sim.process(proc(cpu))
+    sim.run()
+    # every grant was refused its hold (the other CPU's is due at the
+    # same instant) and re-armed as its timeout.  Pooled, three records
+    # serve the six claims (a resumed holder's next claim is allocated
+    # before the record that woke it is recycled) and each lands on the
+    # timeout free list exactly once; unpooled, none ever reaches it
+    assert sim.carried == 6 and len(records) == 6
+    if pool:
+        assert len({id(r) for r in records}) == 3
+        assert sorted(map(id, sim._tpool)) == sorted({id(r) for r in records})
+    else:
+        assert len({id(r) for r in records}) == 6 and sim._tpool == []
 
 
 # ---------------------------------------------------------------------------

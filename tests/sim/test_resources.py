@@ -146,6 +146,37 @@ def test_use_releases_on_exception(sim):
     assert p.value == 2.0  # not blocked for 100us
 
 
+@pytest.mark.parametrize("contended", [False, True], ids=["free", "queued"])
+def test_use_rejects_a_negative_hold_at_the_call(sim, contended):
+    """The check runs before the claim: the caller gets the ValueError,
+    no unit is taken, nothing is queued and no sequence number is used
+    (the run loop, which carries a grant into its hold, never sees it)."""
+    res = Resource(sim, capacity=1)
+    seen = {}
+
+    def holder(sim):
+        yield from res.use(5.0)
+
+    def caller(sim):
+        yield sim.timeout(1.0)
+        before = (res.in_use, res.queued, sim._seq)
+        try:
+            yield from res.use(-1.0)
+        except ValueError as exc:
+            seen["error"] = str(exc)
+        seen["state"] = before, (res.in_use, res.queued, sim._seq)
+
+    if contended:
+        sim.process(holder(sim))
+    sim.process(caller(sim))
+    sim.run()
+    assert seen["error"] == "negative hold time -1.0"
+    before, after = seen["state"]
+    assert after == before
+    assert before[:2] == (int(contended), 0)  # the holder's unit, no waiter
+    assert res.in_use == 0 and res.queued == 0
+
+
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
