@@ -17,7 +17,7 @@ the top switch level), costing one full-height route plus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from repro.errors import HardwareError
 from repro.hw.meiko.params import MeikoParams
@@ -43,7 +43,6 @@ class Packet:
     #: callable or generator-function invoked at the receiver (in Elan
     #: context) to apply the packet's effect
     deliver: Callable[[], Any]
-    debug: Optional[str] = None
 
 
 class MeikoNetwork:

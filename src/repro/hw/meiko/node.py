@@ -76,7 +76,6 @@ class TxnCommand:
     deliver: Callable
     #: optional event set locally once the Elan has injected the packet
     local_done: Optional[HwEvent] = None
-    debug: Optional[str] = None
 
 
 @dataclass
@@ -88,7 +87,6 @@ class DmaCommand:
     deliver: Callable
     #: optional event set locally once the stream has left the node
     local_done: Optional[HwEvent] = None
-    debug: Optional[str] = None
 
 
 @dataclass
@@ -100,7 +98,6 @@ class BcastCommand:
     nbytes: int
     make_deliver: Callable[[int], Optional[Callable]]
     local_done: Optional[HwEvent] = None
-    debug: Optional[str] = None
 
 
 @dataclass
@@ -109,7 +106,6 @@ class ElanCallCommand:
     receive descriptors and by devices for Elan-side bookkeeping)."""
 
     run: Callable
-    debug: Optional[str] = None
 
 
 class MeikoNode(Host):
@@ -170,7 +166,6 @@ class MeikoNode(Host):
                         cmd.dst,
                         cmd.payload_nbytes + p.packet_header,
                         cmd.deliver,
-                        cmd.debug,
                     )
                 )
                 if cmd.local_done is not None:
@@ -201,7 +196,6 @@ class MeikoNode(Host):
                 cmd.dst,
                 cmd.nbytes + p.packet_header,
                 cmd.deliver,
-                cmd.debug,
             )
         )
         if cmd.local_done is not None:
@@ -217,7 +211,7 @@ class MeikoNode(Host):
             deliver = cmd.make_deliver(dst)
             if deliver is None:
                 return None
-            return Packet(PKT_DMA, src, dst, wire, deliver, cmd.debug)
+            return Packet(PKT_DMA, src, dst, wire, deliver)
 
         self.network.broadcast(src, make_packet)
         if cmd.local_done is not None:
@@ -244,11 +238,10 @@ class MeikoNode(Host):
         payload_nbytes: int,
         deliver: Callable,
         local_done: Optional[HwEvent] = None,
-        debug: Optional[str] = None,
     ):
         """Issue a remote transaction from the SPARC (charges txn_issue)."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.post(TxnCommand(dst, payload_nbytes, deliver, local_done, debug))
+        self.cmdq.post(TxnCommand(dst, payload_nbytes, deliver, local_done))
 
     def issue_dma(
         self,
@@ -256,26 +249,24 @@ class MeikoNode(Host):
         nbytes: int,
         deliver: Callable,
         local_done: Optional[HwEvent] = None,
-        debug: Optional[str] = None,
     ):
         """Issue a DMA from the SPARC (charges txn_issue for the descriptor)."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.post(DmaCommand(dst, nbytes, deliver, local_done, debug))
+        self.cmdq.post(DmaCommand(dst, nbytes, deliver, local_done))
 
     def issue_bcast(
         self,
         nbytes: int,
         make_deliver: Callable[[int], Optional[Callable]],
         local_done: Optional[HwEvent] = None,
-        debug: Optional[str] = None,
     ):
         """Issue a hardware broadcast from the SPARC."""
         yield from self.cpu.execute(self.params.txn_issue)
-        self.cmdq.post(BcastCommand(nbytes, make_deliver, local_done, debug))
+        self.cmdq.post(BcastCommand(nbytes, make_deliver, local_done))
 
-    def set_remote_event(self, dst: int, event: HwEvent, debug: Optional[str] = None):
+    def set_remote_event(self, dst: int, event: HwEvent):
         """Set a hardware event on a remote node (a zero-payload txn)."""
-        yield from self.issue_txn(dst, 0, event.set, debug=debug or "remote-event")
+        yield from self.issue_txn(dst, 0, event.set)
 
     def wait_event(self, event: HwEvent):
         """SPARC wait on a hardware event (charges the wake/poll cost)."""

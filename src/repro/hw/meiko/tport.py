@@ -113,7 +113,6 @@ class TPort:
                     ENVELOPE_BYTES + len(data),
                     self._make_eager_deliver(dst, tag, data),
                     local_done=handle.done,
-                    debug=f"tport-eager tag={tag}",
                 )
             )
         else:
@@ -124,7 +123,6 @@ class TPort:
                     dst,
                     ENVELOPE_BYTES,
                     self._make_rdv_envelope_deliver(dst, tag, len(data), cookie),
-                    debug=f"tport-rdv-env tag={tag}",
                 )
             )
         return handle
@@ -144,7 +142,7 @@ class TPort:
         handle.sender_filter = sender
         handle.tag = tag
         handle.mask = mask
-        self.node.issue(ElanCallCommand(lambda: self._elan_post(handle), debug="tport-post"))
+        self.node.issue(ElanCallCommand(lambda: self._elan_post(handle)))
         return handle
 
     def trecv(self, tag: int, sender: int = ANY_SENDER, mask: int = ALL_BITS):
@@ -174,7 +172,7 @@ class TPort:
                 self.posted.remove(handle)
             done.set()
 
-        self.node.issue(ElanCallCommand(scan, debug="tport-cancel"))
+        self.node.issue(ElanCallCommand(scan))
         yield done.wait1()
         yield from self.node.cpu.execute(self.params.sparc_elan_sync)
         return holder["ok"]
@@ -213,9 +211,7 @@ class TPort:
             def deliver_request():
                 return sender_port._elan_start_dma(cookie, handle)
 
-            remote.node.issue(
-                TxnCommand(src, ENVELOPE_BYTES, deliver_request, debug="tport-rdv-req")
-            )
+            remote.node.issue(TxnCommand(src, ENVELOPE_BYTES, deliver_request))
 
         def deliver():
             return remote._elan_arrival(
@@ -289,7 +285,5 @@ class TPort:
             recv_handle.data = data
             recv_handle.done.set()
 
-        self.node.issue(
-            DmaCommand(dst, len(data), deliver, local_done=send_handle.done, debug="tport-dma")
-        )
+        self.node.issue(DmaCommand(dst, len(data), deliver, local_done=send_handle.done))
         return None

@@ -199,7 +199,6 @@ class LowLatencyEndpoint(Endpoint):
                 dest_world,
                 SLOT_ENV_BYTES + len(wire),
                 lambda: receiver._deliver(arrival),
-                debug=f"ll-eager tag={env.tag}",
             )
             if env.mode == MODE_SYNCHRONOUS:
                 cookie = self._next_cookie()
@@ -225,7 +224,6 @@ class LowLatencyEndpoint(Endpoint):
                 dest_world,
                 SLOT_ENV_BYTES,
                 lambda: receiver._deliver(arrival),
-                debug=f"ll-rdv-env tag={env.tag}",
             )
 
     # ---------------------------------------------------------------- receives
@@ -299,9 +297,7 @@ class LowLatencyEndpoint(Endpoint):
             # Free the sender's envelope slot: the SPARC has drained it.
             sender = self.peers[env.extra]
             me = self.world_rank
-            yield from self.node.issue_txn(
-                env.extra, 0, lambda: sender._on_slot_ack(me), debug="ll-slot-ack"
-            )
+            yield from self.node.issue_txn(env.extra, 0, lambda: sender._on_slot_ack(me))
         if req is not None:
             yield from self._fulfill(req, arrival)
         else:
@@ -345,9 +341,7 @@ class LowLatencyEndpoint(Endpoint):
             if env.mode == MODE_SYNCHRONOUS:
                 sender = self.peers[env.extra]
                 cookie = env.cookie
-                yield from self.node.issue_txn(
-                    env.extra, 0, lambda: sender._on_sync_ack(cookie), debug="ll-sync-ack"
-                )
+                yield from self.node.issue_txn(env.extra, 0, lambda: sender._on_sync_ack(cookie))
         else:
             sender_world, cookie = arrival.claim
             sender = self.peers[sender_world]
@@ -376,10 +370,7 @@ class LowLatencyEndpoint(Endpoint):
                 obs.emit(self.sim.now, "dev", "rdv.rts", rank=self.world_rank,
                          msg=mid, detail={"nbytes": env.nbytes})
             yield from self.node.issue_txn(
-                sender_world,
-                RTS_BYTES,
-                lambda: sender._elan_rts(cookie, self.world_rank, on_dma),
-                debug="ll-rts",
+                sender_world, RTS_BYTES, lambda: sender._elan_rts(cookie, self.world_rank, on_dma)
             )
 
     def _elan_rts(self, cookie: int, dest_world: int, on_dma) -> None:
@@ -410,9 +401,7 @@ class LowLatencyEndpoint(Endpoint):
 
         from repro.hw.meiko.node import DmaCommand
 
-        self.node.issue(
-            DmaCommand(dest_world, len(wire), lambda: on_dma(wire), _Hook(local_done), "ll-dma")
-        )
+        self.node.issue(DmaCommand(dest_world, len(wire), lambda: on_dma(wire), _Hook(local_done)))
 
     def _on_sync_ack(self, cookie: int) -> None:
         """Runs in Elan context at the sender: synchronous send matched."""

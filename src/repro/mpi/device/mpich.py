@@ -101,21 +101,24 @@ class MpichEndpoint(Endpoint):
         self.config = config or MpichConfig()
         #: set by the platform builder: world rank -> MpichEndpoint
         self.peers = []
-        #: incomplete requests with live tport handles (fault tolerance)
-        self._outstanding = []
+        #: the live set: incomplete requests with tport handles, in posting
+        #: order (read by fault tolerance).  A request leaves as the device
+        #: completes it, so a finished operation holds no device memory.
+        self._outstanding = {}
         #: observability only: per-(dest, context) send sequence numbers
         self._obs_seq = {}
 
     # ------------------------------------------------------- fault tolerance
     def _ft_requests(self):
-        self._outstanding = [r for r in self._outstanding if not r.complete]
-        for req in list(self._outstanding):
+        for req in tuple(self._outstanding):
             yield req, (lambda r=req: self._ft_cancel(r))
 
     def _ft_cancel(self, req: Request) -> None:
         """Tear down a request's Elan state: withdraw its descriptors from
         the tport's posted queue (so late traffic can never match them)
-        and fire their completion events to wake any blocked twait."""
+        and fire their completion events to wake any blocked twait.  The
+        FT layer fails the request next: it leaves the live set here."""
+        del self._outstanding[req]
         state = req._device_state
         if not isinstance(state, tuple):
             return
@@ -175,7 +178,7 @@ class MpichEndpoint(Endpoint):
                 detail={"tag": req.tag, "nbytes": len(wire), "proto": "tport"},
             )
         req._device_state = (handle, ack_handle)
-        self._outstanding.append(req)
+        self._outstanding[req] = None
         if req.on_complete is not None:
             # a bsend shadow: nobody will wait on it, so watch the handle
             self.sim.process(self._shadow_watcher(req, handle), name="mpich-bsend-watch")
@@ -184,6 +187,7 @@ class MpichEndpoint(Endpoint):
         yield handle.done.wait1()
         if not req.complete:  # the FT layer may have failed it already
             req._complete(Status(tag=req.tag, count_bytes=req.count))
+            del self._outstanding[req]
 
     # ---------------------------------------------------------------- receives
     def start_recv(self, req: Request):
@@ -211,7 +215,7 @@ class MpichEndpoint(Endpoint):
                 detail={"source": req.peer, "tag": req.tag, "matching": "elan"},
             )
         req._device_state = (handle, None)
-        self._outstanding.append(req)
+        self._outstanding[req] = None
 
     # ------------------------------------------------------------------- wait
     def wait(self, reqs: Sequence[Request], mode: str = "all"):
@@ -264,22 +268,24 @@ class MpichEndpoint(Endpoint):
         return False
 
     def _finalize(self, req: Request):
-        """Drive a request to completion via its tport handle(s)."""
+        """Drive a request to completion via its tport handle(s) and
+        release it from the live set."""
         if req.complete:
             return
         handle, ack_handle = req._device_state
         yield from self.tport.twait(handle)
         if req.complete:
-            return  # the FT layer failed it while we were blocked
+            return  # the FT layer failed (and released) it while we were blocked
         if req.kind == "send":
             if ack_handle is not None:
                 yield from self.tport.twait(ack_handle)
                 if req.complete:
                     return
             req._complete(Status(tag=req.tag, count_bytes=handle.nbytes))
-            return
-        # receive: decode, strip any sync cookie, ack, unpack
-        yield from self._finish_recv(req, handle)
+        else:
+            # receive: decode, strip any sync cookie, ack, unpack
+            yield from self._finish_recv(req, handle)
+        del self._outstanding[req]
 
     def _finish_recv(self, req: Request, handle: TPortHandle):
         p = self.node.params
@@ -399,7 +405,7 @@ class MpichEndpoint(Endpoint):
 
         from repro.hw.meiko.node import ElanCallCommand
 
-        node.issue(ElanCallCommand(scan, debug="tport-probe"))
+        node.issue(ElanCallCommand(scan))
         yield done.wait1()
         yield from node.cpu.execute(node.params.sparc_elan_sync)
         return holder.get("hit")
@@ -416,6 +422,7 @@ class MpichEndpoint(Endpoint):
             status = Status()
             status.cancelled = True
             req._complete(status)
+            del self._outstanding[req]
         return ok
 
     def probe(self, source: int, tag: int, comm):

@@ -5,18 +5,26 @@ build, after an untraced warm-up world) is the instrument; the parent
 figures are the same helper on the commit before per-rank state became
 lazy.  Beside the budget: the device-level lazy edges — a rank that
 never received must still snapshot, and an alias of a device queue must
-stay valid across a yield.
+stay valid across a yield.  Last, a finished operation costs nothing: a
+world that ran ten times the messages holds no more of their requests,
+statuses, handles or envelopes once its waits have returned.
 """
 
+import gc
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.bench.kernel_perf import bytes_per_rank, coll_10k_main
 from repro.errors import DeadlockError
+from repro.hw.meiko.events import HwEvent
+from repro.hw.meiko.tport import TPortHandle
 from repro.mpi import World
 from repro.mpi.envelope import Envelope
 from repro.mpi.matching import Arrival
+from repro.mpi.request import Request
+from repro.mpi.status import Status
 from repro.platforms import device_key
 from repro.sim import EMPTY
 from tests.conftest import ALL_DEVICES
@@ -129,3 +137,122 @@ def test_progress_on_a_rank_nothing_arrived_at_allocates_nothing():
     sim.run()
     assert busy.value is True
     assert [a.envelope.tag for a in ep.queues.unexpected] == [3]
+
+
+# ---------------------------------------------------------------------------
+# a finished operation costs nothing
+# ---------------------------------------------------------------------------
+
+#: what one message leaves behind while anything still references it
+_PER_MESSAGE = (Request, Status, TPortHandle, HwEvent, Arrival, Envelope)
+
+
+def _blocking(comm, n):
+    """*n* 1 KiB round trips between ranks 0 and 1 (send / recv)."""
+    payload = bytes(1024)
+    if comm.rank == 0:
+        for _ in range(n):
+            yield from comm.send(payload, 1, tag=1)
+            yield from comm.recv(source=1, tag=2)
+    elif comm.rank == 1:
+        for _ in range(n):
+            data, _status = yield from comm.recv(source=0, tag=1)
+            yield from comm.send(data, 0, tag=2)
+
+
+def _buffered(comm, n):
+    """The same round trips, each leg a bsend (shadow requests nobody waits on)."""
+    comm.buffer_attach(8 * 1024)
+    payload = bytes(1024)
+    if comm.rank in (0, 1):
+        peer = 1 - comm.rank
+        for _ in range(n):
+            if comm.rank == 0:
+                yield from comm.bsend(payload, peer, tag=1)
+                yield from comm.recv(source=peer, tag=2)
+            else:
+                data, _status = yield from comm.recv(source=peer, tag=1)
+                yield from comm.bsend(data, peer, tag=2)
+    yield from comm.barrier()   # every shadow transfer has landed
+
+
+def _polled(comm, n):
+    """The same round trips completed by ``test`` instead of ``wait``."""
+
+    def until_done(req):
+        while True:
+            done, _status = yield from comm.test(req)
+            if done:
+                return
+            yield comm.endpoint.sim.timeout(10.0)
+
+    payload = bytes(1024)
+    if comm.rank in (0, 1):
+        peer = 1 - comm.rank
+        for _ in range(n):
+            if comm.rank == 0:
+                yield from until_done((yield from comm.isend(payload, peer, tag=1)))
+                yield from until_done((yield from comm.irecv(source=peer, tag=2)))
+            else:
+                yield from until_done((yield from comm.irecv(source=peer, tag=1)))
+                yield from until_done((yield from comm.isend(payload, peer, tag=2)))
+
+
+def _left_behind(platform, device, body, n):
+    """Per-message objects reachable once an 8-rank world ran *n* round
+    trips, with the world itself still referenced."""
+    world = World(8, platform=platform, device=device)
+    world.run(lambda comm: body(comm, n))
+    gc.collect()
+    live = Counter(type(o).__name__ for o in gc.get_objects()
+                   if isinstance(o, _PER_MESSAGE))
+    assert world.sim.now > 0
+    return live
+
+
+def _growth(platform, device, body):
+    few = _left_behind(platform, device, body, 20)
+    many = _left_behind(platform, device, body, 200)
+    many.subtract(few)
+    return {name: d for name, d in many.items() if d}
+
+
+@pytest.mark.parametrize("platform,device", ALL_DEVICES,
+                         ids=[device_key(p, d) for p, d in ALL_DEVICES])
+def test_a_finished_round_trip_leaves_nothing_behind(platform, device):
+    """Parent: meiko-mpich kept +720 of each per-message object for 180
+    more round trips (its request ledger held every request); now +0 on
+    all eight cells."""
+    assert _growth(platform, device, _blocking) == {}
+
+
+@pytest.mark.parametrize("body", [_buffered, _polled], ids=["bsend", "test"])
+def test_mpich_releases_shadow_and_tested_requests(body):
+    assert _growth("meiko", "mpich", body) == {}
+
+
+def test_mpich_ft_requests_yields_the_incomplete_in_posting_order():
+    seen = {}
+
+    def main(comm):
+        if comm.rank == 0:
+            recvs = []
+            for tag in (1, 2, 3):
+                recvs.append((yield from comm.irecv(source=1, tag=tag)))
+            send = yield from comm.isend(b"ping", 1, tag=9)
+            yield from comm.wait(recvs[1])          # the middle one completes
+            ledger = [req for req, _cancel in comm.endpoint._ft_requests()]
+            seen["ledger"] = [r.id for r in ledger]
+            seen["pending"] = [not r.complete for r in ledger]
+            seen["want"] = [r.id for r in (recvs[0], recvs[2], send)]
+            yield from comm.waitall([recvs[0], recvs[2], send])
+            seen["after"] = list(comm.endpoint._ft_requests())
+        elif comm.rank == 1:
+            for tag in (2, 1, 3):
+                yield from comm.send(bytes([tag]), 0, tag=tag)
+            yield from comm.recv(source=0, tag=9)
+
+    World(2, platform="meiko", device="mpich").run(main)
+    assert seen["ledger"] == seen["want"]
+    assert seen["pending"] == [True] * 3
+    assert seen["after"] == []
