@@ -6,7 +6,7 @@ subsystem end to end.  Every cell must *terminate* — recovering through
 bounded retransmission (reporting its slowdown over the fault-free
 baseline) or failing fast with a rank-attributed diagnostic.
 
-Runs standalone too (CI uses this)::
+Run it as a script (CI runs the smoke sweep)::
 
     python benchmarks/bench_chaos.py --smoke   # seconds, small sweep
     python benchmarks/bench_chaos.py           # full sweep
@@ -30,15 +30,6 @@ def _check(rows):
             assert r["diagnostic"], f"undiagnosed failure: {r}"
     ok = [r for r in rows if r["outcome"] == "ok"]
     assert ok, "no cell completed"
-
-
-def test_chaos_sweep(benchmark):
-    from benchmarks.conftest import run_once
-
-    rows = run_once(benchmark, chaos_sweep, **SMOKE)
-    _check(rows)
-    print()
-    print(format_chaos(rows))
 
 
 def main(argv=None) -> int:

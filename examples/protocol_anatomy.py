@@ -13,7 +13,7 @@ Reproduces the paper's two key protocol studies interactively:
 Run:  python examples/protocol_anatomy.py
 """
 
-from repro.bench import figures, harness
+from repro.bench import claims, figures, harness
 from repro.bench.tables import format_series, format_table
 from repro.mpi.device.lowlatency import LowLatencyConfig
 
@@ -23,7 +23,7 @@ def eager_vs_rendezvous():
     print(format_series(result["series"], xlabel="bytes",
                         title="Figure 1: buffered (eager) vs no-buffering (rendezvous) RTT, us"))
     print(f"\nmeasured crossover: {result['crossover']:.0f} bytes "
-          f"(paper adopted {result['paper']['crossover']})")
+          f"(paper adopted {claims.paper('fig01.crossover'):g})")
 
 
 def threshold_sweep():

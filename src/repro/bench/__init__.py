@@ -3,10 +3,10 @@
 :mod:`repro.bench.harness` has the micro-benchmark drivers (ping-pong
 round trips, streaming bandwidth, raw-protocol probes);
 :mod:`repro.bench.figures` produces each figure's data series;
-:mod:`repro.bench.tables` formats paper-style output.
-
-The ``benchmarks/`` directory at the repo root wraps these in
-pytest-benchmark targets, one per figure/table.
+:mod:`repro.bench.claims` holds the paper's numbers and shape claims,
+each with its check; :mod:`repro.bench.tables` formats paper-style
+output; ``python -m repro.bench.experiments`` checks every claim and
+renders EXPERIMENTS.md from one batch of the figure plans.
 """
 
 from importlib import import_module

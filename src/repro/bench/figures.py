@@ -4,12 +4,15 @@ Each ``figNN_*`` function regenerates the data behind one figure or
 table of the paper's evaluation and returns a dict with:
 
 * ``series`` — mapping series name -> list of (x, value) samples;
-* ``paper`` — the paper's reference numbers/claims for EXPERIMENTS.md;
 * figure-specific extras (e.g. the measured eager/rendezvous
-  crossover for Figure 1).
+  crossover for Figure 1; Table 1's ``rows``).
 
-Values are simulated microseconds (latency) or MB/s (bandwidth);
-Figures 7-9 report application times.
+:data:`FIGURES` gives each figure's x label and unit: simulated
+microseconds (latency), MB/s (bandwidth), or application time (seconds
+for Figure 7).  The paper's own numbers are not here: each lives once,
+as a checked claim, in :mod:`repro.bench.claims`, and
+``python -m repro.bench.experiments`` renders EXPERIMENTS.md from one
+batch of these plans.
 
 Every sweep point is an independent *cell* (a plain dict dispatched
 through :mod:`repro.parallel.tasks`), and every figure is a
@@ -43,6 +46,7 @@ __all__ = [
     "fig07_linsolve",
     "fig08_meiko_nbody",
     "fig09_tcp_nbody",
+    "FIGURES",
 ]
 
 LATENCY_SIZES = (1, 16, 64, 128, 180, 256, 512, 1024)
@@ -92,7 +96,7 @@ def fig01_transfer_mechanisms(
     sizes: Sequence[int] = (1, 32, 64, 96, 128, 160, 180, 220, 256, 320, 400, 512),
 ):
     """RTT of the two low-latency transfer mechanisms, forced on for all
-    sizes, plus the measured crossover (paper: 180 bytes)."""
+    sizes, plus the measured crossover (claim ``fig01.crossover``)."""
 
     def finish(values):
         from repro.bench.harness import crossover
@@ -103,7 +107,6 @@ def fig01_transfer_mechanisms(
             "crossover": crossover(
                 series["Buffering"], series["No buffering"]
             ),
-            "paper": {"crossover": 180},
         }
 
     return Plan(_forced_protocol_cells("meiko", "lowlatency", sizes), finish)
@@ -114,13 +117,9 @@ def fig01_transfer_mechanisms(
 # ---------------------------------------------------------------------------
 
 
-def _series_plan(cells: List[dict], xs_per_series: Dict[str, Sequence],
-                 paper: dict) -> Plan:
-    """The common shape: named series sliced off the cell list, plus the
-    paper's reference numbers."""
-    return Plan(cells, lambda values: {
-        "series": _series(values, xs_per_series), "paper": paper,
-    })
+def _series_plan(cells: List[dict], xs_per_series: Dict[str, Sequence]) -> Plan:
+    """The common shape: named series sliced off the cell list."""
+    return Plan(cells, lambda values: {"series": _series(values, xs_per_series)})
 
 
 @_figure
@@ -135,7 +134,6 @@ def fig02_meiko_latency(sizes: Sequence[int] = LATENCY_SIZES):
     return _series_plan(
         cells,
         {"MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes},
-        {"tport_1B": 52.0, "lowlatency_1B": 104.0, "mpich_1B": 210.0},
     )
 
 
@@ -151,7 +149,6 @@ def fig03_meiko_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES):
     return _series_plan(
         cells,
         {"MPI(mpich)": sizes, "MPI(low latency)": sizes, "Meiko tport": sizes},
-        {"dma_peak_MBps": 39.0, "note": "peak nearly reached; low latency >= mpich"},
     )
 
 
@@ -172,10 +169,6 @@ def fig04_atm_latency(sizes: Sequence[int] = LATENCY_SIZES):
     return _series_plan(
         cells,
         {"TCP": sizes, "UDP": sizes, "Fore aal4": sizes},
-        {
-            "tcp_1B": 1065.0,
-            "note": "indistinguishable except at small sizes (STREAMS overhead)",
-        },
     )
 
 
@@ -201,7 +194,6 @@ def fig05_tcp_latency(sizes: Sequence[int] = LATENCY_SIZES):
     return _series_plan(
         cells,
         {name: sizes for name in _TCP_SERIES},
-        {"tcp_eth_1B": 925.0, "tcp_atm_1B": 1065.0, "mpi_adds_per_way": 210.0},
     )
 
 
@@ -220,7 +212,6 @@ def fig06_tcp_bandwidth(sizes: Sequence[int] = BANDWIDTH_SIZES[:-1]):
     return _series_plan(
         cells,
         {name: sizes for name in _TCP_SERIES},
-        {"note": "ATM roughly an order of magnitude above 10 Mb/s Ethernet"},
     )
 
 
@@ -254,12 +245,6 @@ def fig10_modern_crossover(
                     series[f"{device} eager"], series[f"{device} rendezvous"]
                 )
                 for device in devices
-            },
-            "paper": {
-                "crossover": 180,
-                "note": "paper-era Meiko crossover was 180 B; registration "
-                        "and copy costs push the modern switch points into "
-                        "the KiB range",
             },
         }
 
@@ -309,24 +294,8 @@ def table1_overheads():
                 "Overheads for matching": cfg.match_cost,
                 "measured MPI 1B RTT": mpi,
             }
-        return {"rows": rows, "paper": paper}
+        return {"rows": rows}
 
-    paper = {
-        "ATM": {
-            "1 byte round-trip latency": 1065.0,
-            "25 byte info overhead": 5.0,
-            "Read for msg type": 85.0,
-            "Read for envelope": 85.0,
-            "Overheads for matching": 35.0,
-        },
-        "Ethernet": {
-            "1 byte round-trip latency": 925.0,
-            "25 byte info overhead": 45.0,
-            "Read for msg type": 65.0,
-            "Read for envelope": 65.0,
-            "Overheads for matching": 35.0,
-        },
-    }
     return Plan(cells, finish)
 
 
@@ -336,7 +305,7 @@ def table1_overheads():
 
 
 def _app_plan(configs, labels: Sequence[str], nprocs_list: Sequence[int],
-              note: str, scale: float = 1.0) -> Plan:
+              scale: float = 1.0) -> Plan:
     """One series per label, one app run per process count.
 
     configs: iterable of (platform, device, nprocs, app name, kwargs),
@@ -352,7 +321,6 @@ def _app_plan(configs, labels: Sequence[str], nprocs_list: Sequence[int],
         return {
             "series": _series([t / scale for t in values],
                               {label: nprocs_list for label in labels}),
-            "paper": {"note": note},
         }
 
     return Plan(cells, finish)
@@ -367,8 +335,7 @@ def fig07_linsolve(nprocs_list: Sequence[int] = (1, 2, 4, 8, 16, 32), n: int = 1
     return _app_plan(
         (("meiko", device, p, "linsolve", {"n": n, "seed": 0})
          for device, _ in _MEIKO_DEVICES for p in nprocs_list),
-        [label for _, label in _MEIKO_DEVICES], nprocs_list,
-        "hardware broadcast beats pt2pt; gap grows with P", scale=1e6,
+        [label for _, label in _MEIKO_DEVICES], nprocs_list, scale=1e6,
     )
 
 
@@ -380,7 +347,6 @@ def fig08_meiko_nbody(nprocs_list: Sequence[int] = (1, 2, 3, 4, 6, 8),
         (("meiko", device, p, "nbody_ring", {"nparticles": nparticles, "seed": 0})
          for device, _ in _MEIKO_DEVICES for p in nprocs_list),
         [label for _, label in _MEIKO_DEVICES], nprocs_list,
-        "24 particles; low latency wins (even loads, synchronized phases)",
     )
 
 
@@ -393,5 +359,19 @@ def fig09_tcp_nbody(nprocs_list: Sequence[int] = (1, 2, 4, 8), nparticles: int =
           {"nparticles": nparticles, "seed": 0, "flop_time": 0.03})
          for platform, _ in platforms for p in nprocs_list),
         [label for _, label in platforms], nprocs_list,
-        "ATM wins: no contention + higher bandwidth (128 particles)",
     )
+
+#: name -> (figure function, x label, unit of its values); Table 1 is
+#: :func:`table1_overheads`
+FIGURES = {
+    "fig01": (fig01_transfer_mechanisms, "bytes", "us"),
+    "fig02": (fig02_meiko_latency, "bytes", "us"),
+    "fig03": (fig03_meiko_bandwidth, "bytes", "MB/s"),
+    "fig04": (fig04_atm_latency, "bytes", "us"),
+    "fig05": (fig05_tcp_latency, "bytes", "us"),
+    "fig06": (fig06_tcp_bandwidth, "bytes", "MB/s"),
+    "fig07": (fig07_linsolve, "procs", "s"),
+    "fig08": (fig08_meiko_nbody, "procs", "us"),
+    "fig09": (fig09_tcp_nbody, "procs", "us"),
+    "fig10": (fig10_modern_crossover, "bytes", "us"),
+}

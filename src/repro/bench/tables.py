@@ -1,10 +1,18 @@
-"""Paper-style output formatting for benchmark results."""
+"""Paper-style output formatting for benchmark results.
+
+``repro figure``/``repro sweep`` print :func:`format_figure` and
+:func:`format_table1`; EXPERIMENTS.md embeds the same text.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["format_table", "format_series"]
+from repro.bench import claims
+from repro.bench.ascii_chart import ascii_chart
+from repro.bench.figures import FIGURES
+
+__all__ = ["format_table", "format_series", "format_figure", "format_table1"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -42,3 +50,32 @@ def format_series(
     for i, x in enumerate(xs):
         rows.append([x] + [series[name][i][1] for name in names])
     return format_table([xlabel] + names, rows, title=title)
+
+
+def format_figure(name: str, result: dict, chart: bool = False) -> str:
+    """A figure's series table (titled with its unit), its measured
+    crossover(s) beside the paper's, and with *chart* an ASCII chart."""
+    _, xlabel, unit = FIGURES[name]
+    lines = [format_series(result["series"], xlabel=xlabel, title=f"{name} ({unit})")]
+    cross = result.get("crossover")
+    paper = claims.paper("fig01.crossover")
+    if isinstance(cross, dict):
+        lines += [f"crossover[{cell}]: {value:.0f} B (paper-era: {paper:.0f} B)"
+                  for cell, value in cross.items() if value]
+    elif cross:
+        lines.append(f"crossover: {cross:.0f} B (paper: {paper:.0f})")
+    if chart:
+        lines += ["", ascii_chart(result["series"], logx=xlabel == "bytes", title=name,
+                                  xlabel=xlabel, ylabel=unit)]
+    return "\n".join(lines)
+
+
+def format_table1(result: dict) -> str:
+    """Table 1: each row measured beside the paper's, ATM then Ethernet."""
+    rows = result["rows"]
+    return format_table(
+        ["row", "ATM", "paper", "Ethernet", "paper"],
+        [[row, rows["ATM"][row], atm, rows["Ethernet"][row], eth]
+         for row, _, atm, eth, _ in claims.TABLE1_ROWS],
+        title="Table 1: MPI round-trip overheads with TCP (us)",
+    )

@@ -61,25 +61,13 @@ import sys
 from typing import List, Optional
 
 from repro.bench import figures
-from repro.bench.ascii_chart import ascii_chart
-from repro.bench.tables import format_series, format_table
+from repro.bench.claims import paper
+from repro.bench.figures import FIGURES
+from repro.bench.tables import format_figure, format_table, format_table1
 from repro.parallel import Plan, evaluate, merge_traced
 from repro.platforms import DEVICE_MATRIX, PLATFORM_DEVICES
 
 __all__ = ["main", "build_parser"]
-
-FIGURES = {
-    "fig01": (figures.fig01_transfer_mechanisms, "bytes", False),
-    "fig02": (figures.fig02_meiko_latency, "bytes", False),
-    "fig03": (figures.fig03_meiko_bandwidth, "bytes", True),
-    "fig04": (figures.fig04_atm_latency, "bytes", False),
-    "fig05": (figures.fig05_tcp_latency, "bytes", False),
-    "fig06": (figures.fig06_tcp_bandwidth, "bytes", True),
-    "fig07": (figures.fig07_linsolve, "procs", False),
-    "fig08": (figures.fig08_meiko_nbody, "procs", False),
-    "fig09": (figures.fig09_tcp_nbody, "procs", False),
-    "fig10": (figures.fig10_modern_crossover, "bytes", False),
-}
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -288,7 +276,9 @@ def cmd_info(args, out) -> int:
         ["platform", "device", "1B RTT (us)"],
         [[platform, device, rtt]
          for (platform, device), rtt in zip(DEVICE_MATRIX, rtts)],
-        title="Simulated platforms (paper: meiko 104/210; clusters 925/1065 + MPI overheads)",
+        title=f"Simulated platforms (paper: meiko {paper('fig02.lowlatency_1B'):g}/"
+              f"{paper('fig02.mpich_1B'):g}; clusters {paper('fig05.tcp_eth_1B'):g}/"
+              f"{paper('fig05.tcp_atm_1B'):g} + MPI overheads)",
     ), file=out)
     return 0
 
@@ -316,43 +306,12 @@ cmd_pingpong = _size_sweep("pingpong_rtt", "RTT (us)", "ping-pong")
 cmd_bandwidth = _size_sweep("bandwidth", "MB/s", "bandwidth")
 
 
-def _print_figure(name, result, chart, out) -> None:
-    _, xlabel, is_bandwidth = FIGURES[name]
-    unit = "MB/s" if is_bandwidth else "us"
-    print(format_series(result["series"], xlabel=xlabel,
-                        title=f"{name} ({unit})"), file=out)
-    cross = result.get("crossover")
-    if isinstance(cross, dict):
-        for cell, value in cross.items():
-            if value:
-                print(f"crossover[{cell}]: {value:.0f} B "
-                      f"(paper-era: {result['paper'].get('crossover')} B)",
-                      file=out)
-    elif cross:
-        print(f"crossover: {cross:.0f} B "
-              f"(paper: {result['paper'].get('crossover')})", file=out)
-    if chart:
-        logx = xlabel == "bytes"
-        print(file=out)
-        print(ascii_chart(result["series"], logx=logx, title=name,
-                          xlabel=xlabel, ylabel=unit), file=out)
-
-
 def cmd_figure(args, out) -> int:
     if args.name == "table1":
-        result = figures.table1_overheads()
-        rows = [
-            [key, result["rows"]["ATM"][key], result["paper"]["ATM"][key],
-             result["rows"]["Ethernet"][key], result["paper"]["Ethernet"][key]]
-            for key in result["paper"]["ATM"]
-        ]
-        print(format_table(
-            ["row", "ATM", "paper", "Ethernet", "paper"], rows,
-            title="Table 1: MPI round-trip overheads with TCP (us)",
-        ), file=out)
+        print(format_table1(figures.table1_overheads()), file=out)
         return 0
     fn, _, _ = FIGURES[args.name]
-    _print_figure(args.name, fn(), args.chart, out)
+    print(format_figure(args.name, fn(), args.chart), file=out)
     return 0
 
 
@@ -370,7 +329,7 @@ def cmd_sweep(args, out) -> int:
         workers=args.workers, cache=not args.no_cache,
     )
     for name, result in zip(names, results):
-        _print_figure(name, result, args.chart, out)
+        print(format_figure(name, result, args.chart), file=out)
     print(report.stats_line(), file=sys.stderr)
     return 0
 

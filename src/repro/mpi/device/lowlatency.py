@@ -72,7 +72,7 @@ class LowLatencyConfig:
     #: envelope slots per (sender, receiver) pair.  The paper allocates
     #: exactly one ("space for a single send envelope for each sending
     #: processor at each receiver"); raising it is the ablation knob of
-    #: benchmarks/bench_ablation_slots.py
+    #: tests/bench/test_ablations.py::test_ablation_envelope_slots
     slots_per_sender: int = 1
     #: unexpected-queue capacity (envelope resources, Burns & Daoud)
     max_unexpected: int = 4096

@@ -69,7 +69,7 @@ class KernelParams:
     #: Nagle's algorithm: hold sub-MSS segments while data is unacked.
     #: Off by default — MPI implementations of the era disabled it
     #: (TCP_NODELAY) because it interacts terribly with delayed ACKs on
-    #: request-response traffic; bench_ablation_nagle.py shows why.
+    #: request-response traffic; tests/bench/test_ablations.py shows why.
     nagle: bool = False
     #: socket buffer sizes
     sndbuf: int = 131072

@@ -66,6 +66,23 @@ def test_figure_fig01_reports_crossover():
     assert "crossover" in text
 
 
+def test_figure_fig07_prints_seconds(monkeypatch):
+    """Figure 7 is application time in seconds, and says so."""
+    import functools
+
+    from repro.bench.figures import FIGURES
+
+    fn, xlabel, unit = FIGURES["fig07"]
+    small = functools.partial(fn, nprocs_list=(1, 2), n=16)
+    monkeypatch.setitem(FIGURES, "fig07", (small, xlabel, unit))
+    code, text = run_cli("figure", "fig07")
+    assert code == 0
+    assert text.startswith("fig07 (s)\n")
+    rows = text.splitlines()[3:]
+    assert [int(row.split()[0]) for row in rows] == [1, 2]
+    assert all(0 < float(t) < 1 for row in rows for t in row.split()[1:])
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit):
         run_cli("figure", "fig99")

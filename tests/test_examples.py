@@ -41,6 +41,11 @@ def test_protocol_anatomy_threshold_sweep(capsys):
     assert "threshold" in out and "180" in out
 
 
+def test_protocol_anatomy_crossover(capsys):
+    load("protocol_anatomy").eager_vs_rendezvous()
+    assert "(paper adopted 180)" in capsys.readouterr().out
+
+
 def test_linear_solver_small(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["linear_solver.py", "16"])
     load("linear_solver").main()
