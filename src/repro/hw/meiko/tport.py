@@ -177,6 +177,37 @@ class TPort:
         yield from self.node.cpu.execute(self.params.sparc_elan_sync)
         return holder["ok"]
 
+    def tprobe(self, tag: int, sender: int = ANY_SENDER, mask: int = ALL_BITS):
+        """Generator -> Optional[(src, tag, nbytes)]: ask the Elan for the
+        first unexpected arrival a receive posted with these filters
+        would match, leaving it queued."""
+        yield from self.node.cpu.execute(self.params.sparc_call + self.params.txn_issue)
+        probe = TPortHandle("probe", self.node.event("tprobe"))
+        probe.sender_filter = sender
+        probe.tag = tag
+        probe.mask = mask
+        elan = self.node.elan
+        match_cost = self.params.elan_match
+        hit = []
+
+        def scan():
+            # scan the entries queued now, holding no deque iterator
+            # across the match charge: the receive context appends
+            # arrivals meanwhile (the next poll's), and nothing can
+            # leave — receives are posted through the command queue,
+            # which this scan occupies
+            for arrival in tuple(self.unexpected):
+                yield from elan.execute(match_cost)
+                if self._matches(probe, arrival.src, arrival.tag):
+                    hit.append((arrival.src, arrival.tag, arrival.nbytes))
+                    break
+            probe.done.set()
+
+        self.node.issue(ElanCallCommand(scan))
+        yield probe.done.wait1()
+        yield from self.node.cpu.execute(self.params.sparc_elan_sync)
+        return hit[0] if hit else None
+
     # -- Elan-side machinery ------------------------------------------------
     def _check_dst(self, dst: int) -> None:
         if not (0 <= dst < self.machine.nnodes):

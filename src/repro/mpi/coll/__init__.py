@@ -7,8 +7,7 @@ proper collective layer: each collective has several registered
 algorithms (:mod:`repro.mpi.coll.registry`), a per-platform tuning
 table picks one by message size × communicator width
 (``platforms.COLL_TUNING``), and every algorithm stays individually
-reachable via ``style=`` arguments or ``REPRO_COLL_<OP>`` environment
-overrides.  See ``docs/COLLECTIVES.md`` for the catalog and measured
+reachable via ``style=`` arguments.  See ``docs/COLLECTIVES.md`` for the catalog and measured
 crossovers.
 
 Buffer-based: ``bcast``, ``reduce``, ``allreduce`` (NumPy arrays or

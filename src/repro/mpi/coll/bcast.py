@@ -33,8 +33,8 @@ def bcast(comm, buf, root: int, count: int, datatype, style=None):
     """Broadcast *buf* from *root*; returns the (filled) buffer.
 
     Algorithm selection follows the paper's defaults, then the
-    per-platform tuning table, overridable via *style* /
-    ``REPRO_COLL_BCAST`` (see :mod:`repro.mpi.coll.registry`):
+    per-platform tuning table, overridable via *style* (see
+    :mod:`repro.mpi.coll.registry`):
 
     * ``hardware`` (low-latency Meiko device): single hardware-broadcast
       injection;

@@ -6,9 +6,7 @@ up here.  Which style runs for a given call resolves in strict
 precedence order:
 
 1. an explicit ``style=`` argument at the call site,
-2. the ``REPRO_COLL_<OP>`` environment variable (e.g.
-   ``REPRO_COLL_BCAST=scatter_allgather``),
-3. the auto-selector :func:`select` driven by the endpoint's
+2. the auto-selector :func:`select` driven by the endpoint's
    per-platform tuning table (``platforms.COLL_TUNING``), which carries
    a row for every styled collective on every cell.
 
@@ -33,7 +31,6 @@ Precedence inside :func:`select`: ``large`` (size crossover) beats
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -95,17 +92,9 @@ def select(coll: str, nbytes: int, nranks: int,
 
 
 def resolve(comm, coll: str, style: Optional[str], nbytes: int) -> str:
-    """Resolve the style for one collective call (precedence above).
-
-    The env override is read per call so tests can flip it with
-    monkeypatch; it is run-uniform by construction (every rank of a
-    world shares the process environment in-sim).
-    """
+    """Resolve the style for one collective call (precedence above)."""
     if style is not None:
         return style
-    env = os.environ.get(f"REPRO_COLL_{coll.upper()}")
-    if env:
-        return env
     style = select(coll, nbytes, comm.size, comm.endpoint.coll_tuning)
     if style is None:
         raise ConfigurationError(

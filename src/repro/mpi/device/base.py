@@ -11,14 +11,18 @@ communicator layer calls:
 * ``iprobe`` / ``probe`` — envelope peeking;
 * ``bcast_hw`` — optional hardware broadcast fast path.
 
-The base class provides what every device that matches on the main
-processor shares (low-latency Meiko and the credit-flow engine of
-:mod:`repro.mpi.device.flow`): the progress-loop wait, probing the
-unexpected queue, the per-destination send queue and cookie tables the
-FT layer sweeps, and landing a payload in a receive.  Those devices
-implement ``_progress(block)``.  The MPICH device overrides ``wait``,
-``iprobe`` and the FT sweep wholesale since its matching runs on the
-Elan.
+The base class is the one home of the device-protocol rules the
+devices share.  Every device that matches on the main processor
+(low-latency Meiko and the credit-flow engine of
+:mod:`repro.mpi.device.flow`) implements ``_progress(block)`` and gets
+the progress-loop wait, probing the unexpected queue, the
+per-destination send queue and the cookie and rendezvous tables the FT
+layer sweeps, numbering and announcing an envelope (``_envelope``),
+landing a payload in a receive (``_land``) and policing ready mode
+(``_unexpected_ready``).  The MPICH device matches on the Elan, so it
+overrides ``wait``/``test``, ``iprobe``, ``cancel_recv`` and the FT
+sweep (its live set of tport handles); its blocking ``_progress``
+sleeps one probe interval, which is all the inherited ``probe`` needs.
 
 Buffered sends (MPI_Bsend) are implemented here once: the payload is
 copied into the attached buffer, the user request completes locally,
@@ -31,8 +35,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Deque, Dict, Sequence, Tuple
 
-from repro.mpi.constants import MODE_STANDARD
-from repro.mpi.exceptions import BufferError_, MPIError
+from repro.mpi.constants import MODE_READY, MODE_STANDARD
+from repro.mpi.envelope import Envelope
+from repro.mpi.exceptions import BufferError_, MPIError, ReadyModeError, TruncationError
 from repro.mpi.matching import MatchQueues
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -74,6 +79,15 @@ class Endpoint:
         #: cookie -> request: synchronous eager sends awaiting the ack
         self.awaiting_ack: Dict[int, Request] = {}
         self._cookie = 0
+        #: per-(dest, context) envelope sequence numbers (testability)
+        self._seq: Dict[Tuple[int, int], int] = defaultdict(int)
+        #: (peer, cookie) -> (request, envelope): matched rendezvous
+        #: receives whose payload is on its way
+        self.rdv_recv: Dict[Tuple[int, int], Tuple[Request, Envelope]] = {}
+        #: count of ready-mode sends that found no posted receive
+        self.ready_violations = 0
+        #: observability only: sender cookie -> message id
+        self._obs_cookie: Dict[int, Tuple[int, int, int, int]] = {}
 
     # -- to be provided by subclasses ----------------------------------------
     def start_send(self, req: Request):  # pragma: no cover - abstract
@@ -272,6 +286,8 @@ class Endpoint:
         for cookie in list(self.awaiting_ack):
             yield self.awaiting_ack[cookie], (
                 lambda c=cookie: self.awaiting_ack.pop(c, None))
+        for key in list(self.rdv_recv):
+            yield self.rdv_recv[key][0], (lambda k=key: self.rdv_recv.pop(k, None))
 
     def _ft_wake(self) -> None:
         """Wake any rank blocked inside this endpoint's progress loop so
@@ -405,6 +421,55 @@ class Endpoint:
         self._cookie += 1
         return self._cookie
 
+    def _next_seq(self, dest_world: int, context: int) -> int:
+        """The next sequence number of the (destination, context) stream."""
+        key = (dest_world, context)
+        seq = self._seq[key]
+        self._seq[key] = seq + 1
+        return seq
+
+    def _envelope(self, req: Request, dest_world: int, nbytes: int, t0: float,
+                  eager_threshold: int) -> Envelope:
+        """Number the envelope of send *req* and announce it (``msg.send``
+        stamped *t0*, the call's entry)."""
+        env = Envelope(
+            src=req.comm.rank,
+            tag=req.tag,
+            context=req.comm.context_id,
+            nbytes=nbytes,
+            mode=req.mode,
+            seq=self._next_seq(dest_world, req.comm.context_id),
+            extra=self.world_rank,
+        )
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit(t0, "dev", "msg.send", rank=self.world_rank,
+                     msg=(self.world_rank, dest_world, env.context, env.seq),
+                     detail={"tag": env.tag, "nbytes": nbytes,
+                             "proto": "eager" if nbytes <= eager_threshold else "rdv",
+                             "mode": env.mode})
+        return env
+
+    def _unexpected_ready(self, env: Envelope, strict: bool) -> None:
+        """An envelope found no posted receive: a ready-mode send is then
+        erroneous.  Count it, and raise when *strict*."""
+        if env.mode == MODE_READY:
+            self.ready_violations += 1
+            if strict:
+                raise ReadyModeError(
+                    f"ready-mode send from rank {env.src} (tag {env.tag}) "
+                    "arrived before the matching receive was posted"
+                )
+
+    def _rdv_send_take(self, cookie: int):
+        """Withdraw an exposed rendezvous send: ``(wire, request, msgid)``,
+        or None when the send already failed (peer death / revoke)."""
+        mid = self._obs_cookie.pop(cookie, None)
+        entry = self.pending_rdv.pop(cookie, None)
+        if entry is None:
+            return None
+        return entry[0], entry[1], mid
+
     def _obs_msgid(self, env):
         """Correlation id for a received envelope (None when it names no
         sender: the Meiko's slot-less hardware broadcast)."""
@@ -425,6 +490,19 @@ class Endpoint:
             count = len(data) // req.datatype.size if req.datatype.size else 0
             req.datatype.unpack(data, req.buf, count)
         req._complete(status)
+
+    def _land(self, req: Request, env: Envelope, data) -> None:
+        """A matched payload reached the receive: store it, or fail the
+        receive when it does not fit."""
+        capacity = self._capacity_bytes(req)
+        if env.nbytes > capacity:
+            req._fail(TruncationError(f"{env.nbytes} bytes into a {capacity}-byte receive"))
+            return
+        self._store(req, data, Status(source=env.src, tag=env.tag, count_bytes=env.nbytes))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit(self.sim.now, "dev", "msg.complete", rank=self.world_rank,
+                     msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
 
     # -- buffered sends ----------------------------------------------------------
     def attach_buffer(self, nbytes: int) -> None:

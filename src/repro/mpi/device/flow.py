@@ -35,12 +35,11 @@ families; DESIGN.md §6a tabulates them side by side.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.mpi.constants import MODE_READY, MODE_SYNCHRONOUS
+from repro.mpi.constants import MODE_SYNCHRONOUS
 from repro.mpi.device.base import Endpoint
 from repro.mpi.envelope import Envelope
-from repro.mpi.exceptions import ReadyModeError, TruncationError
 from repro.mpi.matching import Arrival
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -96,13 +95,6 @@ class CreditFlowEndpoint(Endpoint):
         self.credits: Dict[int, int] = defaultdict(self._flow_initial)
         #: freed units owed to each peer (piggybacked on the next unit)
         self.owed: Dict[int, int] = defaultdict(int)
-        #: (peer, cookie) -> (request, envelope): matched rendezvous
-        #: receives whose payload is on its way
-        self.rdv_recv: Dict[Tuple[int, int], Tuple[Request, Envelope]] = {}
-        self._seq: Dict[Tuple[int, int], int] = defaultdict(int)
-        self.ready_violations = 0
-        #: observability only: sender cookie -> message id
-        self._obs_cookie: Dict[int, Tuple[int, int, int, int]] = {}
 
     # -- channel interface (subclass responsibility) -------------------------
     def _flow_initial(self) -> int:  # pragma: no cover - abstract
@@ -137,30 +129,13 @@ class CreditFlowEndpoint(Endpoint):
     # ------------------------------------------------------------------ send
     def start_send(self, req: Request):
         cfg = self.config
-        obs = self.sim.obs
         t0 = self.sim.now
         yield from self.host.cpu.execute(cfg.send_overhead)
         wire = req.datatype.pack(req.buf, req.count)
         nbytes = len(wire)
         dest_world = req.comm.world_rank(req.peer)
-        key = (dest_world, req.comm.context_id)
-        env = Envelope(
-            src=req.comm.rank,
-            tag=req.tag,
-            context=req.comm.context_id,
-            nbytes=nbytes,
-            mode=req.mode,
-            seq=self._seq[key],
-            extra=self.world_rank,
-        )
-        self._seq[key] += 1
+        env = self._envelope(req, dest_world, nbytes, t0, cfg.eager_threshold)
         eager = nbytes <= cfg.eager_threshold
-        if obs is not None:
-            obs.emit(t0, "dev", "msg.send", rank=self.world_rank,
-                     msg=(self.world_rank, dest_world, env.context, env.seq),
-                     detail={"tag": env.tag, "nbytes": nbytes,
-                             "proto": "eager" if eager else "rdv",
-                             "mode": env.mode})
         self.sendq[dest_world].append(
             _QueuedSend(req, env, wire, eager, self._flow_need(nbytes, eager)))
         yield from self._issue_sends()
@@ -245,11 +220,6 @@ class CreditFlowEndpoint(Endpoint):
             yield from self._fulfill(req, arrival)
 
     # ------------------------------------------------------------ fault tolerance
-    def _ft_requests(self):
-        yield from super()._ft_requests()
-        for key in list(self.rdv_recv):
-            yield self.rdv_recv[key][0], (lambda k=key: self.rdv_recv.pop(k, None))
-
     def _ft_wake(self) -> None:
         self.kick.set()
 
@@ -300,13 +270,8 @@ class CreditFlowEndpoint(Endpoint):
         self.owed[peer] += self._flow_need(env.nbytes, kind == EAGER)
         if req is not None:
             yield from self._fulfill(req, arrival)
-        elif env.mode == MODE_READY:
-            self.ready_violations += 1
-            if cfg.strict_ready:
-                raise ReadyModeError(
-                    f"ready-mode send from rank {env.src} (tag {env.tag}) "
-                    "arrived before the matching receive was posted"
-                )
+        else:
+            self._unexpected_ready(env, cfg.strict_ready)
 
     def _fulfill(self, req: Request, arrival: Arrival):
         env = arrival.envelope
@@ -329,28 +294,6 @@ class CreditFlowEndpoint(Endpoint):
                 obs.emit(self.sim.now, "dev", "rdv.rts", rank=self.world_rank,
                          msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
             yield from self._rdv_fetch(peer, env)
-
-    def _land(self, req: Request, env: Envelope, data) -> None:
-        """A matched payload reached the receive: store it, or fail the
-        receive when it does not fit."""
-        capacity = self._capacity_bytes(req)
-        if env.nbytes > capacity:
-            req._fail(TruncationError(f"{env.nbytes} bytes into a {capacity}-byte receive"))
-            return
-        self._store(req, data, Status(source=env.src, tag=env.tag, count_bytes=env.nbytes))
-        obs = self.sim.obs
-        if obs is not None:
-            obs.emit(self.sim.now, "dev", "msg.complete", rank=self.world_rank,
-                     msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
-
-    def _rdv_send_take(self, cookie: int):
-        """Withdraw an exposed rendezvous send: ``(wire, request, msgid)``,
-        or None when the send already failed (peer death / revoke)."""
-        mid = self._obs_cookie.pop(cookie, None)
-        entry = self.pending_rdv.pop(cookie, None)
-        if entry is None:
-            return None
-        return entry[0], entry[1], mid
 
     def _rdv_send_done(self, wire, sreq: Request, mid) -> None:
         """The receiver has the payload: retire the rendezvous send."""

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.mpi.constants import INTERNAL_TAG_BASE, MODE_READY, MODE_SYNCHRONOUS
+from repro.mpi.constants import INTERNAL_TAG_BASE, MODE_SYNCHRONOUS
 from repro.mpi.device.base import Endpoint
 from repro.mpi.envelope import Envelope
-from repro.mpi.exceptions import ReadyModeError, TruncationError
 from repro.mpi.matching import Arrival
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -125,20 +124,11 @@ class LowLatencyEndpoint(Endpoint):
         #: sends waiting for one sit in ``sendq``
         slots = self.config.slots_per_sender
         self.tokens: Dict[int, int] = defaultdict(lambda: slots)
-        #: rendezvous receives whose DMA is in flight, by (sender, cookie)
-        self.rdv_wait: Dict[Tuple[int, int], Request] = {}
-        #: per-(dest, context) envelope sequence numbers (testability)
-        self._seq: Dict[Tuple[int, int], int] = defaultdict(int)
-        #: count of ready-mode sends that found no posted receive
-        self.ready_violations = 0
-        #: observability only: rendezvous cookie -> message id
-        self._obs_rdv: Dict[int, Tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------ sends
     def start_send(self, req: Request):
         p = self.node.params
         cfg = self.config
-        obs = self.sim.obs
         t0 = self.sim.now
         yield from self.node.cpu.execute(cfg.send_overhead)
         wire = req.datatype.pack(req.buf, req.count)
@@ -146,23 +136,7 @@ class LowLatencyEndpoint(Endpoint):
             # gathering a derived datatype costs a real copy
             yield from self.node.cpu.execute(len(wire) * p.sparc_copy_per_byte)
         dest_world = req.comm.world_rank(req.peer)
-        key = (dest_world, req.comm.context_id)
-        env = Envelope(
-            src=req.comm.rank,
-            tag=req.tag,
-            context=req.comm.context_id,
-            nbytes=len(wire),
-            mode=req.mode,
-            seq=self._seq[key],
-            extra=self.world_rank,
-        )
-        self._seq[key] += 1
-        if obs is not None:
-            proto = "eager" if env.nbytes <= cfg.eager_threshold else "rdv"
-            obs.emit(t0, "dev", "msg.send", rank=self.world_rank,
-                     msg=(self.world_rank, dest_world, env.context, env.seq),
-                     detail={"tag": env.tag, "nbytes": env.nbytes,
-                             "proto": proto, "mode": env.mode})
+        env = self._envelope(req, dest_world, len(wire), t0, cfg.eager_threshold)
         self.sendq[dest_world].append(_QueuedSend(req, env, wire))
         yield from self._issue_sends()
 
@@ -216,7 +190,7 @@ class LowLatencyEndpoint(Endpoint):
             env.cookie = cookie
             self.pending_rdv[cookie] = (wire, req)
             if obs is not None:
-                self._obs_rdv[cookie] = mid
+                self._obs_cookie[cookie] = mid
                 obs.emit(self.sim.now, "dev", "env.sent", rank=self.world_rank,
                          msg=mid, detail={"nbytes": env.nbytes, "proto": "rdv"})
             arrival = Arrival(env, data=None, claim=(self.world_rank, cookie))
@@ -243,11 +217,6 @@ class LowLatencyEndpoint(Endpoint):
             yield from self._fulfill(req, arrival)
 
     # ------------------------------------------------------- fault tolerance
-    def _ft_requests(self):
-        yield from super()._ft_requests()
-        for key in list(self.rdv_wait):
-            yield self.rdv_wait[key], (lambda k=key: self.rdv_wait.pop(k, None))
-
     def _ft_wake(self) -> None:
         self.kick.set()
 
@@ -301,13 +270,7 @@ class LowLatencyEndpoint(Endpoint):
         if req is not None:
             yield from self._fulfill(req, arrival)
         else:
-            if env.mode == MODE_READY:
-                self.ready_violations += 1
-                if self.config.strict_ready:
-                    raise ReadyModeError(
-                        f"ready-mode send from rank {env.src} (tag {env.tag}) "
-                        "arrived before the matching receive was posted"
-                    )
+            self._unexpected_ready(env, self.config.strict_ready)
             if arrival.data is not None:
                 # copy out of the slot into the unexpected heap
                 yield from self.node.cpu.execute(len(arrival.data) * p.sparc_copy_per_byte)
@@ -324,20 +287,9 @@ class LowLatencyEndpoint(Endpoint):
         """Complete a matched receive (eager) or launch the DMA (rendezvous)."""
         p = self.node.params
         env = arrival.envelope
-        capacity = self._capacity_bytes(req)
-        status = Status(source=env.src, tag=env.tag, count_bytes=env.nbytes)
-        truncated = env.nbytes > capacity
-        obs = self.sim.obs
-        mid = self._obs_msgid(env) if obs is not None else None
         if arrival.data is not None:
             yield from self.node.cpu.execute(env.nbytes * p.sparc_copy_per_byte)
-            if truncated:
-                req._fail(TruncationError(f"{env.nbytes} bytes into a {capacity}-byte receive"))
-            else:
-                self._store(req, arrival.data, status)
-                if obs is not None:
-                    obs.emit(self.sim.now, "dev", "msg.complete", rank=self.world_rank,
-                             msg=mid, detail={"nbytes": env.nbytes})
+            self._land(req, env, arrival.data)
             if env.mode == MODE_SYNCHRONOUS:
                 sender = self.peers[env.extra]
                 cookie = env.cookie
@@ -346,29 +298,20 @@ class LowLatencyEndpoint(Endpoint):
             sender_world, cookie = arrival.claim
             sender = self.peers[sender_world]
             endpoint = self
-            self.rdv_wait[(sender_world, cookie)] = req
+            self.rdv_recv[(sender_world, cookie)] = (req, env)
 
             def on_dma(data: bytes) -> None:
                 # runs at the receiver when the DMA lands in user memory
-                endpoint.rdv_wait.pop((sender_world, cookie), None)
+                endpoint.rdv_recv.pop((sender_world, cookie), None)
                 if req.complete:
                     return  # receive already failed (peer death / revoke)
-                if truncated:
-                    req._fail(
-                        TruncationError(f"{env.nbytes} bytes into a {capacity}-byte receive")
-                    )
-                else:
-                    endpoint._store(req, data, status)
-                    dobs = endpoint.sim.obs
-                    if dobs is not None:
-                        dobs.emit(endpoint.sim.now, "dev", "msg.complete",
-                                  rank=endpoint.world_rank, msg=mid,
-                                  detail={"nbytes": len(data)})
+                endpoint._land(req, env, data)
                 endpoint.kick.set()
 
+            obs = self.sim.obs
             if obs is not None:
                 obs.emit(self.sim.now, "dev", "rdv.rts", rank=self.world_rank,
-                         msg=mid, detail={"nbytes": env.nbytes})
+                         msg=self._obs_msgid(env), detail={"nbytes": env.nbytes})
             yield from self.node.issue_txn(
                 sender_world, RTS_BYTES, lambda: sender._elan_rts(cookie, self.world_rank, on_dma)
             )
@@ -376,14 +319,12 @@ class LowLatencyEndpoint(Endpoint):
     def _elan_rts(self, cookie: int, dest_world: int, on_dma) -> None:
         """Runs at the *sender's* Elan when the data request arrives:
         start the DMA with no SPARC involvement."""
-        entry = self.pending_rdv.pop(cookie, None)
-        if entry is None:
-            self._obs_rdv.pop(cookie, None)
+        sent = self._rdv_send_take(cookie)
+        if sent is None:
             return  # send already failed (peer death / revoke): no DMA
-        wire, sreq = entry
+        wire, sreq, mid = sent
         endpoint = self
         obs = self.sim.obs
-        mid = self._obs_rdv.pop(cookie, None) if obs is not None else None
         if obs is not None:
             obs.emit(self.sim.now, "dev", "rdv.data", rank=self.world_rank,
                      msg=mid, detail={"nbytes": len(wire)})

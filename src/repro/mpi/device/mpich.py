@@ -65,6 +65,16 @@ def encode_tag(context: int, field: int, chan: int = 0, flags: int = 0) -> int:
     return (context << _CTX_SHIFT) | (chan << _CHAN_SHIFT) | (field << _FLAG_BITS) | flags
 
 
+def match_word(context: int, tag: int):
+    """The tport tag word and mask that match *tag* (or ANY_TAG) in
+    *context*: a user tag and an internal one live on separate channels,
+    and ANY_TAG matches the whole user channel."""
+    if tag == ANY_TAG:
+        return encode_tag(context, 0), MASK_CHAN
+    chan = 2 if tag >= INTERNAL_TAG_BASE else 0
+    return encode_tag(context, tag, chan=chan), MASK_EXACT
+
+
 def decode_tag(word: int):
     """Unpack a tport tag word -> (context, chan, field, flags)."""
     return (
@@ -105,8 +115,6 @@ class MpichEndpoint(Endpoint):
         #: order (read by fault tolerance).  A request leaves as the device
         #: completes it, so a finished operation holds no device memory.
         self._outstanding = {}
-        #: observability only: per-(dest, context) send sequence numbers
-        self._obs_seq = {}
 
     # ------------------------------------------------------- fault tolerance
     def _ft_requests(self):
@@ -140,11 +148,9 @@ class MpichEndpoint(Endpoint):
         if not req.datatype.contiguous:
             yield from self.node.cpu.execute(len(wire) * p.sparc_copy_per_byte)
         dest_world = req.comm.world_rank(req.peer)
+        seq = self._next_seq(dest_world, req.comm.context_id)
         mid = None
         if obs is not None:
-            key = (dest_world, req.comm.context_id)
-            seq = self._obs_seq.get(key, 0)
-            self._obs_seq[key] = seq + 1
             mid = (self.world_rank, dest_world, req.comm.context_id, seq)
             obs.emit(
                 t0,
@@ -157,17 +163,15 @@ class MpichEndpoint(Endpoint):
         flags = 0
         ack_handle = None
         if req.mode == MODE_SYNCHRONOUS:
-            self._cookie += 1
-            cookie = self._cookie & 0xFFFFFFFF
+            cookie = self._next_cookie() & 0xFFFFFFFF
             flags |= FLAG_SYNC
             wire = cookie.to_bytes(_COOKIE_BYTES, "little") + wire
             # post the ack receive before the send can possibly be acked
             ack_tag = encode_tag(req.comm.context_id, cookie, chan=1)
             ack_handle = self.tport.irecv(ack_tag, sender=dest_world, mask=-1)
-        chan = 2 if req.tag >= INTERNAL_TAG_BASE else 0
-        word = encode_tag(req.comm.context_id, req.tag, chan=chan, flags=flags)
+        word, _mask = match_word(req.comm.context_id, req.tag)
         yield from self.node.cpu.execute(p.txn_issue)
-        handle = self.tport.isend(dest_world, word, wire)
+        handle = self.tport.isend(dest_world, word | flags, wire)
         if obs is not None:
             obs.emit(
                 self.sim.now,
@@ -196,13 +200,7 @@ class MpichEndpoint(Endpoint):
         sender = (
             ANY_SENDER if req.peer == ANY_SOURCE else req.comm.world_rank(req.peer)
         )
-        if req.tag == ANY_TAG:
-            word = encode_tag(req.comm.context_id, 0, chan=0)
-            mask = MASK_CHAN
-        else:
-            chan = 2 if req.tag >= INTERNAL_TAG_BASE else 0
-            word = encode_tag(req.comm.context_id, req.tag, chan=chan)
-            mask = MASK_EXACT
+        word, mask = match_word(req.comm.context_id, req.tag)
         yield from self.node.cpu.execute(self.node.params.txn_issue)
         handle = self.tport.irecv(word, sender=sender, mask=mask)
         obs = self.sim.obs
@@ -299,16 +297,11 @@ class MpichEndpoint(Endpoint):
             self.tport.isend(handle.src, ack_tag, b"")
         src_comm_rank = req.comm.group.rank_of(handle.src)
         status = Status(source=src_comm_rank, tag=field, count_bytes=len(data))
-        capacity = float("inf") if req.buf is None else req.datatype.size * req.count
+        capacity = self._capacity_bytes(req)
         if len(data) > capacity:
             req._fail(TruncationError(f"{len(data)} bytes into a {capacity}-byte receive"))
             return
-        if req.buf is None:
-            req.data = data
-        else:
-            count = len(data) // req.datatype.size if req.datatype.size else 0
-            req.datatype.unpack(data, req.buf, count)
-        req._complete(status)
+        self._store(req, data, status)
         obs = self.sim.obs
         if obs is not None:
             # Matching happened on the Elan, invisible to the SPARC, so
@@ -359,10 +352,9 @@ class MpichEndpoint(Endpoint):
     # ------------------------------------------------------------------ probe
     def iprobe(self, source: int, tag: int, comm):
         """Nonblocking probe: ask the Elan to scan the unexpected queue."""
-        p = self.node.params
-        yield from self.node.cpu.execute(p.sparc_call + p.txn_issue)
         sender = ANY_SENDER if source == ANY_SOURCE else comm.world_rank(source)
-        found = yield from self._tport_probe(sender, tag, comm.context_id)
+        word, mask = match_word(comm.context_id, tag)
+        found = yield from self.tport.tprobe(word, sender, mask)
         if found is None:
             return None
         src_world, word, nbytes = found
@@ -370,45 +362,6 @@ class MpichEndpoint(Endpoint):
         if flags & FLAG_SYNC:
             nbytes -= _COOKIE_BYTES
         return Status(source=comm.group.rank_of(src_world), tag=field, count_bytes=nbytes)
-
-    def _tport_probe(self, sender: int, tag: int, context: int):
-        """Generator -> Optional[(src_world, tag_word, nbytes)]."""
-        if tag == ANY_TAG:
-            word = encode_tag(context, 0, chan=0)
-            mask = MASK_CHAN
-        else:
-            word = encode_tag(context, tag, chan=2 if tag >= INTERNAL_TAG_BASE else 0)
-            mask = MASK_EXACT
-        node = self.node
-        port = self.tport
-        holder = {}
-        done = node.event("tprobe")
-
-        def scan():
-            p = node.params
-
-            def gen():
-                # scan the entries queued now, holding no deque iterator
-                # across the match charge: the receive context appends
-                # arrivals meanwhile (the next poll's), and nothing can
-                # leave — receives are posted through the command queue,
-                # which this scan occupies
-                for arrival in tuple(port.unexpected):
-                    yield from node.elan.execute(p.elan_match)
-                    src_ok = sender == ANY_SENDER or sender == arrival.src
-                    if src_ok and (arrival.tag & mask) == (word & mask):
-                        holder["hit"] = (arrival.src, arrival.tag, arrival.nbytes)
-                        break
-                done.set()
-
-            return gen()
-
-        from repro.hw.meiko.node import ElanCallCommand
-
-        node.issue(ElanCallCommand(scan))
-        yield done.wait1()
-        yield from node.cpu.execute(node.params.sparc_elan_sync)
-        return holder.get("hit")
 
     def cancel_recv(self, req: Request):
         """Generator -> bool: withdraw the tport receive descriptor."""
@@ -425,19 +378,10 @@ class MpichEndpoint(Endpoint):
             del self._outstanding[req]
         return ok
 
-    def probe(self, source: int, tag: int, comm):
-        """Blocking probe: poll the Elan until a match appears."""
-        sim = self.sim
-        interval = self.config.probe_interval
-        while True:
-            status = yield from self.iprobe(source, tag, comm)
-            if status is not None:
-                return status
-            if not sim.hold(interval):
-                yield sim.timeout1(interval)
-
     def _progress(self, block: bool):
-        """MPICH progresses on the Elan; the SPARC has nothing to pump."""
+        """MPICH progresses on the Elan; the SPARC has nothing to pump.
+        Blocking sleeps one probe interval: the inherited ``probe``
+        polls the Elan at that rate."""
         delay = self.config.probe_interval if block else 0
         sim = self.sim
         if not sim.hold(delay):

@@ -22,14 +22,13 @@ Registration is the protocol's signature cost: ``reg_base`` per
 references so a cached id can never be reused by a different live
 buffer) collapses repeat registrations to ``reg_cache_hit_cost`` —
 a *pure latency* optimization: simulated results must be byte-identical
-with the cache disabled (``REPRO_RDMA_REG_CACHE=0``), only faster.
+with the cache disabled (``RdmaConfig(reg_cache=False)``), only faster.
 Unbuffered receives (``buf=None``) land in the pre-registered pool and
 always hit.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -68,7 +67,6 @@ class RdmaConfig:
     reg_per_page: float = 0.35
     page_bytes: int = 4096
     #: registration cache: capacity, hit cost, and master switch
-    #: (the REPRO_RDMA_REG_CACHE=0 env override also disables it)
     reg_cache_entries: int = 64
     reg_cache_hit_cost: float = 0.05
     reg_cache: bool = True
@@ -131,11 +129,8 @@ class RdmaEndpoint(ModernEndpoint):
 
     def __init__(self, world_rank: int, host, config: Optional[RdmaConfig] = None):
         super().__init__(world_rank, host, config or RdmaConfig())
-        enabled = (
-            self.config.reg_cache
-            and os.environ.get("REPRO_RDMA_REG_CACHE", "1") != "0"
-        )
-        self.reg_cache = RegistrationCache(self.config.reg_cache_entries, enabled)
+        self.reg_cache = RegistrationCache(self.config.reg_cache_entries,
+                                           self.config.reg_cache)
 
     # ------------------------------------------------------------ flow units
     def _flow_initial(self) -> int:

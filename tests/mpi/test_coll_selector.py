@@ -8,9 +8,10 @@ Three families of guarantees (see ``docs/COLLECTIVES.md``):
 * **styles never change results** — every registered algorithm of every
   collective produces the identical result on power-of-two,
   non-power-of-two, and single-rank communicators;
-* **resolution precedence** — explicit ``style=`` beats the
-  ``REPRO_COLL_<OP>`` environment override beats the platform tuning
-  table, which has a row for every styled collective on every cell.
+* **resolution precedence** — explicit ``style=`` beats the platform
+  tuning table, which has a row for every styled collective on every
+  cell; the process environment plays no part (it is not in the result
+  cache's key).
 """
 
 import numpy as np
@@ -183,17 +184,15 @@ class _StubComm:
 
 def test_resolve_precedence(monkeypatch):
     comm = _StubComm()
-    monkeypatch.delenv("REPRO_COLL_BCAST", raising=False)
     # table only
     assert registry.resolve(comm, "bcast", None, 64) == "linear"
-    # env beats the table
+    # the removed process-wide override no longer reaches resolution
     monkeypatch.setenv("REPRO_COLL_BCAST", "binomial")
-    assert registry.resolve(comm, "bcast", None, 64) == "binomial"
-    # explicit style beats the env
+    assert registry.resolve(comm, "bcast", None, 64) == "linear"
+    # explicit style beats the table
     assert registry.resolve(comm, "bcast", "scatter_allgather", 64) \
         == "scatter_allgather"
-    # there is no fourth tier: a table without the row is an error
-    monkeypatch.delenv("REPRO_COLL_BCAST")
+    # there is no third tier: a table without the row is an error
     with pytest.raises(ConfigurationError, match="no 'barrier' row"):
         registry.resolve(comm, "barrier", None, 0)
 
@@ -204,25 +203,3 @@ def test_every_cell_resolves_every_styled_collective():
     for cell, table in COLL_TUNING.items():
         for coll in RESOLVED:
             assert table[coll]["small"] in registry.algorithms(coll), (cell, coll)
-
-
-def test_env_override_matches_forced_style(monkeypatch):
-    """REPRO_COLL_ALLREDUCE=recursive_doubling produces the same result
-    as the explicit style argument."""
-
-    def forced(comm):
-        res = yield from comm.allreduce(
-            np.arange(6, dtype=np.int64) * (comm.rank + 1),
-            style="recursive_doubling",
-        )
-        return res.tolist()
-
-    def via_env(comm):
-        res = yield from comm.allreduce(
-            np.arange(6, dtype=np.int64) * (comm.rank + 1)
-        )
-        return res.tolist()
-
-    want = run_world(5, forced, "meiko", "lowlatency")
-    monkeypatch.setenv("REPRO_COLL_ALLREDUCE", "recursive_doubling")
-    assert run_world(5, via_env, "meiko", "lowlatency") == want

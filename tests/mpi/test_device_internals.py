@@ -165,3 +165,27 @@ def test_mpich_probe_survives_an_arrival_landing_mid_scan():
     assert quiet[0] == (True, 1, 3, 8) and quiet[2:] == (16, 16)
     for send_at in range(1950, 2050, 2):
         assert _probe_while_a_message_lands(float(send_at)) == quiet, send_at
+
+
+def test_mpich_blocking_probe_polls_the_elan_every_probe_interval():
+    """A blocking probe on mpich re-asks the Elan once per
+    ``probe_interval`` until the message is there: with the send issued
+    at t = 5000 us it returns at 5137.3 us, and the whole run (probe,
+    then the receive) takes 2435 simulator events."""
+    from repro.mpi import World
+
+    world = World(2, platform="meiko", device="mpich")
+
+    def main(comm):
+        sim = comm.endpoint.sim
+        if comm.rank == 1:
+            yield sim.timeout(5000.0)
+            yield from comm.send(bytes(16), dest=0, tag=9)
+        else:
+            status = yield from comm.probe(source=1, tag=9)
+            returned = (comm.wtime(), sim._seq, status.source, status.count_bytes)
+            data, _ = yield from comm.recv(source=1, tag=9)
+            return returned, len(data)
+
+    assert world.run(main)[0] == ((5137.3, 2419, 1, 16), 16)
+    assert world.sim._seq == 2435

@@ -381,17 +381,21 @@ def test_rsend_with_posted_receive(any_device):
 
 
 def test_truncation_error(any_device):
+    """Too large for the receive buffer, both eager and — at 65 536 B,
+    above every cell's eager threshold — on the rendezvous path, where
+    the payload lands after the match."""
     platform, device = any_device
 
-    def main(comm):
+    def main(comm, nbytes):
         if comm.rank == 0:
-            yield from comm.send(bytes(64), dest=1, tag=1)
+            yield from comm.send(bytes(nbytes), dest=1, tag=1)
         else:
             buf = np.zeros(4, dtype=np.uint8)  # too small
             with pytest.raises(TruncationError):
                 yield from comm.recv(source=0, tag=1, buf=buf)
 
-    run_world(2, main, platform, device)
+    for nbytes in (64, 65536):
+        run_world(2, main, platform, device, nbytes)
 
 
 # ---------------------------------------------------------------------------

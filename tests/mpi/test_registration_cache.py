@@ -6,7 +6,7 @@ never change what they compute.  Property checked two ways:
 
 * semantics — for a spread of fuzzed programs, the canonical semantic
   trace on ``modern-rdma`` is byte-identical with the cache disabled
-  through the ``REPRO_RDMA_REG_CACHE=0`` env override;
+  (``RdmaConfig(reg_cache=False)``);
 * latency — a repeated-buffer rendezvous ping-pong is strictly slower
   with the cache off (every iteration pays the full pin cost).
 
@@ -15,15 +15,27 @@ dump the deadlock watchdog attaches), so a hung run also shows whether
 registrations were being cached.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench.harness import mpi_pingpong_rtt
 from repro.conformance.executor import canonical_trace, differential, run_program
 from repro.conformance.grammar import generate
 from repro.mpi import World
+from repro.mpi.device import rdma
 from repro.mpi.device.rdma import RdmaConfig, RegistrationCache
 
 RDV_BYTES = 65536  # far above the 8 KiB eager threshold
+NO_CACHE = RdmaConfig(reg_cache=False)
+
+
+def _cache_off(monkeypatch):
+    """Every rdma endpoint built without a config gets the cache off
+    (for entry points that take no ``device_config``)."""
+    monkeypatch.setattr(rdma, "RdmaConfig", partial(RdmaConfig, reg_cache=False))
+    endpoint = World(1, platform="modern", device="rdma").platform.endpoints[0]
+    assert endpoint.reg_cache.enabled is False
 
 
 def _canon(program):
@@ -34,29 +46,28 @@ def _canon(program):
 def test_disabled_cache_is_byte_identical(seed, monkeypatch):
     program = generate(seed, profile="mixed")
     with_cache = _canon(program)
-    monkeypatch.setenv("REPRO_RDMA_REG_CACHE", "0")
+    _cache_off(monkeypatch)
     without_cache = _canon(program)
     assert with_cache == without_cache
 
 
 def test_disabled_cache_still_passes_the_differential(monkeypatch):
     """The no-cache rdma cell still agrees with the whole matrix."""
-    monkeypatch.setenv("REPRO_RDMA_REG_CACHE", "0")
+    _cache_off(monkeypatch)
     result = differential(generate(7, profile="pt2pt"))
     assert result.ok, result.summary()
 
 
-def test_cache_is_a_pure_latency_win(monkeypatch):
+def test_cache_is_a_pure_latency_win():
     """Rendezvous on a reused buffer: cache off = strictly slower,
     eager (no registration on the bounce path) = identical timing."""
     warm = mpi_pingpong_rtt("modern", "rdma", RDV_BYTES, repeats=3)
-    monkeypatch.setenv("REPRO_RDMA_REG_CACHE", "0")
-    cold = mpi_pingpong_rtt("modern", "rdma", RDV_BYTES, repeats=3)
+    cold = mpi_pingpong_rtt("modern", "rdma", RDV_BYTES, repeats=3,
+                            device_config=NO_CACHE)
     assert cold > warm
-    monkeypatch.delenv("REPRO_RDMA_REG_CACHE")
     eager_on = mpi_pingpong_rtt("modern", "rdma", 1024, repeats=3)
-    monkeypatch.setenv("REPRO_RDMA_REG_CACHE", "0")
-    eager_off = mpi_pingpong_rtt("modern", "rdma", 1024, repeats=3)
+    eager_off = mpi_pingpong_rtt("modern", "rdma", 1024, repeats=3,
+                                 device_config=NO_CACHE)
     assert eager_on == eager_off
 
 
@@ -82,9 +93,8 @@ def test_counters_exposed_through_state_snapshot():
     assert sender["flow"]["registration_cache"]["hits"] == 2
 
 
-def test_env_override_disables_and_counts_misses(monkeypatch):
-    monkeypatch.setenv("REPRO_RDMA_REG_CACHE", "0")
-    world = World(2, platform="modern", device="rdma")
+def test_disabled_cache_counts_misses():
+    world = World(2, platform="modern", device="rdma", device_config=NO_CACHE)
 
     def main(comm):
         if comm.rank == 0:
