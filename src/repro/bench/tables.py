@@ -2,6 +2,8 @@
 
 ``repro figure``/``repro sweep`` print :func:`format_figure` and
 :func:`format_table1`; EXPERIMENTS.md embeds the same text.
+``repro chaos --soak`` reports its failed cells with
+:func:`format_soak_failures`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from repro.bench import claims
 from repro.bench.ascii_chart import ascii_chart
 from repro.bench.figures import FIGURES
 
-__all__ = ["format_table", "format_series", "format_figure", "format_table1"]
+__all__ = ["format_table", "format_series", "format_figure", "format_table1",
+           "format_soak_failures"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -79,3 +82,18 @@ def format_table1(result: dict) -> str:
          for row, _, atm, eth, _ in claims.TABLE1_ROWS],
         title="Table 1: MPI round-trip overheads with TCP (us)",
     )
+
+
+def format_soak_failures(rows: Sequence[Dict]) -> str:
+    """One ``soak FAIL <cell>: <why>`` line per soak row that did not
+    recover correctly or whose recovery trace varied across repeats
+    (``""`` when every row passed)."""
+    lines = []
+    for r in rows:
+        if r["outcome"] == "ok" and r["deterministic"]:
+            continue
+        why = r["diagnostic"] or (
+            "non-deterministic recovery trace" if not r["deterministic"]
+            else r["outcome"])
+        lines.append(f"soak FAIL {r['cell']}: {why}")
+    return "\n".join(lines)

@@ -63,7 +63,7 @@ from typing import List, Optional
 from repro.bench import figures
 from repro.bench.claims import paper
 from repro.bench.figures import FIGURES
-from repro.bench.tables import format_figure, format_table, format_table1
+from repro.bench.tables import format_figure, format_soak_failures, format_table, format_table1
 from repro.parallel import Plan, evaluate, merge_traced
 from repro.platforms import DEVICE_MATRIX, PLATFORM_DEVICES
 
@@ -398,13 +398,9 @@ def _cmd_chaos_soak(args, out) -> int:
     )
     print(format_soak(rows), file=out)
     _write_trace(bus, args, out)
-    bad = [r for r in rows if r["outcome"] != "ok" or not r["deterministic"]]
-    if bad:
-        for r in bad:
-            why = r["diagnostic"] or (
-                "non-deterministic recovery trace" if not r["deterministic"]
-                else r["outcome"])
-            print(f"soak FAIL {r['cell']}: {why}", file=sys.stderr)
+    failures = format_soak_failures(rows)
+    if failures:
+        print(failures, file=sys.stderr)
         return 1
     return 0
 

@@ -320,7 +320,7 @@ class Timeout(Event):
         sim._note_cancel()
         obs = sim.obs
         if obs is not None:
-            obs.emit(sim._now, "sim", "timer.cancel", detail={"delay": self.delay})
+            obs.emit_timer(sim._now, "timer.cancel", self.delay)
         return True
 
 
@@ -790,7 +790,7 @@ class Simulator:
         t.callbacks.append(fn)
         obs = self.obs
         if obs is not None:
-            obs.emit(self._now, "sim", "timer.arm", detail={"delay": delay})
+            obs.emit_timer(self._now, "timer.arm", delay)
         return t
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -904,7 +904,7 @@ class Simulator:
         self._now = t
         obs = self.obs
         if obs is not None:
-            obs.emit(t, "sim", "timer.fire", detail={"delay": delay})
+            obs.emit_timer(t, "timer.fire", delay)
         return True
 
     def stop(self) -> None:
@@ -952,7 +952,7 @@ class Simulator:
             self._now = t
             obs = self.obs
             if obs is not None and event._kind == K_TIMEOUT:
-                obs.emit(t, "sim", "timer.fire", detail={"delay": event.delay})
+                obs.emit_timer(t, "timer.fire", event.delay)
             cbs = event.callbacks
             if event._kind == K_GRANT and len(cbs) == 1 and not self._carry(event, cbs):
                 return
@@ -1037,7 +1037,7 @@ class Simulator:
                         self._dead -= 1
                     else:
                         if obs is not None and ev._kind == K_TIMEOUT:
-                            obs.emit(t, "sim", "timer.fire", detail={"delay": ev.delay})
+                            obs.emit_timer(t, "timer.fire", ev.delay)
                         cbs = ev.callbacks
                         ev.callbacks = None
                         if cbs:

@@ -144,6 +144,35 @@ def test_cli_soak_fails_loudly_on_bad_cell():
     assert rc != 0
 
 
+def _soak_row(cell, outcome="ok", deterministic=True, diagnostic=""):
+    return {"cell": cell, "outcome": outcome, "recoveries": 1, "survivors": 3,
+            "detect_us": 25.0, "recover_us": 12.0, "time_us": 147.0,
+            "deterministic": deterministic, "trace_sha": "b1610aa1d07e" * 5,
+            "diagnostic": diagnostic}
+
+
+def test_cli_soak_names_every_failed_cell_on_stderr(monkeypatch, capsys):
+    import repro.bench.chaos
+    from repro.cli import main
+
+    rows = [
+        _soak_row("meiko-lowlatency"),
+        _soak_row("meiko-mpich", outcome="wrong-answer", diagnostic="2 result vectors"),
+        _soak_row("atm-udp", deterministic=False),
+        _soak_row("ethernet-tcp", outcome="deadlock"),
+    ]
+    monkeypatch.setattr(repro.bench.chaos, "soak_sweep", lambda **kw: rows)
+    out = io.StringIO()
+    rc = main(["chaos", "--soak"], out=out)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "soak FAIL meiko-mpich: 2 result vectors\n"
+        "soak FAIL atm-udp: non-deterministic recovery trace\n"
+        "soak FAIL ethernet-tcp: deadlock\n"
+    )
+    assert out.getvalue() == format_soak(rows) + "\n"
+
+
 @pytest.fixture()
 def built_worlds(monkeypatch):
     """Every ``World`` built while the test runs, in order."""

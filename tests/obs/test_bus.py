@@ -1,9 +1,14 @@
 """EventBus unit tests: emission, counters, filtering, subscribers,
-run labelling, and message correlation."""
+run labelling, message correlation, and the kernel's compact timer
+records."""
 
+import pickle
 from collections import Counter
 
-from repro.obs import Event, EventBus, msgid
+from repro.mpi import World
+from repro.obs import Event, EventBus, msgid, to_chrome, to_jsonl_lines
+from repro.obs.bus import TimerEvent
+from repro.sim import Simulator
 
 
 def test_emit_records_typed_event():
@@ -125,3 +130,107 @@ def test_extend_keeps_order_and_notifies_subscribers():
     watched.extend(src.events)
     assert [e.kind for e in watched] == ["first", "a", "b", "c"]
     assert seen == watched.events
+
+
+# ---------------------------------------------------------------------------
+# kernel timer events: a four-field record that reads like an Event
+# ---------------------------------------------------------------------------
+
+_FIELDS = ("t", "layer", "kind", "rank", "msg", "detail", "run")
+
+
+def _fields(ev):
+    return tuple(getattr(ev, f) for f in _FIELDS)
+
+
+def _timer_sim(bus):
+    """A simulator emitting all three timer kinds: an armed callback
+    timer that fires, one that is cancelled, and a process's timeouts."""
+    sim = Simulator()
+    sim.obs = bus
+    sim.call_later(2.0, lambda ev: None)
+    sim.call_later(9.0, lambda ev: None).cancel()
+
+    def sleeper():
+        yield sim.timeout(1.0)
+        yield sim.timeout(0.5)
+
+    sim.process(sleeper())
+    sim.run()
+    return sim
+
+
+def test_a_timer_record_reads_like_the_event_emit_would_record():
+    compact, full = EventBus(), EventBus()
+    for bus in (compact, full):
+        bus.set_run("cell/0")
+    compact.emit_timer(3.5, "timer.fire", 1.25)
+    full.emit(3.5, "sim", "timer.fire", detail={"delay": 1.25})
+    (rec,), (ev,) = compact.events, full.events
+    assert isinstance(rec, TimerEvent)
+    assert _fields(rec) == _fields(ev) == (
+        3.5, "sim", "timer.fire", None, None, {"delay": 1.25}, "cell/0")
+    assert list(to_jsonl_lines(compact)) == list(to_jsonl_lines(full))
+    assert to_chrome(compact) == to_chrome(full)
+
+
+def test_a_timer_records_detail_is_a_new_dict_on_every_read():
+    bus = EventBus()
+    bus.emit_timer(0.0, "timer.arm", 4.0)
+    rec = bus.events[0]
+    first = rec.detail
+    first["delay"] = -1.0
+    assert rec.detail == {"delay": 4.0}
+    assert rec.detail is not rec.detail
+
+
+def test_a_timer_record_survives_a_pickle_round_trip():
+    bus = EventBus()
+    bus.set_run("soak/atm-udp")
+    bus.emit_timer(7.0, "timer.cancel", 0.25)
+    (back,) = pickle.loads(pickle.dumps(bus.events, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is TimerEvent
+    assert _fields(back) == _fields(bus.events[0])
+
+
+def test_subscribers_see_timer_records_in_emission_order_and_counters_count_them():
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    _timer_sim(bus)
+    assert seen == bus.events
+    timers = [(e.t, e.kind, e.detail["delay"]) for e in bus.events if e.kind.startswith("timer.")]
+    assert timers == [
+        (0.0, "timer.arm", 2.0), (0.0, "timer.arm", 9.0), (0.0, "timer.cancel", 9.0),
+        (1.0, "timer.fire", 1.0), (1.5, "timer.fire", 0.5), (2.0, "timer.fire", 2.0),
+    ]
+    assert all(type(e) is TimerEvent for e in bus.events if e.kind.startswith("timer."))
+    assert bus.counters["sim.timer.fire"] == 3
+    assert bus.counters["sim.timer.arm"] == 2
+    assert bus.counters["sim.timer.cancel"] == 1
+
+
+def test_a_layer_filter_drops_timer_records_at_the_door():
+    dev_only = EventBus(layers={"dev"})
+    _timer_sim(dev_only)
+    assert dev_only.events == []
+
+    def ping(comm):
+        for _ in range(3):
+            if comm.rank == 0:
+                yield from comm.send(b"ping", dest=1)
+                yield from comm.recv(source=1)
+            else:
+                yield from comm.recv(source=0)
+                yield from comm.send(b"pong", dest=0)
+
+    streams = {}
+    for layers in ({"mpi"}, None):
+        bus = EventBus(layers=layers)
+        World(2, platform="ethernet", device="tcp", obs=bus).run(ping)
+        streams[layers is None] = bus
+    mpi_only, everything = streams[False], streams[True]
+    assert any(type(e) is TimerEvent for e in everything.events)
+    assert mpi_only.events and all(e.layer == "mpi" for e in mpi_only.events)
+    assert [_fields(e) for e in mpi_only.events] == [
+        _fields(e) for e in everything.events if e.layer == "mpi"]

@@ -65,6 +65,9 @@ class _ListBus:
     def emit(self, t, layer, kind, rank=None, detail=None):
         self.events.append((t, layer, kind, rank, repr(detail)))
 
+    def emit_timer(self, t, kind, delay):
+        self.emit(t, "sim", kind, detail={"delay": delay})
+
 
 def _nap(sim, delay):
     """A process's own sleep, the way model code takes it."""
