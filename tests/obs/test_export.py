@@ -1,6 +1,8 @@
 """Trace exporters and the CI schema checker."""
 
+import enum
 import json
+import random
 
 import pytest
 
@@ -88,6 +90,113 @@ def test_streamed_chrome_file_equals_one_shot_dump(tmp_path, monkeypatch, chunk)
     text = path.read_text()
     assert text == json.dumps(to_chrome(bus), default=str) + "\n"
     assert validate_chrome_trace(json.loads(text)) == []
+
+
+# ---------------------------------------------------------------------------
+# the text writers against the dict records, on hostile shapes
+# ---------------------------------------------------------------------------
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not-json"
+
+
+class _Str(str):
+    pass
+
+
+#: values the writers must either write as the C encoder would or hand
+#: back to it: subclasses, non-finite floats, -0.0, bools, control and
+#: non-ASCII text, containers, and a frozenset (``default=str``)
+_HOSTILE_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1, 1.0, True, False,
+    _Level.LOW, _Float(2.5), _Str("sub"), "ünïcødé ✓ 🚀", "ctl\x00\x1f\n\t\"\\",
+    None, {"in": float("nan"), "x": [1, None]}, [1, "two", 3.0], frozenset([2]),
+    2**70, -7,
+]
+#: timestamps the text path must write exactly or hand back
+_HOSTILE_TIMES = [0.0, -0.0, 1, 1.0, True, float("nan"), float("inf"), _Float(3.0), _Level.LOW]
+#: back-to-back timestamps that are equal but written differently
+_TWINS = [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, True)]
+
+
+def _fuzz_bus(seed):
+    """A bus of real event shapes salted with hostile ones."""
+    rng = random.Random(seed)
+    bus = EventBus()
+    times = [rng.random() * 1e3 for _ in range(6)]  # shared objects: ``ev.t is`` the last t
+    twin = None
+    for _ in range(rng.randrange(60, 160)):
+        if rng.random() < 0.05:
+            bus.set_run(rng.choice([None, "run-a", "cell 7", ("cell", 3), 1, 1.0]))
+        r = rng.random()
+        if twin is not None:
+            t, twin = twin, None
+        elif r < 0.05:
+            t, twin = rng.choice(_TWINS)
+        else:
+            t = rng.choice(_HOSTILE_TIMES if r < 0.15 else times) if r < 0.6 else rng.random() * 1e4
+        rank = rng.choice([0, 1, 2, 3, 1023, None, None, True, False, _Level.LOW, -2])
+        shape = rng.randrange(8)
+        if shape == 0:
+            delay = rng.choice([0.25, 10.0, 2000.0, rng.random(), None, -0.0, 3,
+                                float("nan"), _Float(1.0), True])
+            bus.emit_timer(t, rng.choice(["timer.arm", "timer.fire", "timer.cancel"]), delay)
+        elif shape == 1:
+            call = rng.choice(["send", "recv", "bcast", "barrier", 1, 1.0, True, None, _Str("send")])
+            detail = rng.choice([{"call": call}, {"call": call, "peer": rng.randrange(8)},
+                                 {"call": call, "peer": None},
+                                 {"call": call, "tag": rng.choice(_HOSTILE_VALUES)},
+                                 {"peer": 1}, {"peer": None}, {}, None])
+            bus.emit(t, "mpi", rng.choice(["call.enter", "call.exit"]), rank=rank, detail=detail)
+        elif shape == 2:
+            msg = rng.choice([(0, 1, 0, rng.randrange(99)), (2, 3, 1, 4), (0, 1, "x", 2.5),
+                              (True, 1, 0, 0), [0, 1], (7,), ()])
+            detail = {"tag": rng.randrange(9), "nbytes": rng.choice([0, 64, 2**40]), "mode": "eager"}
+            if rng.random() < 0.2:
+                detail["msg"] = rng.choice(["inner", None, 5])
+            bus.emit(t, "dev", rng.choice(["msg.send", "env.arrived", "match.hit"]), rank=rank, msg=msg,
+                     detail=rng.choice([detail, detail, None, {}]))
+        else:
+            keys = ["ok", "name", "size", "ünï", "ctl\x07", 1, None, _Str("key")]
+            detail = {rng.choice(keys): rng.choice(_HOSTILE_VALUES) for _ in range(rng.randrange(4))}
+            layer = rng.choice(["sim", "net", "fault", "ft", "trace", _Str("dev")])
+            kind = rng.choice(["process.exit", "seg.send", "node.crash", "agree", _Str("odd.kind")])
+            bus.emit(t, layer, kind, rank=rank, msg=rng.choice([None, None, (1, 2, 3, 4)]), detail=detail)
+    if seed % 4 == 3:  # a key the encoder refuses: both paths must raise the same
+        bus.emit(5.0, "net", "seg.send", rank=0, detail={(1, 2): 3})
+    return bus
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_text_writers_equal_the_dict_records(tmp_path, monkeypatch, seed):
+    """The writers write the common shapes as text and hand every other
+    record to the encoder; either way the bytes are the dict records'."""
+    from repro.obs import export
+
+    bus = _fuzz_bus(seed)
+    want = _outcome(lambda: json.dumps(to_chrome(bus), default=str) + "\n")
+    for chunk in (1, 3, 256):
+        monkeypatch.setattr(export, "_CHUNK", chunk)
+        path = tmp_path / f"t{chunk}.json"
+        assert _outcome(lambda: write_trace(bus, str(path), "chrome") and path.read_text()) == want
+    lines = _outcome(lambda: [export._encode(export._jsonl_record(ev)) for ev in bus.events])
+    assert _outcome(lambda: list(to_jsonl_lines(bus))) == lines
+    path = tmp_path / "t.jsonl"
+    got = _outcome(lambda: write_trace(bus, str(path), "jsonl") and path.read_text())
+    assert got == (lines if isinstance(lines, tuple) else "".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
