@@ -155,10 +155,6 @@ class ModernFabric:
         self._enqueue(reader, target,
                       _Unit(CONTROL_BYTES, None, read=(reader, nbytes, resolve)))
 
-    def link_error(self, src: int, dst: int) -> Optional[Exception]:
-        link = self._links.get((src, dst))
-        return link.error if link is not None else None
-
     # ----------------------------------------------------------- internals
     def _enqueue(self, src: int, dst: int, unit: _Unit) -> None:
         key = (src, dst)

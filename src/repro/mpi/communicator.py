@@ -192,7 +192,9 @@ class Communicator:
 
     def _traced(self, name: str, gen, peer=None, tag=None):
         """Run *gen*, bracketing it with ``mpi``-layer
-        ``call.enter``/``call.exit`` events when tracing is on.
+        ``call.enter``/``call.exit`` events when tracing is on.  The
+        events carry the caller's *world* rank, like every other layer's,
+        so a rank's calls on any communicator nest on one track.
 
         Not a generator itself: with tracing off it returns *gen*
         untouched, so ``yield from self._traced(...)`` delegates straight
@@ -206,17 +208,19 @@ class Communicator:
         return self._traced_gen(name, gen, peer, tag, obs)
 
     def _traced_gen(self, name, gen, peer, tag, obs):
-        sim = self.endpoint.sim
+        endpoint = self.endpoint
+        sim = endpoint.sim
+        rank = endpoint.world_rank
         detail = {"call": name}
         if peer is not None:
             detail["peer"] = peer
         if tag is not None:
             detail["tag"] = tag
-        obs.emit(sim.now, "mpi", "call.enter", rank=self.rank, detail=detail)
+        obs.emit(sim.now, "mpi", "call.enter", rank=rank, detail=detail)
         try:
             result = yield from gen
         finally:
-            obs.emit(sim.now, "mpi", "call.exit", rank=self.rank, detail=detail)
+            obs.emit(sim.now, "mpi", "call.exit", rank=rank, detail=detail)
         return result
 
     # ------------------------------------------------------ point to point

@@ -9,13 +9,10 @@ is accumulated — without touching the wrapped communicator or devices.
 >>> pcomm.stats.calls["send"], pcomm.stats.bytes_sent
 (1, 1024)
 
-The wrapper is a producer/consumer pair on an
-:class:`~repro.obs.bus.EventBus`: each completed call emits one
-``prof``-layer ``call`` event, and the communicator's
-:class:`MpiStats` (plus any attached Timeline) is maintained by a bus
-subscriber keyed to that wrapper.  By default the events go to the
-world's bus if tracing is on (so profiled calls appear in exported
-traces), or to a private bus otherwise.
+The wrapper updates its own :class:`MpiStats` and records nothing on
+an event bus; a traced world's record of a call is the
+``call.enter``/``call.exit`` pair its communicator emits (see
+:class:`~repro.mpi.timeline.Timeline`).
 """
 
 from __future__ import annotations
@@ -23,11 +20,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.obs.bus import EventBus
+from repro.mpi.constants import PROC_NULL
 
 __all__ = ["MpiStats", "ProfiledCommunicator", "profile"]
 
@@ -85,64 +82,37 @@ class MpiStats:
 
 
 class ProfiledCommunicator:
-    """A transparent, stats-collecting communicator wrapper.
+    """A transparent, stats-collecting communicator wrapper."""
 
-    With a :class:`~repro.mpi.timeline.Timeline` attached, every call's
-    (start, end) span is recorded for Gantt rendering.
-    """
-
-    def __init__(self, comm, timeline=None, bus: Optional[EventBus] = None):
+    def __init__(self, comm):
         self._comm = comm
-        if bus is None:
-            bus = getattr(comm.endpoint.sim, "obs", None)
-        if bus is None:
-            bus = EventBus()
-        self.bus = bus
         self.stats = MpiStats()
-        self.timeline = timeline
-        # events carry the producing wrapper's key so several profiled
-        # communicators can share one bus without mixing their stats
-        self._key = id(self)
-        bus.subscribe(self._consume)
-
-    def _consume(self, ev) -> None:
-        """Bus subscriber: fold this wrapper's ``prof`` events into stats."""
-        if ev.layer != "prof" or ev.detail.get("pc") != self._key:
-            return
-        d = ev.detail
-        name = d["call"]
-        stats = self.stats
-        stats.calls[name] += 1
-        stats.bytes_sent += d.get("bytes_sent", 0)
-        stats.bytes_received += d.get("bytes_received", 0)
-        dt = ev.t - d["start"]
-        stats.time_in_mpi += dt
-        stats.time_by_call[name] = stats.time_by_call.get(name, 0.0) + dt
-        if self.timeline is not None:
-            self.timeline.record(ev.rank, name, d["start"], ev.t)
 
     def __getattr__(self, name):
         attr = getattr(self._comm, name)
         if name not in _TRACKED or not callable(attr):
             return attr
         comm = self._comm
-        bus = self.bus
-        key = self._key
+        stats = self.stats
 
         @functools.wraps(attr)
         def wrapper(*args, **kwargs):
-            detail = {"call": name, "pc": key}
+            sent = 0
             if name in _SEND_CALLS:
-                buf = args[0] if args else kwargs.get("buf")
-                detail["bytes_sent"] = _nbytes(buf)
+                dest = args[1] if len(args) > 1 else kwargs.get("dest")
+                if dest != PROC_NULL:  # nothing leaves for MPI_PROC_NULL
+                    sent = _nbytes(args[0] if args else kwargs.get("buf"))
             t0 = comm.wtime()
-            detail["start"] = t0
             result = yield from attr(*args, **kwargs)
+            stats.bytes_sent += sent
             if name in _RECV_CALLS and isinstance(result, tuple) and len(result) == 2:
                 status = result[1]
-                if status is not None and getattr(status, "count_bytes", 0) > 0:
-                    detail["bytes_received"] = status.count_bytes
-            bus.emit(comm.wtime(), "prof", "call", rank=comm.rank, detail=detail)
+                if status is not None:
+                    stats.bytes_received += status.count_bytes
+            dt = comm.wtime() - t0
+            stats.calls[name] += 1
+            stats.time_in_mpi += dt
+            stats.time_by_call[name] = stats.time_by_call.get(name, 0.0) + dt
             return result
 
         return wrapper
@@ -172,6 +142,6 @@ class ProfiledCommunicator:
         return self._comm.wtime()
 
 
-def profile(comm, timeline=None, bus: Optional[EventBus] = None) -> ProfiledCommunicator:
-    """Wrap *comm* for statistics collection (and optionally a Timeline)."""
-    return ProfiledCommunicator(comm, timeline=timeline, bus=bus)
+def profile(comm) -> ProfiledCommunicator:
+    """Wrap *comm* for statistics collection."""
+    return ProfiledCommunicator(comm)

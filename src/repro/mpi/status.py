@@ -37,12 +37,5 @@ class Status:
             return UNDEFINED
         return self.count_bytes // datatype.size
 
-    def get_elements(self, datatype: Datatype) -> int:
-        """Number of basic elements received (MPI_Get_elements)."""
-        itemsize = datatype.basic.itemsize
-        if self.count_bytes % itemsize:
-            return UNDEFINED
-        return self.count_bytes // itemsize
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Status source={self.source} tag={self.tag} bytes={self.count_bytes}>"

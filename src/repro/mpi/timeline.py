@@ -1,40 +1,28 @@
 """Execution timelines: who was inside MPI when.
 
-A :class:`Timeline` collects (rank, call, start, end) spans from
-profiled communicators and renders them as an ASCII Gantt chart —
-rank per row, ``#`` where the rank sat inside an MPI call, ``.`` where
-it computed.  The classic way to *see* load imbalance and
-communication phases::
+A :class:`Timeline` holds (rank, call, start, end) spans and renders
+them as an ASCII Gantt chart — rank per row, ``#`` where the rank sat
+inside an MPI call, ``.`` where it computed.  The classic way to *see*
+load imbalance and communication phases::
 
-    tl = Timeline()
-
-    def main(comm):
-        pcomm = profile(comm, timeline=tl)
-        ...
-
-    print(tl.render())
+    bus = EventBus()
+    World(4, platform="meiko", obs=bus).run(main)
+    print(Timeline.from_bus(bus).render())
 
     rank 0 |####....####....####|
     rank 1 |..####....####....##|
 
-A Timeline is a view over an :class:`~repro.obs.bus.EventBus`:
-:meth:`record` emits an ``mpi``-layer ``call.span`` event and
-:attr:`spans` derives the Span list back from the bus.  Pass ``bus=``
-to share a world's event bus so the spans land in the same exported
-trace as everything else.
+:meth:`Timeline.from_bus` folds the ``call.enter``/``call.exit`` events
+a traced world's communicators emit; ``Timeline(spans)`` takes
+synthetic spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.obs.bus import EventBus
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["Span", "Timeline"]
-
-#: the bus event kind Timeline spans are stored as
-SPAN_KIND = "call.span"
 
 
 @dataclass(frozen=True)
@@ -46,41 +34,47 @@ class Span:
     start: float
     end: float
 
+    def __post_init__(self):
+        if self.end < self.start:
+            raise ValueError(f"span ends before it starts: {self.start}..{self.end}")
+
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
 class Timeline:
-    """Collects spans and renders a per-rank occupancy chart."""
+    """A per-rank occupancy chart over a list of spans."""
 
-    def __init__(self, bus: Optional[EventBus] = None):
-        self.bus = bus if bus is not None else EventBus()
+    def __init__(self, spans: Iterable[Span] = ()):
+        self.spans: List[Span] = list(spans)
 
-    @property
-    def spans(self) -> List[Span]:
-        """The ``call.span`` events of the bus, as classic Spans."""
-        return [
-            Span(e.rank, e.detail["call"], e.detail["start"], e.t)
-            for e in self.bus.events
-            if e.layer == "mpi" and e.kind == SPAN_KIND
-        ]
-
-    def record(self, rank: int, call: str, start: float, end: float) -> None:
-        if end < start:
-            raise ValueError(f"span ends before it starts: {start}..{end}")
-        self.bus.emit(
-            end, "mpi", SPAN_KIND, rank=rank, detail={"call": call, "start": start}
-        )
+    @classmethod
+    def from_bus(cls, bus) -> "Timeline":
+        """Each world rank's outermost MPI calls on *bus*: a call made
+        inside another (a blocking send's isend/wait, a collective's
+        point-to-point steps) is part of its caller's span."""
+        open_calls: Dict[tuple, list] = {}  # (run, rank) -> call.enter stack
+        spans = []
+        for ev in bus.events:
+            if ev.layer != "mpi" or ev.kind not in ("call.enter", "call.exit"):
+                continue
+            stack = open_calls.setdefault((ev.run, ev.rank), [])
+            if ev.kind == "call.enter":
+                stack.append(ev)
+                continue
+            enter = stack.pop()
+            if not stack:
+                spans.append(Span(ev.rank, enter.detail["call"], enter.t, ev.t))
+        return cls(spans)
 
     # -- analysis ------------------------------------------------------------
     def ranks(self) -> List[int]:
         return sorted({s.rank for s in self.spans})
 
     def mpi_time(self, rank: int) -> float:
-        """Total µs rank spent inside MPI (span overlap not merged —
-        spans from one rank's nested calls do not occur: calls are
-        sequential within a rank)."""
+        """Total µs rank spent inside MPI (a rank's spans never overlap:
+        only its outermost calls are spans)."""
         return sum(s.duration for s in self.spans if s.rank == rank)
 
     def busiest_call(self, rank: int) -> Optional[str]:

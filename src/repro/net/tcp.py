@@ -100,11 +100,6 @@ class TcpConnection(ReliableStream):
                 self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt, fin=True
             ))
 
-    def wait_established(self):
-        """Generator: block until the handshake completes."""
-        while self.state != ESTABLISHED:
-            yield self._established.wait1()
-
     # ------------------------------------------------------------ internals
     def _transmit(self, seg: TcpSegment) -> None:
         self.segments_sent += 1

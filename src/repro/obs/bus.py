@@ -3,9 +3,9 @@
 Every layer of the stack — simulator kernel, network transports, MPI
 devices, the MPI call layer, and the fault injector — emits typed
 :class:`Event` records into a single :class:`EventBus`.  Higher-level
-views (``Tracer``, ``Timeline``, ``MpiStats``, :class:`~repro.obs.phases.PhaseLedger`,
-the Chrome-trace exporter) are all queries or subscribers over this one
-stream.
+views (:class:`~repro.mpi.timeline.Timeline`,
+:class:`~repro.obs.phases.PhaseLedger`, the Chrome-trace exporter) are
+all folds over this one stream.
 
 Cost model
 ----------
@@ -36,7 +36,7 @@ Event taxonomy (layer / kind) is documented in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.counters import CounterRegistry
 
@@ -117,35 +117,21 @@ class EventBus:
     """Append-only stream of :class:`Event` (and :class:`TimerEvent`) records.
 
     Attach one to a world (``World(..., obs=bus)``) before it is built;
-    every layer then emits into it.  ``layers`` optionally restricts
-    recording to a set of layer names (events from other layers are
-    dropped at the door, which keeps huge runs tractable).
+    every layer then emits into it.
     """
 
-    def __init__(self, layers=None):
+    def __init__(self):
         self.events: List[Event] = []
-        self.layers = frozenset(layers) if layers is not None else None
         self.run: Optional[str] = None
-        self._subscribers: List[Callable[[Event], None]] = []
 
     # -- emission (the hot path) --------------------------------------------
     def emit(self, t, layer, kind, rank=None, msg=None, detail=None) -> None:
-        if self.layers is not None and layer not in self.layers:
-            return
-        ev = Event(t, layer, kind, rank, msg, detail, self.run)
-        self.events.append(ev)
-        for fn in self._subscribers:
-            fn(ev)
+        self.events.append(Event(t, layer, kind, rank, msg, detail, self.run))
 
     def emit_timer(self, t, kind, delay) -> None:
         """``emit(t, "sim", kind, detail={"delay": delay})``, recorded
         as a :class:`TimerEvent`."""
-        if self.layers is not None and "sim" not in self.layers:
-            return
-        ev = TimerEvent(t, kind, delay, self.run)
-        self.events.append(ev)
-        for fn in self._subscribers:
-            fn(ev)
+        self.events.append(TimerEvent(t, kind, delay, self.run))
 
     @property
     def counters(self) -> CounterRegistry:
@@ -166,28 +152,9 @@ class EventBus:
         event streams back through its merge: each worker records into
         its own bus, the parent ``extend``s the shard streams in
         canonical cell order, and the merged bus is indistinguishable
-        from one serial run sharing a single bus — the layer filter
-        applies and subscribers are notified exactly as live emission
-        would.  With neither, this is one ``list.extend``.
+        from one serial run sharing a single bus.
         """
-        if self.layers is None and not self._subscribers:
-            self.events.extend(events)
-            return
-        for ev in events:
-            if self.layers is not None and ev.layer not in self.layers:
-                continue
-            self.events.append(ev)
-            for fn in self._subscribers:
-                fn(ev)
-
-    # -- subscribers ---------------------------------------------------------
-    def subscribe(self, fn: Callable[[Event], None]) -> Callable[[Event], None]:
-        self._subscribers.append(fn)
-        return fn
-
-    def unsubscribe(self, fn: Callable[[Event], None]) -> None:
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
+        self.events.extend(events)
 
     # -- queries -------------------------------------------------------------
     def __len__(self) -> int:

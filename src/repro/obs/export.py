@@ -56,9 +56,7 @@ _LAYER_CAT = {
     "net": "net",
     "dev": "device",
     "mpi": "mpi",
-    "prof": "mpi",
     "fault": "fault",
-    "trace": "trace",
 }
 
 #: a record the text path does not cover -> JSON text through the C

@@ -8,8 +8,9 @@ dependency:
 * every event has a string ``ph`` and integer-ish ``pid``/``tid``;
 * non-metadata events carry a numeric, non-negative ``ts`` and a
   ``name``;
-* ``B``/``E`` duration events balance per ``(pid, tid)`` track and
-  never close a span that was not opened.
+* ``B``/``E`` duration events balance per ``(pid, tid)`` track: an
+  ``E`` closes the innermost open ``B`` of that track, with the same
+  name.
 
 Run from the command line (used by the CI observability smoke job)::
 
@@ -63,7 +64,10 @@ def validate_chrome_trace(obj) -> List[str]:
             if not stack:
                 errors.append(f"{where}: E with no open B on track {track}")
             else:
-                stack.pop()
+                opened = stack.pop()
+                if opened != ev.get("name", ""):
+                    errors.append(f"{where}: E {ev.get('name')!r} closes B "
+                                  f"{opened!r} on track {track}")
     for track, stack in open_spans.items():
         if stack:
             errors.append(f"unclosed B events on track {track}: {stack}")

@@ -31,7 +31,6 @@ from repro.sim.core import (
     StopRun,
 )
 from repro.sim.resources import EMPTY, Resource, Store, PriorityStore
-from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "URGENT",
@@ -49,6 +48,4 @@ __all__ = [
     "Resource",
     "Store",
     "PriorityStore",
-    "Tracer",
-    "TraceRecord",
 ]

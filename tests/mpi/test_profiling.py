@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.mpi import PROC_NULL
 from repro.mpi.profiling import profile
 from tests.conftest import run_world
 
@@ -95,3 +96,17 @@ def test_summary_renders():
 
     text = run_world(2, main)[0]
     assert "sendrecv" in text and "MPI calls:" in text
+
+
+def test_sends_to_proc_null_count_no_bytes():
+    """Nothing leaves for MPI_PROC_NULL, so nothing is counted as sent."""
+
+    def main(comm):
+        p = profile(comm)
+        other = 1 - comm.rank
+        yield from p.send(bytes(64), dest=PROC_NULL)
+        yield from p.sendrecv(bytes(32), dest=PROC_NULL, source=PROC_NULL)
+        yield from p.sendrecv(bytes(16), dest=other, source=other)
+        return p.stats.calls["send"], p.stats.calls["sendrecv"], p.stats.bytes_sent
+
+    assert run_world(2, main) == [(1, 2, 16), (1, 2, 16)]

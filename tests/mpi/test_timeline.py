@@ -1,17 +1,20 @@
-"""Timeline (Gantt) tests."""
+"""Timeline (Gantt) tests: synthetic spans, and the fold of a traced
+world's ``call.enter``/``call.exit`` events."""
 
+import numpy as np
 import pytest
 
-from repro.mpi.profiling import profile
-from repro.mpi.timeline import Timeline
+from repro.mpi.timeline import Span, Timeline
+from repro.obs import EventBus
 from tests.conftest import run_world
 
 
 def test_record_and_analyze():
-    tl = Timeline()
-    tl.record(0, "send", 0.0, 10.0)
-    tl.record(0, "recv", 20.0, 50.0)
-    tl.record(1, "recv", 5.0, 15.0)
+    tl = Timeline([
+        Span(0, "send", 0.0, 10.0),
+        Span(0, "recv", 20.0, 50.0),
+        Span(1, "recv", 5.0, 15.0),
+    ])
     assert tl.ranks() == [0, 1]
     assert tl.mpi_time(0) == 40.0
     assert tl.busiest_call(0) == "recv"
@@ -19,9 +22,8 @@ def test_record_and_analyze():
 
 
 def test_record_rejects_inverted_span():
-    tl = Timeline()
     with pytest.raises(ValueError):
-        tl.record(0, "send", 10.0, 5.0)
+        Span(0, "send", 10.0, 5.0)
 
 
 def test_render_empty():
@@ -29,9 +31,7 @@ def test_render_empty():
 
 
 def test_render_shape():
-    tl = Timeline()
-    tl.record(0, "send", 0.0, 50.0)
-    tl.record(1, "recv", 50.0, 100.0)
+    tl = Timeline([Span(0, "send", 0.0, 50.0), Span(1, "recv", 50.0, 100.0)])
     out = tl.render(width=20)
     lines = out.splitlines()
     assert lines[0].startswith("rank  0 |")
@@ -44,35 +44,66 @@ def test_render_shape():
     assert "% in MPI" in lines[0]
 
 
-def test_collects_from_profiled_world():
-    tl = Timeline()
+def test_folds_a_traced_world():
+    bus = EventBus()
 
     def main(comm):
-        p = profile(comm, timeline=tl)
         other = 1 - comm.rank
-        yield from p.sendrecv(b"x" * 64, dest=other, source=other)
-        yield from p.barrier()
+        yield from comm.sendrecv(b"x" * 64, dest=other, source=other)
+        yield from comm.barrier()
         return True
 
-    run_world(2, main)
+    run_world(2, main, obs=bus)
+    tl = Timeline.from_bus(bus)
     assert set(tl.ranks()) == {0, 1}
-    calls = {s.call for s in tl.spans}
-    assert "sendrecv" in calls and "barrier" in calls
+    # outermost calls only: sendrecv's irecv/isend/waitall are inside it
+    assert [s.call for s in tl.spans if s.rank == 0] == ["sendrecv", "barrier"]
     rendered = tl.render(width=30)
     assert "rank  0" in rendered and "rank  1" in rendered
 
 
 def test_timeline_shows_imbalance():
     """A rank that computes longer shows less MPI occupancy."""
-    tl = Timeline()
+    bus = EventBus()
 
     def main(comm):
-        p = profile(comm, timeline=tl)
         # rank 1 computes 10x longer before the barrier
         yield from comm.endpoint.host.compute(1000.0 * (1 + 9 * comm.rank))
-        yield from p.barrier()
+        yield from comm.barrier()
         return True
 
-    run_world(2, main)
+    run_world(2, main, obs=bus)
+    tl = Timeline.from_bus(bus)
     # rank 0 waits in the barrier for rank 1 -> more MPI time
     assert tl.mpi_time(0) > tl.mpi_time(1) * 3
+
+
+def test_calls_on_a_split_communicator_land_on_the_world_ranks_track():
+    """Call events carry the world rank: on a split world each rank's
+    calls nest properly and fold onto that rank's own row."""
+    bus = EventBus()
+
+    def main(comm):
+        sub = yield from comm.split(color=comm.rank % 2, key=comm.rank)
+        other = 1 - sub.rank
+        yield from sub.sendrecv(b"y" * 32, dest=other, source=other)
+        yield from sub.bcast(np.zeros(4), root=0)
+        yield from sub.barrier()
+        return sub.rank
+
+    assert run_world(4, main, obs=bus) == [0, 0, 1, 1]
+    stacks = {}
+    for ev in bus.events:
+        if ev.layer == "mpi" and ev.kind in ("call.enter", "call.exit"):
+            stack = stacks.setdefault(ev.rank, [])
+            if ev.kind == "call.enter":
+                stack.append(ev.detail["call"])
+            else:
+                assert stack and stack.pop() == ev.detail["call"], (ev.rank, ev.t)
+    assert sorted(stacks) == [0, 1, 2, 3]
+    assert all(not stack for stack in stacks.values())
+    tl = Timeline.from_bus(bus)
+    assert tl.ranks() == [0, 1, 2, 3]
+    for rank in range(4):
+        calls = [s.call for s in tl.spans if s.rank == rank]
+        assert calls[-3:] == ["sendrecv", "bcast", "barrier"], (rank, calls)

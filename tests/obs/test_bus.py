@@ -1,11 +1,9 @@
-"""EventBus unit tests: emission, counters, filtering, subscribers,
-run labelling, message correlation, and the kernel's compact timer
-records."""
+"""EventBus unit tests: emission, counters, merging, run labelling,
+message correlation, and the kernel's compact timer records."""
 
 import pickle
 from collections import Counter
 
-from repro.mpi import World
 from repro.obs import Event, EventBus, msgid, to_chrome, to_jsonl_lines
 from repro.obs.bus import TimerEvent
 from repro.sim import Simulator
@@ -31,28 +29,6 @@ def test_counters_auto_increment_per_layer_kind():
     bus.emit(2.0, "net", "seg.retx")
     assert bus.counters.get("dev.msg.send") == 2
     assert bus.counters.get("net.seg.retx") == 1
-
-
-def test_layer_filter_drops_at_the_door():
-    bus = EventBus(layers={"dev"})
-    bus.emit(0.0, "dev", "msg.send")
-    bus.emit(0.0, "sim", "timer.arm")
-    bus.emit(0.0, "net", "seg.send")
-    assert [e.layer for e in bus] == ["dev"]
-    # dropped events don't count either
-    assert bus.counters.get("sim.timer.arm") == 0
-
-
-def test_subscribe_and_unsubscribe():
-    bus = EventBus()
-    seen = []
-    fn = bus.subscribe(seen.append)
-    bus.emit(0.0, "mpi", "call.enter")
-    bus.unsubscribe(fn)
-    bus.emit(1.0, "mpi", "call.exit")
-    assert [e.kind for e in seen] == ["call.enter"]
-    # unsubscribing twice is harmless
-    bus.unsubscribe(fn)
 
 
 def test_set_run_labels_subsequent_events():
@@ -91,7 +67,7 @@ def _census(bus):
 
 def test_counters_are_a_census_of_the_stream():
     """``counters`` is counted from ``events`` when read: it agrees with
-    the stream after live emission, a merge, a layer filter and a clear."""
+    the stream after live emission, a merge and a clear."""
     bus = EventBus()
     bus.emit(0.0, "dev", "msg.send")
     bus.emit(1.0, "sim", "timer.fire")
@@ -106,30 +82,23 @@ def test_counters_are_a_census_of_the_stream():
     assert bus.counters["sim.timer.arm"] == 0
     assert list(bus.counters) == sorted(_census(bus).items())
 
-    filtered = EventBus(layers={"dev"})
-    filtered.emit(0.0, "sim", "timer.arm")
-    filtered.extend(other.events)
-    assert filtered.counters.snapshot() == _census(filtered) == {"dev.msg.send": 1}
-
     bus.clear()
     assert bus.counters.snapshot() == _census(bus) == {}
     assert bus.counters.render() == "(no counters)"
 
 
-def test_extend_keeps_order_and_notifies_subscribers():
+def test_extend_keeps_order():
     src = EventBus()
     for i, kind in enumerate(("a", "b", "c")):
         src.emit(float(i), "dev", kind)
     plain = EventBus()
     plain.extend(src.events)
     assert plain.events == src.events
-    seen = []
-    watched = EventBus()
-    watched.subscribe(seen.append)
-    watched.emit(-1.0, "dev", "first")
-    watched.extend(src.events)
-    assert [e.kind for e in watched] == ["first", "a", "b", "c"]
-    assert seen == watched.events
+    merged = EventBus()
+    merged.emit(-1.0, "dev", "first")
+    merged.extend(src.events)
+    assert [e.kind for e in merged] == ["first", "a", "b", "c"]
+    assert merged.events[1:] == src.events
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +162,9 @@ def test_a_timer_record_survives_a_pickle_round_trip():
     assert _fields(back) == _fields(bus.events[0])
 
 
-def test_subscribers_see_timer_records_in_emission_order_and_counters_count_them():
+def test_timer_records_are_in_emission_order_and_counters_count_them():
     bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
     _timer_sim(bus)
-    assert seen == bus.events
     timers = [(e.t, e.kind, e.detail["delay"]) for e in bus.events if e.kind.startswith("timer.")]
     assert timers == [
         (0.0, "timer.arm", 2.0), (0.0, "timer.arm", 9.0), (0.0, "timer.cancel", 9.0),
@@ -208,29 +174,3 @@ def test_subscribers_see_timer_records_in_emission_order_and_counters_count_them
     assert bus.counters["sim.timer.fire"] == 3
     assert bus.counters["sim.timer.arm"] == 2
     assert bus.counters["sim.timer.cancel"] == 1
-
-
-def test_a_layer_filter_drops_timer_records_at_the_door():
-    dev_only = EventBus(layers={"dev"})
-    _timer_sim(dev_only)
-    assert dev_only.events == []
-
-    def ping(comm):
-        for _ in range(3):
-            if comm.rank == 0:
-                yield from comm.send(b"ping", dest=1)
-                yield from comm.recv(source=1)
-            else:
-                yield from comm.recv(source=0)
-                yield from comm.send(b"pong", dest=0)
-
-    streams = {}
-    for layers in ({"mpi"}, None):
-        bus = EventBus(layers=layers)
-        World(2, platform="ethernet", device="tcp", obs=bus).run(ping)
-        streams[layers is None] = bus
-    mpi_only, everything = streams[False], streams[True]
-    assert any(type(e) is TimerEvent for e in everything.events)
-    assert mpi_only.events and all(e.layer == "mpi" for e in mpi_only.events)
-    assert [_fields(e) for e in mpi_only.events] == [
-        _fields(e) for e in everything.events if e.layer == "mpi"]

@@ -227,6 +227,25 @@ def test_validator_rejects_unbalanced_spans():
     assert any("unclosed" in e for e in validate_chrome_trace(unclosed))
 
 
+def test_validator_rejects_an_e_that_closes_another_calls_b():
+    """An E closes the innermost open B of its track, of the same name;
+    the same names on two tracks interleave freely."""
+    def ev(ph, tid, ts, name):
+        return {"ph": ph, "pid": 0, "tid": tid, "ts": ts, "name": name}
+
+    misnested = {"traceEvents": [
+        ev("B", 0, 0.0, "send"), ev("B", 0, 1.0, "wait"),
+        ev("E", 0, 2.0, "send"), ev("E", 0, 3.0, "wait"),
+    ]}
+    errs = validate_chrome_trace(misnested)
+    assert len(errs) == 2 and all("closes B" in e for e in errs)
+    interleaved = {"traceEvents": [
+        ev("B", 0, 0.0, "send"), ev("B", 1, 0.5, "recv"),
+        ev("E", 0, 1.0, "send"), ev("E", 1, 2.0, "recv"),
+    ]}
+    assert validate_chrome_trace(interleaved) == []
+
+
 def test_schema_cli(tmp_path, capsys):
     good = tmp_path / "good.json"
     write_trace(_call_bus(), str(good), "chrome")

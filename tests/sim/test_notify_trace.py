@@ -1,8 +1,8 @@
-"""Tests for Notify (counted events) and the Tracer."""
+"""Tests for Notify (counted events)."""
 
 import pytest
 
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.notify import Notify
 
 
@@ -77,67 +77,3 @@ def test_total_sets_counts_lifetime(sim):
         n.set()
     n.poll()
     assert n.total_sets == 5
-
-
-# ---------------------------------------------------------------------------
-# Tracer
-# ---------------------------------------------------------------------------
-
-
-def test_tracer_disabled_by_default():
-    t = Tracer()
-    t.log(1.0, "cat", "x")
-    assert t.records == []
-
-
-def test_tracer_enable_specific():
-    t = Tracer()
-    t.enable("a")
-    t.log(1.0, "a", 1)
-    t.log(2.0, "b", 2)
-    assert len(t.records) == 1
-    assert t.records[0].category == "a"
-
-
-def test_tracer_wildcard():
-    t = Tracer()
-    t.enable("*")
-    t.log(1.0, "anything")
-    assert len(t.records) == 1
-
-
-def test_tracer_disable():
-    t = Tracer()
-    t.enable("a")
-    t.disable("a")
-    t.log(1.0, "a")
-    assert t.records == []
-
-
-def test_tracer_counts_and_last():
-    t = Tracer()
-    t.enable("*")
-    t.log(1.0, "x")
-    t.log(2.0, "x")
-    t.log(3.0, "y")
-    assert t.counts() == {"x": 2, "y": 1}
-    assert t.last("x").time == 2.0
-    assert t.last("z") is None
-
-
-def test_tracer_spans():
-    t = Tracer()
-    t.enable("*")
-    t.log(1.0, "start")
-    t.log(4.0, "end")
-    t.log(10.0, "start")
-    t.log(11.5, "end")
-    assert t.spans("start", "end") == [3.0, 1.5]
-
-
-def test_tracer_clear():
-    t = Tracer()
-    t.enable("*")
-    t.log(1.0, "x")
-    t.clear()
-    assert t.records == []
